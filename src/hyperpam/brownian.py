@@ -21,10 +21,10 @@ Two step schemes are provided:
 
 Reproducibility
 ---------------
-Every path owns a counter-based Philox stream keyed by (master seed, path
-index, role tag), so ensembles are reproducible and independent of batch
-sizes, worker counts, and execution order.  Identical configs produce
-bit-identical output.
+Every path owns a PCG64 stream seeded through ``SeedSequence`` from the key
+(master seed, path index, role tag) -- see :func:`path_stream` -- so
+ensembles are reproducible and independent of batch sizes, worker counts,
+and execution order.  Identical configs produce bit-identical output.
 """
 
 from dataclasses import dataclass

@@ -21,6 +21,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -105,15 +106,19 @@ class _Config:
     def sampler(self, seed_override=None):
         seed = seed_override if seed_override is not None \
             else self.get("run", "seed", int, required=True)
-        try:
-            return brownian.SamplerConfig(
-                dim=self.get("run", "dim", int, default=3),
-                step=self.get("run", "step", float, default=1e-3),
-                scheme=self.get("run", "scheme", str, default="embedded-sde"),
-                seed=seed,
-            )
-        except ValueError as exc:
-            self._fail("run", "step", str(exc))
+        fields = {
+            "dim": self.get("run", "dim", int, default=3),
+            "step": self.get("run", "step", float, default=1e-3),
+            "scheme": self.get("run", "scheme", str, default="embedded-sde"),
+        }
+        # SamplerConfig checks each field on its own: validate them one at a
+        # time so the error names the key that failed
+        for key, value in fields.items():
+            try:
+                brownian.SamplerConfig(**{key: value})
+            except ValueError as exc:
+                self._fail("run", key, str(exc))
+        return brownian.SamplerConfig(seed=seed, **fields)
 
 
 def _meta(cfg, sampler, extra=None):
@@ -154,10 +159,12 @@ def cmd_phase_sweep(args):
     estimators = [e.strip() for e in
                   cfg.get("run", "estimators", str, default="fk").split(",")]
     workers = args.workers or cfg.get("run", "workers", int, default=1)
-    if any(b < 0 for b in betas):
-        raise ConfigError(f"{args.config}: [sweep] beta: all values must be >= 0")
-    if any(t <= 0 for t in ts):
-        raise ConfigError(f"{args.config}: [sweep] t: all values must be > 0")
+    # chained comparisons also reject NaN, which fails every comparison
+    if not all(0 <= b < math.inf for b in betas):
+        raise ConfigError(f"{args.config}: [sweep] beta: all values must be finite "
+                          "and >= 0")
+    if not all(0 < t < math.inf for t in ts):
+        raise ConfigError(f"{args.config}: [sweep] t: all values must be finite and > 0")
     for kind in estimators:
         if kind not in _ESTIMATORS:
             raise ConfigError(f"{args.config}: [run] estimators: unknown kind "
@@ -193,7 +200,7 @@ def cmd_phase_sweep(args):
     for kind in estimators:
         for beta in betas:
             sel = [r for r in rows
-                   if r.estimator_kind.startswith(kind) and r.beta == beta]
+                   if r.estimator_kind == kind and r.beta == beta]
             key = f"{kind}:beta={beta:g}"
             if len({r.t for r in sel}) < 4:
                 summaries[key] = {"note": "need >= 4 distinct t values"}

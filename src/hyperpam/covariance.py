@@ -11,15 +11,16 @@ distance rho alone:
 * ``constant``      f == c.  Not a decaying covariance at all; exists purely as
                     an analytic oracle (the second moment is exp(beta^2 c t)).
 
-The incomplete gamma function is evaluated by the classical series /
-continued-fraction pair, vectorized, so profile evaluation along large path
-ensembles stays cheap.
+The lower incomplete gamma function comes from scipy's regularized
+``gammainc``, vectorized, so profile evaluation along large path ensembles
+stays cheap.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .geometry import HPoint, distance
 
@@ -38,58 +39,16 @@ def psi(rho):
 def lower_incomplete_gamma(a, x):
     """gamma(a, x) = integral_0^x e^{-v} v^{a-1} dv for a > 0, x >= 0.
 
-    Power series for x < a + 1, modified Lentz continued fraction for the
-    complementary integral otherwise; relative accuracy ~1e-12.  Vectorized
-    over x.
+    scipy's regularized P(a, x) times Gamma(a); vectorized over x.  A scalar
+    x returns a float, an array x an ndarray.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    gam_a = math.gamma(a)
-
-    small = (x > 0) & (x < a + 1.0)
-    if np.any(small):
-        xs = x[small]
-        term = np.full_like(xs, 1.0 / a)
-        total = term.copy()
-        ap = a
-        for _ in range(500):
-            ap += 1.0
-            term = term * xs / ap
-            total += term
-            if np.all(np.abs(term) < np.abs(total) * 1e-17):
-                break
-        out[small] = total * np.exp(-xs + a * np.log(xs))
-
-    large = x >= a + 1.0
-    if np.any(large):
-        xl = x[large]
-        tiny = 1e-300
-        b = xl + 1.0 - a
-        c = np.full_like(xl, 1e300)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, 500):
-            an = -i * (i - a)
-            b = b + 2.0
-            d = an * d + b
-            d = np.where(np.abs(d) < tiny, tiny, d)
-            c = b + an / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            d = 1.0 / d
-            delta = d * c
-            h = h * delta
-            if np.all(np.abs(delta - 1.0) < 1e-17):
-                break
-        upper = np.exp(-xl + a * np.log(xl)) * h
-        out[large] = gam_a - upper
-
-    return float(out[0]) if scalar else out
+    out = special.gammainc(a, x) * math.gamma(a)
+    return out if out.ndim else float(out)
 
 
 def phi_alpha(rho, alpha):

@@ -212,14 +212,6 @@ def angle_at(vertex, p, q):
     return ang if ang.ndim else float(ang)
 
 
-def _log_dir(cv, ct):
-    rho = distance(cv, ct)
-    if np.any(rho < _DEGENERATE):
-        raise ValueError("degenerate vertex: points coincide")
-    u = (ct - np.cosh(rho)[..., None] * cv) / np.sinh(rho)[..., None]
-    return u, rho
-
-
 def triangle_deficit(a_vertex, b_vertex, c_vertex):
     """Reverse-triangle data at ``a_vertex``.
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import brownian, heatkernel
 from .brownian import path_stream
-from .geometry import _coords
+from .geometry import _coords, minkowski_product
 
 
 class EstimatorError(RuntimeError):
@@ -115,12 +115,12 @@ def fk_second_moment(x, t, beta, model, n_paths, cfg):
 def jensen_lower(x, t, beta, model, n_paths, cfg):
     """Jensen lower-bound estimator: average the integrand first, then exponentiate.
 
-    Requires a nonnegative profile.  On a shared ensemble this is a pathwise
-    lower bound for :func:`fk_second_moment` (arithmetic-geometric mean).
+    Requires a nonnegative profile, which every CovarianceModel kind is
+    (their amplitudes are checked positive).  On a shared ensemble this is a
+    pathwise lower bound for :func:`fk_second_moment` (arithmetic-geometric
+    mean).
     """
     _check_common(t, beta, n_paths)
-    if model.sup_value() < 0:
-        raise EstimatorError("jensen_lower requires a nonnegative covariance")
     if beta == 0.0:
         return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, "jensen")
     times, F, q = _pair_integrals(x, t, model, n_paths, cfg)
@@ -199,7 +199,8 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
             if slope < -1.0:
                 tail = float(means[-1] * T_max / (-slope - 1.0))
         pairs_out.append({
-            "separation": float(np.arccosh(max(-_mink(_coords(x), _coords(y)), 1.0))),
+            "separation": float(np.arccosh(
+                max(-minkowski_product(_coords(x), _coords(y)), 1.0))),
             "integral": integral,
             "tail_correction": tail,
             "decay_slope": slope,
@@ -208,10 +209,6 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
     lam = max(p["total"] for p in pairs_out)
     return {"lambda_hat": lam, "beta0_hat": lam ** -0.5, "pairs": pairs_out,
             "T_max": T_max, "n_paths": n_paths, "seed": cfg.seed}
-
-
-def _mink(a, b):
-    return float(np.sum(a[:-1] * b[:-1]) - a[-1] * b[-1])
 
 
 def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0):

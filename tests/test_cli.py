@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyperpam.cli import main
+from hyperpam.moments import PhaseRow, growth_fit
 
 BASE_CONFIG = """\
 [model]
@@ -62,6 +63,64 @@ def test_unknown_estimator_rejected(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "mc3000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,good,bad", [
+    ("dim", "dim = 3", "dim = 1"),
+    ("step", "step = 1e-2", "step = 0.5"),
+    ("scheme", "dim = 3", "dim = 3\nscheme = leapfrog"),
+])
+def test_sampler_config_error_names_key(tmp_path, capsys, key, good, bad):
+    rc = main(["phase-sweep", "--config",
+               _write(tmp_path, BASE_CONFIG.replace(good, bad)),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"[run] {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,good,bad", [
+    ("t", "t = 1, 2, 3, 4", "t = 1, nan, 3, 4"),
+    ("t", "t = 1, 2, 3, 4", "t = 1, 2, 3, inf"),
+    ("beta", "beta = 0.5", "beta = nan"),
+    ("beta", "beta = 0.5", "beta = inf"),
+])
+def test_sweep_nonfinite_grid_value_rejected(tmp_path, capsys, key, good, bad):
+    rc = main(["phase-sweep", "--config",
+               _write(tmp_path, BASE_CONFIG.replace(good, bad)),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"[sweep] {key}:" in capsys.readouterr().err
+
+
+def test_sweep_summary_fits_only_its_own_estimator(tmp_path):
+    """The fk summary must not absorb the fk-euclidean rows."""
+    cfg = """\
+[model]
+kind = truncated-power
+alpha = 0.5
+
+[run]
+dim = 3
+step = 1e-2
+n_paths = 16
+seed = 4242
+estimators = fk, fk-euclidean
+
+[sweep]
+beta = 0.5
+t = 1, 2, 3, 4
+"""
+    out = tmp_path / "out"
+    assert main(["phase-sweep", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    rows = [PhaseRow(**r) for r in json.loads((out / "rows.json").read_text())["rows"]]
+    summary = json.loads((out / "summary.json").read_text())["summaries"]
+    for kind in ("fk", "fk-euclidean"):
+        own = [r for r in rows if r.estimator_kind == kind]
+        assert len(own) == 4
+        fit = growth_fit(own, "power-t^{1-alpha}")
+        assert summary[f"{kind}:beta=0.5"]["slope_linear"] == pytest.approx(
+            fit.slope_linear, rel=1e-12)
 
 
 def test_beta_zero_sweep_rows_are_zero(tmp_path):

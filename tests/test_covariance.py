@@ -43,6 +43,48 @@ def test_gamma_vs_scipy_oracle():
         assert np.max(np.abs(mine - ref) / ref) < 1e-10
 
 
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.5, 3.0])
+def test_gamma_recurrence(a):
+    """gamma(a+1, x) = a gamma(a, x) - x^a e^{-x}, on both sides of x = a + 1."""
+    xs = np.array([0.1, 0.5, 0.5 * (a + 1.0), a + 1.0, 1.5 * (a + 1.0), 10.0, 30.0])
+    lhs = lower_incomplete_gamma(a + 1.0, xs)
+    rhs = a * lower_incomplete_gamma(a, xs) - xs**a * np.exp(-xs)
+    assert np.allclose(lhs, rhs, rtol=1e-12, atol=0.0)
+
+
+def test_gamma_half_is_erf():
+    """gamma(1/2, x) = sqrt(pi) erf(sqrt(x))."""
+    xs = np.linspace(0.0, 50.0, 201)
+    expect = [math.sqrt(math.pi) * math.erf(math.sqrt(x)) for x in xs]
+    assert np.allclose(lower_incomplete_gamma(0.5, xs), expect, rtol=1e-12, atol=0.0)
+
+
+def test_gamma_at_zero_and_return_types():
+    for a in (0.25, 1.0, 3.0):
+        assert lower_incomplete_gamma(a, 0.0) == 0.0
+    assert type(lower_incomplete_gamma(1.5, 2.0)) is float
+    assert type(lower_incomplete_gamma(1.5, np.float64(2.0))) is float
+    arr = lower_incomplete_gamma(1.5, np.array([0.0, 2.0]))
+    assert isinstance(arr, np.ndarray) and arr.shape == (2,) and arr[0] == 0.0
+
+
+# phi_alpha(rho, alpha) recorded from the earlier series / continued-fraction
+# evaluation of the incomplete gamma function
+_PHI_PINNED = [
+    (0.25, 0.1, 0.9990030449180105), (0.25, 3.0, 0.7266869060134424),
+    (0.25, 40.0, 0.3619962032976729), (0.5, 1.0, 0.8724325309999361),
+    (0.5, 10.0, 0.2904935982332738), (1.5, 0.1, 0.9970103191521802),
+    (1.5, 3.0, 0.3023006853894898), (1.5, 40.0, 0.005394283792452531),
+    (3.0, 1.0, 0.7248994078779417), (3.0, 10.0, 0.007406674816314939),
+    (3.0, 40.0, 9.879760861724269e-05),
+]
+
+
+@pytest.mark.parametrize("alpha,rho,expect", _PHI_PINNED)
+def test_phi_alpha_pinned_values(alpha, rho, expect):
+    assert phi_alpha(rho, alpha) == pytest.approx(expect, rel=1e-12)
+
+
 def test_gamma_rejects_bad_arguments():
     with pytest.raises(ValueError):
         lower_incomplete_gamma(0.0, 1.0)
