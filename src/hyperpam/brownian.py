@@ -19,6 +19,15 @@ Two step schemes are provided:
   and R = sqrt(2 d dt) * |N(0,1)|, matching the second moment of the tangent
   Gaussian increment.  Exactly on-manifold by construction.
 
+Driver
+------
+Every ensemble runs through one loop, :func:`_drive`: it steps the rows of
+an (N, .) state in place, row i on its own stream, and hands the state to an
+observer at step 0 and after every step.  A pair ensemble is P rows of B
+stacked over the P rows of B~, stepped together.  The Euclidean comparison
+walk uses the same loop with an internal flat kernel, x += sqrt(2 dt) g, on
+(N, d) rows; it is not a sampler scheme.
+
 Reproducibility
 ---------------
 Every path owns a PCG64 stream seeded through ``SeedSequence`` from the key
@@ -176,94 +185,87 @@ def _reproject(x, d):
         x[:, d] = np.hypot(1.0, norm)
 
 
-class _Walker:
-    """Batched stepping of one role (a set of paths sharing a tag)."""
-
-    def __init__(self, x0_coords, cfg, indices, tag):
-        self.d = cfg.dim
-        self.scheme = cfg.scheme
-        self.x = np.tile(np.asarray(x0_coords, dtype=float), (len(indices), 1))
-        self.gens = [path_stream(cfg.seed, i, tag) for i in indices]
-        self.ncols = self.d if cfg.scheme == "embedded-sde" else self.d + 1
-        self._buf = None
-        self._tmp = np.empty((len(self.gens), self.d))
-
-    def noise(self, k):
-        """Per-path noise for the next k steps; (P, k, ncols), streams advance."""
-        if self._buf is None or self._buf.shape[1] < k:
-            self._buf = np.empty((len(self.gens), k, self.ncols))
-        view = self._buf[:, :k, :]
-        for i, g in enumerate(self.gens):
-            g.standard_normal(out=view[i])
-        return view
-
-    def step(self, gk, dt, root2dt, geo_scale):
-        if self.scheme == "embedded-sde":
-            _step_embedded(self.x, gk, dt, self.d, root2dt, self._tmp)
-        else:
-            _step_geodesic(self.x, gk[:, :self.d], gk[:, self.d], self.d,
-                           geo_scale, self._tmp)
+def _step_flat(x, g, root2dt):
+    """One flat Brownian step (generator Delta, as above): x += sqrt(2 dt) g."""
+    x += root2dt * g
 
 
-def _walk(x0_list, t, cfg, indices, tags, on_stored, monitor=None):
-    """Drive one batch of paths (one walker per tag) to horizon t.
+def _batches(cfg, n_paths, first_index, tags):
+    """Consecutive batches of at most 2048 paths as (lo, hi, streams).
 
-    ``on_stored(slot, walkers)`` is called at every stored index (slot 0 is
-    the initial condition).  ``monitor(step_index, walkers)``, if given, is
-    called after every step.
+    A batch has one stream per (tag, path), ordered tag by tag: with two
+    tags, rows [0, P) are the primary paths and rows [P, 2P) their partners.
     """
-    n_steps, dt, stored, times = _schedule(t, cfg.step)
-    walkers = [_Walker(x0, cfg, indices, tag) for x0, tag in zip(x0_list, tags)]
-    root2dt = np.sqrt(2.0 * dt)
-    geo_scale = np.sqrt(2.0 * cfg.dim * dt)
-    stored_set = np.zeros(n_steps + 1, dtype=bool)
-    stored_set[stored] = True
-    slot_of = np.cumsum(stored_set) - 1
+    size = 2048  # bounds the state and noise buffers of one batch
+    for lo in range(0, n_paths, size):
+        hi = min(lo + size, n_paths)
+        yield lo, hi, [path_stream(cfg.seed, i, tag) for tag in tags
+                       for i in range(first_index + lo, first_index + hi)]
 
-    on_stored(0, walkers)
-    chunk = _chunk_size(len(indices), cfg.dim, n_steps)
-    pos = 0
-    while pos < n_steps:
-        k = min(chunk, n_steps - pos)
-        blocks = [w.noise(k) for w in walkers]
-        for j in range(k):
-            for w, blk in zip(walkers, blocks):
-                w.step(blk[:, j], dt, root2dt, geo_scale)
-            pos += 1
-            if monitor is not None:
-                monitor(pos, walkers)
-            if stored_set[pos]:
-                on_stored(slot_of[pos], walkers)
-    return times
+
+def _at_slots(stored, record):
+    """An observer that calls record(slot, x) at the stored step indices only."""
+    slot_of = {k: slot for slot, k in enumerate(stored.tolist())}
+
+    def observe(k, x):
+        if k in slot_of:
+            record(slot_of[k], x)
+    return observe
+
+
+def _drive(x, gens, t, cfg, observe, kernel=None):
+    """Step every row of the state x in place to horizon t; row i draws from gens[i].
+
+    ``kernel`` is ``cfg.scheme`` unless given; "flat" steps Euclidean rows
+    (x is then (N, d), not (N, d+1)).  ``observe(k, x)`` is called at k = 0
+    and after every step k = 1..n_steps.
+    """
+    n_steps, dt, _, _ = _schedule(t, cfg.step)
+    d = cfg.dim
+    kernel = kernel or cfg.scheme
+    root2dt = np.sqrt(2.0 * dt)
+    geo_scale = np.sqrt(2.0 * d * dt)
+    tmp = np.empty((len(gens), d))
+    step = {
+        "embedded-sde": lambda g: _step_embedded(x, g, dt, d, root2dt, tmp),
+        "geodesic-walk": lambda g: _step_geodesic(x, g[:, :d], g[:, d], d, geo_scale, tmp),
+        "flat": lambda g: _step_flat(x, g, root2dt),
+    }[kernel]
+    ncols = d + 1 if kernel == "geodesic-walk" else d
+    chunk = _chunk_size(len(gens), d, n_steps)
+    buf = np.empty((len(gens), chunk, ncols))
+    observe(0, x)
+    for pos in range(0, n_steps, chunk):
+        noise = buf[:, :min(chunk, n_steps - pos)]
+        for i, gen in enumerate(gens):
+            gen.standard_normal(out=noise[i])
+        for j in range(noise.shape[1]):
+            step(noise[:, j])
+            observe(pos + j + 1, x)
+
+
+def _sample(x0, t, cfg, path_index, tags):
+    """One stored path per tag from x0, all driven on the streams of path_index."""
+    _, _, stored, times = _schedule(t, cfg.step)
+    coords = _coords(x0)
+    points = np.empty((len(tags), len(stored), coords.shape[0]))
+
+    def record(slot, x):
+        points[:, slot] = x
+
+    gens = [path_stream(cfg.seed, path_index, tag) for tag in tags]
+    _drive(np.tile(coords, (len(tags), 1)), gens, t, cfg, _at_slots(stored, record))
+    return [BrownianPath(times, p, cfg.seed) for p in points]
 
 
 def sample_path(x0, t, cfg, path_index=0):
     """One hyperbolic Brownian path from x0 over [0, t], stored coarsely."""
-    coords = _coords(x0)
-    n_slots = len(_schedule(t, cfg.step)[2])
-    points = np.empty((n_slots, coords.shape[0]))
-
-    def record(slot, walkers):
-        points[slot] = walkers[0].x[0]
-
-    times = _walk([coords], t, cfg, [path_index], [TAG_PRIMARY], record)
-    return BrownianPath(times, points, cfg.seed)
+    return _sample(x0, t, cfg, path_index, (TAG_PRIMARY,))[0]
 
 
 def sample_pair(x0, t, cfg, path_index=0):
     """Two independent paths from the same start (independent substreams)."""
-    coords = _coords(x0)
-    n_slots = len(_schedule(t, cfg.step)[2])
-    pts = [np.empty((n_slots, coords.shape[0])) for _ in range(2)]
-
-    def record(slot, walkers):
-        pts[0][slot] = walkers[0].x[0]
-        pts[1][slot] = walkers[1].x[0]
-
-    times = _walk([coords, coords], t, cfg, [path_index],
-                  [TAG_PRIMARY, TAG_SECONDARY], record)
-    return (BrownianPath(times, pts[0], cfg.seed),
-            BrownianPath(times, pts[1], cfg.seed))
+    return tuple(_sample(x0, t, cfg, path_index, (TAG_PRIMARY, TAG_SECONDARY)))
 
 
 def endpoints(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0, starts=None):
@@ -272,49 +274,11 @@ def endpoints(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0, starts=None):
     ``starts`` optionally gives a per-path initial condition array (used for
     chained/restarted ensembles); otherwise every path starts at x0.
     """
-    coords = _coords(x0)
-    out = np.empty((n_paths, coords.shape[0]))
-    batch = 2048
-    for lo in range(0, n_paths, batch):
-        hi = min(lo + batch, n_paths)
-        idx = list(range(first_index + lo, first_index + hi))
-        x_init = np.tile(coords, (hi - lo, 1)) if starts is None else starts[lo:hi]
-        w = _WalkerFromArray(x_init, cfg, idx, tag)
-        _drive([w], t, cfg)
-        out[lo:hi] = w.x
+    out = np.tile(_coords(x0), (n_paths, 1)) if starts is None \
+        else np.array(starts[:n_paths], dtype=float)
+    for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
+        _drive(out[lo:hi], gens, t, cfg, lambda k, x: None)
     return out
-
-
-class _WalkerFromArray(_Walker):
-    """A walker with one explicit start point per path."""
-
-    def __init__(self, x_array, cfg, indices, tag):
-        self.d = cfg.dim
-        self.scheme = cfg.scheme
-        self.x = np.array(x_array, dtype=float)
-        self.gens = [path_stream(cfg.seed, i, tag) for i in indices]
-        self.ncols = self.d if cfg.scheme == "embedded-sde" else self.d + 1
-        self._buf = None
-        self._tmp = np.empty((len(self.gens), self.d))
-
-
-def _drive(walkers, t, cfg, monitor=None):
-    """Step pre-built walkers to horizon t (no storage callbacks)."""
-    n_steps, dt, _, times = _schedule(t, cfg.step)
-    root2dt = np.sqrt(2.0 * dt)
-    geo_scale = np.sqrt(2.0 * cfg.dim * dt)
-    chunk = _chunk_size(walkers[0].x.shape[0], cfg.dim, n_steps)
-    pos = 0
-    while pos < n_steps:
-        k = min(chunk, n_steps - pos)
-        blocks = [w.noise(k) for w in walkers]
-        for j in range(k):
-            for w, blk in zip(walkers, blocks):
-                w.step(blk[:, j], dt, root2dt, geo_scale)
-            pos += 1
-            if monitor is not None:
-                monitor(pos * dt, walkers)
-    return times
 
 
 def endpoint_radii(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
@@ -329,23 +293,19 @@ def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0):
     Returns (times (m,), F (n_paths, m)) where F[i, j] = profile(rho) for the
     i-th pair at stored time j.  B starts at x0, B~ at y0.
     """
-    cx, cy = _coords(x0), _coords(y0)
-    n_stored = len(_schedule(t, cfg.step)[2])
-    F = np.empty((n_paths, n_stored))
-    batch = 2048
-    times = None
-    for lo in range(0, n_paths, batch):
-        hi = min(lo + batch, n_paths)
-        idx = list(range(first_index + lo, first_index + hi))
+    _, _, stored, times = _schedule(t, cfg.step)
+    F = np.empty((n_paths, len(stored)))
+    for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
+        P = hi - lo
 
-        def record(slot, walkers, lo=lo, hi=hi):
-            x, y = walkers[0].x, walkers[1].x
+        def record(slot, z, rows=F[lo:hi]):
+            x, y = z[:P], z[P:]
             minus_ip = (x[:, -1] * y[:, -1]
                         - np.einsum("pi,pi->p", x[:, :-1], y[:, :-1]))
-            rho = np.arccosh(np.maximum(minus_ip, 1.0))
-            F[lo:hi, slot] = profile(rho)
+            rows[:, slot] = profile(np.arccosh(np.maximum(minus_ip, 1.0)))
 
-        times = _walk([cx, cy], t, cfg, idx, [TAG_PRIMARY, TAG_SECONDARY], record)
+        z = np.repeat(np.stack([_coords(x0), _coords(y0)]), P, axis=0)
+        _drive(z, gens, t, cfg, _at_slots(stored, record))
     return times, F
 
 
@@ -356,22 +316,17 @@ def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
     """
     coords = _coords(x0)
     cosh_r = np.cosh(r)
+    dt = _schedule(t_max, cfg.step)[1]
     out = np.full(n_paths, np.inf)
-    batch = 2048
-    for lo in range(0, n_paths, batch):
-        hi = min(lo + batch, n_paths)
-        idx = list(range(first_index + lo, first_index + hi))
-        w = _WalkerFromArray(np.tile(coords, (hi - lo, 1)), cfg, idx, tag)
-        block_exit = np.full(hi - lo, np.inf)
+    for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
 
-        def monitor(time_now, walkers):
-            x = walkers[0].x
+        def observe(k, x, block=out[lo:hi]):
+            if k == 0:  # the start is at distance 0 <= r, whatever rounding says
+                return
             minus_ip = x[:, -1] * coords[-1] - x[:, :-1] @ coords[:-1]
-            fresh = (minus_ip > cosh_r) & ~np.isfinite(block_exit)
-            block_exit[fresh] = time_now
+            block[(minus_ip > cosh_r) & ~np.isfinite(block)] = k * dt
 
-        _drive([w], t_max, cfg, monitor=monitor)
-        out[lo:hi] = block_exit
+        _drive(np.tile(coords, (hi - lo, 1)), gens, t_max, cfg, observe)
     return out
 
 

@@ -22,6 +22,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -149,6 +150,13 @@ def _run_cell(args):
         return kind, beta, t, None, f"{type(exc).__name__}: {exc}"
 
 
+def _available_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_phase_sweep(args):
     cfg = _Config(args.config)
     model = cfg.model()
@@ -158,7 +166,14 @@ def cmd_phase_sweep(args):
     n_paths = cfg.get("run", "n_paths", int, default=1024)
     estimators = [e.strip() for e in
                   cfg.get("run", "estimators", str, default="fk").split(",")]
-    workers = args.workers or cfg.get("run", "workers", int, default=1)
+    if args.workers is not None:
+        workers = args.workers
+        if workers < 1:
+            raise ConfigError(f"--workers: must be at least 1, got {workers}")
+    else:
+        workers = cfg.get("run", "workers", int, default=1)
+        if workers < 1:
+            cfg._fail("run", "workers", f"must be at least 1, got {workers}")
     # chained comparisons also reject NaN, which fails every comparison
     if not all(0 <= b < math.inf for b in betas):
         raise ConfigError(f"{args.config}: [sweep] beta: all values must be finite "
@@ -175,6 +190,8 @@ def cmd_phase_sweep(args):
 
     cells = [(kind, beta, t, model, n_paths, sampler)
              for kind in estimators for beta in betas for t in ts]
+    # the pool forks all its workers up front: never more than can be used
+    workers = min(workers, len(cells), _available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, cells))

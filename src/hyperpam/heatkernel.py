@@ -22,6 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import brownian
+from .geometry import _logsinh
 
 
 class SamplerFailure(RuntimeError):
@@ -30,13 +31,6 @@ class SamplerFailure(RuntimeError):
 
 class SolverFailure(RuntimeError):
     """Eigenvalue bracketing or integration failed."""
-
-
-def _logsinh(rho):
-    # log sinh(rho) = rho - log 2 + log1p(-exp(-2 rho)), rho > 0
-    rho = np.asarray(rho, dtype=float)
-    with np.errstate(divide="ignore"):
-        return rho - math.log(2.0) + np.log1p(-np.exp(-2.0 * rho))
 
 
 def hk_exact_d3(t, rho):

@@ -58,6 +58,8 @@ class MomentEstimate:
     estimator_kind: str
     max_z: float = 0.0
     n_excluded: int = 0
+    terms: np.ndarray | None = None
+    truncation_flag: bool = False
 
 
 @dataclass
@@ -160,11 +162,9 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg, tuples_per_order=64)
         if n_paths > 1 else 0.0
     term_means = coef * est.mean(axis=0)
     truncated = bool(n_terms >= 1 and term_means[-1] > 0.01 * np.sum(term_means))
-    out = MomentEstimate(t, math.log(total), se, n_paths, beta, model, cfg.seed,
-                         "dyson", max_z=float(np.max(per_path)))
-    out.terms = term_means
-    out.truncation_flag = truncated
-    return out
+    return MomentEstimate(t, math.log(total), se, n_paths, beta, model, cfg.seed,
+                          "dyson", max_z=float(np.max(per_path)), terms=term_means,
+                          truncation_flag=truncated)
 
 
 def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
@@ -213,36 +213,17 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
 
 def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0):
     """f(|B_s - B_s~|) on the stored grid for flat pairs (variance 2t per coord)."""
-    n_steps, dt, stored, times = brownian._schedule(t, cfg.step)
-    d = cfg.dim
+    _, _, stored, times = brownian._schedule(t, cfg.step)
     F = np.empty((n_paths, len(stored)))
-    root2dt = math.sqrt(2.0 * dt)
-    stored_set = np.zeros(n_steps + 1, dtype=bool)
-    stored_set[stored] = True
-    slot_of = np.cumsum(stored_set) - 1
-    batch = 2048
-    for lo in range(0, n_paths, batch):
-        hi = min(lo + batch, n_paths)
+    tags = (brownian.TAG_PRIMARY, brownian.TAG_SECONDARY)
+    for lo, hi, gens in brownian._batches(cfg, n_paths, first_index, tags):
         P = hi - lo
-        gens_b = [path_stream(cfg.seed, i, brownian.TAG_PRIMARY)
-                  for i in range(first_index + lo, first_index + hi)]
-        gens_bt = [path_stream(cfg.seed, i, brownian.TAG_SECONDARY)
-                   for i in range(first_index + lo, first_index + hi)]
-        sep = np.zeros((P, d))
-        F[lo:hi, 0] = profile(np.zeros(P))
-        chunk = brownian._chunk_size(P, d, n_steps)
-        pos = 0
-        while pos < n_steps:
-            k = min(chunk, n_steps - pos)
-            gb = np.stack([g.standard_normal((k, d)) for g in gens_b])
-            gt = np.stack([g.standard_normal((k, d)) for g in gens_bt])
-            walk = sep[:, None, :] + root2dt * np.cumsum(gb - gt, axis=1)
-            local = np.nonzero(stored_set[pos + 1:pos + k + 1])[0]
-            if len(local):
-                dists = np.linalg.norm(walk[:, local, :], axis=2)
-                F[lo:hi, slot_of[pos + 1 + local]] = profile(dists)
-            sep = walk[:, -1, :].copy()
-            pos += k
+
+        def record(slot, z, rows=F[lo:hi]):
+            rows[:, slot] = profile(np.linalg.norm(z[:P] - z[P:], axis=1))
+
+        brownian._drive(np.zeros((2 * P, cfg.dim)), gens, t, cfg,
+                        brownian._at_slots(stored, record), kernel="flat")
     return times, F
 
 

@@ -2,10 +2,12 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from hyperpam import cli
 from hyperpam.cli import main
 from hyperpam.moments import PhaseRow, growth_fit
 
@@ -90,6 +92,64 @@ def test_sweep_nonfinite_grid_value_rejected(tmp_path, capsys, key, good, bad):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"[sweep] {key}:" in capsys.readouterr().err
+
+
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(sizes, max_workers))
+    return sizes
+
+
+# 16 cells of the constant oracle
+_SIXTEEN_CELLS = BASE_CONFIG.replace("beta = 0.5", "beta = 0.1, 0.2, 0.3, 0.4") \
+    .replace("n_paths = 64", "n_paths = 4")
+
+
+@pytest.mark.parametrize("text,flag", [
+    (_SIXTEEN_CELLS.replace("seed = 4242", "seed = 4242\nworkers = 1000000"), []),
+    (_SIXTEEN_CELLS, ["--workers", "1000000"]),
+], ids=["config", "flag"])
+def test_sweep_pool_size_is_bounded(tmp_path, pool_sizes, text, flag):
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    assert main(["phase-sweep", "--config", _write(tmp_path, text),
+                 "--out", str(tmp_path / "out")] + flag) == 0
+    assert all(n <= min(16, cpus) for n in pool_sizes)
+    rows = (tmp_path / "out" / "rows.csv").read_text().splitlines()
+    assert len(rows) == 2 + 16
+
+
+@pytest.mark.parametrize("text,flag,named", [
+    (BASE_CONFIG.replace("seed = 4242", "seed = 4242\nworkers = 0"), [], "[run] workers"),
+    (BASE_CONFIG.replace("seed = 4242", "seed = 4242\nworkers = -3"), [], "[run] workers"),
+    (BASE_CONFIG, ["--workers", "0"], "--workers"),
+], ids=["config-zero", "config-negative", "flag-zero"])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, pool_sizes, text, flag, named):
+    rc = main(["phase-sweep", "--config", _write(tmp_path, text),
+               "--out", str(tmp_path / "out")] + flag)
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert pool_sizes == []
 
 
 def test_sweep_summary_fits_only_its_own_estimator(tmp_path):

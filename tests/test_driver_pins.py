@@ -75,3 +75,12 @@ def test_flat_pair_matrix_pinned():
         0.17261985612814734, 2.5730750715212465, 0.18671851535311362,
         3.7766213506828077, 0.3098868798169966, 2.1977589656818743,
     ], rtol=RTOL)
+
+
+def test_exit_times_start_never_counts():
+    # at this start -<x0, x0> rounds to 1 + 1.4e-14, above cosh(1e-9) = 1.0;
+    # the first exit can still only come after the first step
+    o = geometry.origin(3)
+    x0 = geometry.exp_map(o, geometry.TangentVec(o, np.array([0.6, 0.8, 0.0, 0.0])), 3.1)
+    cfg = SamplerConfig(3, 1e-2, "embedded-sde", 1)
+    assert np.all(brownian.exit_times(x0, 1e-9, 0.1, cfg, 8) == 0.01)

@@ -87,6 +87,17 @@ def test_radial_law_tables():
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
+def test_log_radial_density_tiny_rho():
+    # density ~ 4 pi (4 pi t)^{-3/2} e^{-t} rho^2 as rho -> 0; log sinh must
+    # stay finite (log rho) far below where sinh rho = rho in floating point
+    t = 1.0
+    for rho in (1e-12, 1e-17, 1e-30):
+        expect = (math.log(4.0 * math.pi) - 1.5 * math.log(4.0 * math.pi * t)
+                  + 2.0 * math.log(rho) - t)
+        got = heatkernel.log_radial_density_d3(t, np.array([rho]))[0]
+        assert got == pytest.approx(expect, rel=1e-12)
+
+
 def test_radial_sampler_moments():
     rng = np.random.default_rng(SEED)
     t = 25.0

@@ -1,5 +1,6 @@
 """Second-moment estimators: analytic oracles, ordering, cross-validation."""
 
+import dataclasses
 import io
 import json
 import math
@@ -118,6 +119,14 @@ def test_dyson_cross_validates_fk_at_small_beta():
     tol = 3.0 * math.hypot(fk.stderr_log, dy.stderr_log) \
         + dy.terms[-1] / math.exp(dy.log_m2)
     assert abs(dy.log_m2 - fk.log_m2) <= tol
+
+
+def test_dyson_fields_survive_dataclass_replace():
+    model = CovarianceModel("constant", c=1.0)
+    est = dyson_partial(O3, 2.0, 2.0, model, 4, 8, _cfg())
+    copy = dataclasses.replace(est, seed=est.seed + 1)
+    assert np.array_equal(copy.terms, est.terms) and len(copy.terms) == 5
+    assert copy.truncation_flag is est.truncation_flag is True
 
 
 def test_dyson_validates_n_terms():
