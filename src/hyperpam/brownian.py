@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import HPoint, _coords
+from .geometry import _coords
 
 _SCHEMES = ("embedded-sde", "geodesic-walk")
 MAX_STEPS = 10**8
@@ -86,9 +86,6 @@ class BrownianPath:
     @property
     def dim(self):
         return self.points.shape[1] - 1
-
-    def endpoint(self):
-        return HPoint(self.points[-1], self.dim)
 
 
 def path_stream(seed, path_index, tag=TAG_PRIMARY):
@@ -172,7 +169,7 @@ def _reproject(x, d):
     """Set the time-like coordinate from the constraint <z,z> = -1.
 
     The direct square-sum overflows only beyond rho ~ 354 (spatial entries
-    ~1e154); the rescaled fallback covers that regime.
+    ~1e154); the rescaled projection covers that regime.
     """
     xs = x[:, :d]
     sq = np.einsum("pi,pi->p", xs, xs)
@@ -180,9 +177,7 @@ def _reproject(x, d):
         np.sqrt(sq, out=sq)
         np.hypot(1.0, sq, out=x[:, d])
     else:
-        scale = np.maximum(np.max(np.abs(xs), axis=1), 1.0)
-        norm = np.sqrt(np.sum((xs / scale[:, None]) ** 2, axis=1)) * scale
-        x[:, d] = np.hypot(1.0, norm)
+        x[:] = geometry.project_to_hyperboloid(x)
 
 
 def _step_flat(x, g, root2dt):
@@ -293,6 +288,15 @@ def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0):
     Returns (times (m,), F (n_paths, m)) where F[i, j] = profile(rho) for the
     i-th pair at stored time j.  B starts at x0, B~ at y0.
     """
+    return _pair_profile(np.stack([_coords(x0), _coords(y0)]), t, cfg, n_paths,
+                         profile, first_index)
+
+
+def _pair_profile(starts, t, cfg, n_paths, profile, first_index, kernel=None):
+    """:func:`pair_profile_matrix` from starts = (B_0, B~_0), stepped by ``kernel``.
+
+    With the "flat" kernel the rows are Euclidean and rho is their distance.
+    """
     _, _, stored, times = _schedule(t, cfg.step)
     F = np.empty((n_paths, len(stored)))
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
@@ -300,12 +304,16 @@ def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0):
 
         def record(slot, z, rows=F[lo:hi]):
             x, y = z[:P], z[P:]
-            minus_ip = (x[:, -1] * y[:, -1]
-                        - np.einsum("pi,pi->p", x[:, :-1], y[:, :-1]))
-            rows[:, slot] = profile(np.arccosh(np.maximum(minus_ip, 1.0)))
+            if kernel == "flat":
+                rho = np.linalg.norm(x - y, axis=1)
+            else:
+                minus_ip = (x[:, -1] * y[:, -1]
+                            - np.einsum("pi,pi->p", x[:, :-1], y[:, :-1]))
+                rho = np.arccosh(np.maximum(minus_ip, 1.0))
+            rows[:, slot] = profile(rho)
 
-        z = np.repeat(np.stack([_coords(x0), _coords(y0)]), P, axis=0)
-        _drive(z, gens, t, cfg, _at_slots(stored, record))
+        _drive(np.repeat(starts, P, axis=0), gens, t, cfg, _at_slots(stored, record),
+               kernel)
     return times, F
 
 

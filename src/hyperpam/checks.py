@@ -56,14 +56,10 @@ def _check_reverse_triangle(scale, seed):
     va = geometry.random_points(n, 3, rng, max_radius=8.0)
     vb = geometry.random_points(n, 3, rng, max_radius=8.0)
     vc = geometry.random_points(n, 3, rng, max_radius=8.0)
-    side_a = geometry.distance(vb, vc)
-    side_b = geometry.distance(va, vc)
-    side_c = geometry.distance(va, vb)
-    ang = geometry.angle_at(va, vb, vc)
-    keep = ang >= 1e-3
-    deficit = (side_b + side_c - side_a)[keep]
-    bound = (math.log(2.0) - np.log1p(-np.cos(ang[keep])))
-    worst = max(float(np.max(deficit - bound)), float(np.max(-deficit)))
+    tri = geometry.triangle_deficit(va, vb, vc)
+    keep = tri["angle"] >= 1e-3
+    deficit = tri["deficit"][keep]
+    worst = max(float(np.max(deficit - tri["bound"][keep])), float(np.max(-deficit)))
     return _record("reverse-triangle-bound", worst, 1e-6, scale,
                    detail=f"{int(np.sum(keep))} triangles")
 
@@ -112,7 +108,6 @@ def _check_law_of_cosines(scale, seed):
 
 def _check_sphere_direction_chi2(scale, seed):
     rng = np.random.default_rng(seed)
-    o = geometry.origin(3)
     n = 40000
     dirs = geometry.random_directions(n, 3, rng)
     ang = np.arccos(np.clip(dirs[:, 0], -1, 1))

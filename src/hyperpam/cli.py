@@ -140,11 +140,7 @@ def _run_cell(args):
     kind, beta, t, model, n_paths, sampler = args
     x0 = geometry.origin(sampler.dim)
     try:
-        if kind == "fk-euclidean":
-            est = moments.euclidean_second_moment(
-                np.zeros(sampler.dim), t, beta, model, n_paths, sampler)
-        else:
-            est = _ESTIMATORS[kind](x0, t, beta, model, n_paths, sampler)
+        est = _ESTIMATORS[kind](x0, t, beta, model, n_paths, sampler)
         return kind, beta, t, moments.to_phase_row(est), None
     except Exception as exc:  # keep the sweep alive; the cell is reported
         return kind, beta, t, None, f"{type(exc).__name__}: {exc}"
@@ -164,6 +160,8 @@ def cmd_phase_sweep(args):
     betas = cfg.floats("sweep", "beta", required=True)
     ts = cfg.floats("sweep", "t", required=True)
     n_paths = cfg.get("run", "n_paths", int, default=1024)
+    if n_paths < 1:
+        cfg._fail("run", "n_paths", f"must be at least 1, got {n_paths}")
     estimators = [e.strip() for e in
                   cfg.get("run", "estimators", str, default="fk").split(",")]
     if args.workers is not None:
@@ -175,15 +173,20 @@ def cmd_phase_sweep(args):
         if workers < 1:
             cfg._fail("run", "workers", f"must be at least 1, got {workers}")
     # chained comparisons also reject NaN, which fails every comparison
-    if not all(0 <= b < math.inf for b in betas):
-        raise ConfigError(f"{args.config}: [sweep] beta: all values must be finite "
-                          "and >= 0")
-    if not all(0 < t < math.inf for t in ts):
-        raise ConfigError(f"{args.config}: [sweep] t: all values must be finite and > 0")
+    if not betas or not all(0 <= b < math.inf for b in betas):
+        raise ConfigError(f"{args.config}: [sweep] beta: needs one or more values, "
+                          "all finite and >= 0")
+    if not ts or not all(0 < t < math.inf for t in ts):
+        raise ConfigError(f"{args.config}: [sweep] t: needs one or more values, "
+                          "all finite and > 0")
     for kind in estimators:
         if kind not in _ESTIMATORS:
             raise ConfigError(f"{args.config}: [run] estimators: unknown kind "
                               f"{kind!r} (choose from {sorted(_ESTIMATORS)})")
+    problem = moments._euclidean_problem(model, sampler.dim)
+    if "fk-euclidean" in estimators and problem:
+        key, message = problem
+        cfg._fail("run" if key == "dim" else "model", key, f"fk-euclidean: {message}")
     if model.kind == "constant":
         print("note: the constant profile has no spatial decay; it serves as "
               "an analytic oracle (log second moment = beta^2 c t)", file=sys.stderr)
@@ -245,8 +248,8 @@ def cmd_phase_sweep(args):
 
 
 def cmd_validate(args):
-    report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale,
-                              seed=args.seed or 20260809)
+    seed = 20260809 if args.seed is None else args.seed
+    report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=seed)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w") as fh:
@@ -265,27 +268,13 @@ def cmd_lambda(args):
     cfg = _Config(args.config)
     model = cfg.model()
     sampler = cfg.sampler(args.seed)
-    alpha = model.alpha
-    if model.kind == "constant" or alpha is None or alpha <= 1.0:
-        print("error: the integral bound requires a profile decaying faster "
-              "than 1/rho (alpha > 1); got "
-              f"{model.label()} (alpha <= 1 makes the tail diverge)",
-              file=sys.stderr)
-        return 2
     t_max = cfg.get("lambda", "t_max", float, default=50.0)
     seps = cfg.floats("lambda", "separations") or [0.0, 5.0, 10.0]
     n_paths = cfg.get("lambda", "n_paths", int,
                       default=cfg.get("run", "n_paths", int, default=512))
     o = geometry.origin(sampler.dim)
-    pairs = []
-    for s in seps:
-        if s == 0:
-            pairs.append((o, o))
-        else:
-            e1 = np.zeros(sampler.dim)
-            e1[0] = 1.0
-            y = geometry.points_from_polar(np.array([s]), e1[None, :])[0]
-            pairs.append((o, geometry.HPoint(y, sampler.dim)))
+    ys = geometry.points_from_polar(np.array(seps), np.eye(sampler.dim)[0])
+    pairs = [(o, geometry.HPoint(y, sampler.dim)) for y in ys]
     result = moments.lambda_constant(model, pairs, t_max, n_paths, sampler)
     result["model"] = model.label()
     result["config_hash"] = cfg.hash
@@ -300,8 +289,10 @@ def cmd_lambda(args):
 
 
 def cmd_sample_path(args):
+    if args.n_paths < 1:
+        raise ConfigError(f"--n-paths: must be at least 1, got {args.n_paths}")
     sampler = brownian.SamplerConfig(dim=args.dim, step=args.step,
-                                     scheme=args.scheme, seed=args.seed or 0)
+                                     scheme=args.scheme, seed=args.seed)
     x0 = geometry.origin(args.dim)
     paths = [brownian.sample_path(x0, args.t, sampler, path_index=i)
              for i in range(args.n_paths)]
@@ -376,7 +367,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, moments.EstimatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -170,16 +170,15 @@ def log_map(base, target):
 
 
 def _logsinh(x):
-    """log sinh(x) for x >= 0, accurate down to tiny x (-inf at 0)."""
+    """log sinh(x) for x >= 0 (-inf at 0).
+
+    Direct below 20; above, log sinh x = x - log 2 + log1p(-e^{-2x}) and the
+    last term is below half an ulp of x, so x - log 2 is exact in double.
+    """
     x = np.asarray(x, dtype=float)
-    small = x < 1e-8
     with np.errstate(divide="ignore"):
-        out = np.where(
-            small,
-            np.log(np.maximum(x, 0.0)),  # sinh x = x (1 + x^2/6 + ...)
-            x - math.log(2.0) + np.log1p(-np.exp(-2.0 * np.maximum(x, 1e-300))),
-        )
-    return out
+        return np.where(x < 20.0, np.log(np.sinh(np.minimum(x, 20.0))),
+                        x - math.log(2.0))
 
 
 def angle_at(vertex, p, q):
@@ -312,17 +311,11 @@ def transport_from_origin(base_coords, spatial):
 def uniform_sphere_direction(base, rng):
     """A uniformly distributed unit tangent vector at ``base``.
 
-    Draws a standard Gaussian on T_o, normalizes, then parallel-transports to
-    the base point; rotation invariance about the base is exact.
+    Draws a uniform direction on T_o, then parallel-transports it to the
+    base point; rotation invariance about the base is exact.
     """
     cb = _coords(base)
-    d = cb.shape[-1] - 1
-    g = rng.standard_normal(d)
-    n = np.linalg.norm(g)
-    while n < 1e-12:  # never in practice, but the direction must be defined
-        g = rng.standard_normal(d)
-        n = np.linalg.norm(g)
-    v = transport_from_origin(cb, g / n)
+    v = transport_from_origin(cb, random_directions(1, cb.shape[-1] - 1, rng)[0])
     if isinstance(base, HPoint):
         return TangentVec(base, v)
     return v

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize_scalar
 
 from . import brownian
-from .geometry import _logsinh
+from .geometry import _logsinh, origin
 
 
 class SamplerFailure(RuntimeError):
@@ -33,25 +34,14 @@ class SolverFailure(RuntimeError):
     """Eigenvalue bracketing or integration failed."""
 
 
-def hk_exact_d3(t, rho):
-    """Closed-form heat kernel on 3-dimensional hyperbolic space."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("rho must be nonnegative")
-    # rho/sinh(rho) -> 1 as rho -> 0
-    ratio = np.where(rho > 1e-8, rho / np.sinh(np.where(rho > 1e-8, rho, 1.0)),
-                     1.0 - rho**2 / 6.0)
-    out = (4.0 * math.pi * t) ** -1.5 * ratio * np.exp(-t - rho**2 / (4.0 * t))
-    return out if out.ndim else float(out)
-
-
 def log_hk_exact_d3(t, rho):
     """log of the d = 3 heat kernel, safe where the kernel itself underflows."""
     if t <= 0:
         raise ValueError("t must be positive")
     rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0):
+        raise ValueError("rho must be nonnegative")
+    # log(rho/sinh rho) -> 0 as rho -> 0
     log_ratio = np.where(rho > 1e-8,
                          np.log(np.maximum(rho, 1e-300))
                          - _logsinh(np.maximum(rho, 1e-300)),
@@ -60,26 +50,26 @@ def log_hk_exact_d3(t, rho):
     return out if out.ndim else float(out)
 
 
+def hk_exact_d3(t, rho):
+    """Closed-form heat kernel on 3-dimensional hyperbolic space."""
+    out = np.exp(log_hk_exact_d3(t, rho))
+    return out if out.ndim else float(out)
+
+
 def log_radial_density_d3(t, rho):
     """Log of the normalized radial endpoint density at time t (d = 3).
 
     density(rho) = hk_exact_d3(t, rho) * 4 pi sinh^2(rho); evaluated in log
-    domain so it stays finite far beyond the cosh overflow radius.
+    domain so it stays finite far beyond the cosh overflow radius.  The
+    density is zero (log -inf) at rho <= 0.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    rho = np.asarray(rho, dtype=float)
-    out = np.full(rho.shape, -np.inf)
-    pos = rho > 0
-    rp = rho[pos] if rho.ndim else (rho if pos else None)
-    if rho.ndim:
-        out[pos] = (math.log(4.0 * math.pi) - 1.5 * math.log(4.0 * math.pi * t)
-                    + np.log(rp) + _logsinh(rp) - t - rp**2 / (4.0 * t))
-        return out
-    if not pos:
-        return -np.inf
-    return float(math.log(4.0 * math.pi) - 1.5 * math.log(4.0 * math.pi * t)
-                 + np.log(rho) + _logsinh(rho) - t - rho**2 / (4.0 * t))
+    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
+    with np.errstate(divide="ignore"):
+        out = (math.log(4.0 * math.pi) - 1.5 * math.log(4.0 * math.pi * t)
+               + np.log(rho) + _logsinh(rho) - t - rho**2 / (4.0 * t))
+    return out if out.ndim else float(out)
 
 
 def log_hk_envelope(t, rho, d):
@@ -164,11 +154,6 @@ class RadialLaw:
                          left=0.0, right=1.0)
 
 
-def _radial_log_target_d3(t, rho):
-    # unnormalized: log(rho) + log sinh(rho) - rho^2/(4t)
-    return np.log(rho) + _logsinh(rho) - rho**2 / (4.0 * t)
-
-
 def sample_radial_exact_d3(t, rng, size=None, return_info=False):
     """Draw endpoint distances from the exact d = 3 radial law by rejection.
 
@@ -185,23 +170,14 @@ def sample_radial_exact_d3(t, rng, size=None, return_info=False):
     sd = 1.25 * math.sqrt(2.0 * t)
 
     def log_ratio(rho):
-        return _radial_log_target_d3(t, rho) + (rho - mu) ** 2 / (2.0 * sd**2)
+        # unnormalized target log(rho) + log sinh(rho) - rho^2/(4t) over the proposal
+        return (np.log(rho) + _logsinh(rho) - rho**2 / (4.0 * t)
+                + (rho - mu) ** 2 / (2.0 * sd**2))
 
-    # envelope search: coarse grid then golden refinement around the max
-    hi = mu + 14.0 * sd + 30.0
-    grid = np.linspace(1e-12, hi, 4097)
-    vals = log_ratio(grid)
-    k = int(np.argmax(vals))
-    lo_b, hi_b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo_b, hi_b
-    for _ in range(80):
-        c1, c2 = b - phi * (b - a), a + phi * (b - a)
-        if log_ratio(np.float64(c1)) >= log_ratio(np.float64(c2)):
-            b = c2
-        else:
-            a = c1
-    log_k = float(log_ratio(np.float64(0.5 * (a + b)))) + 1e-6
+    # envelope constant: the max of the (strictly concave) log ratio
+    best = minimize_scalar(lambda rho: -log_ratio(rho), method="bounded",
+                           bounds=(1e-12, mu + 14.0 * sd + 30.0))
+    log_k = -float(best.fun) + 1e-6
 
     out = np.empty(n)
     filled = 0
@@ -245,7 +221,7 @@ def _eigen_rhs(mode, d):
     return rhs
 
 
-def _shoot(r, d, mode, lam, dense=False):
+def _shoot(r, d, mode, lam):
     rhs = _eigen_rhs(mode, d)
     sol = solve_ivp(rhs, (_EIGEN_EPS, r), [1.0, 0.0], args=(lam,),
                     rtol=1e-10, atol=1e-12, dense_output=True)
@@ -312,7 +288,7 @@ def dirichlet_eigenfunction(r, d, mode="hyperbolic", n_grid=4000):
     Returns (lam, rho_grid, phi, dphi); used for Rayleigh-quotient checks.
     """
     lam = dirichlet_eigenvalue(r, d, mode)
-    sol = _shoot(r, d, mode, lam, dense=True)
+    sol = _shoot(r, d, mode, lam)
     grid = np.linspace(_EIGEN_EPS, r, n_grid)
     vals = sol.sol(grid)
     return lam, grid, vals[0], vals[1]
@@ -331,7 +307,6 @@ def exit_tail_estimate(r, t_grid, n_paths, cfg, x0=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing")
-    from .geometry import origin
     start = origin(cfg.dim) if x0 is None else x0
     times = brownian.exit_times(start, r, float(t_grid[-1]), cfg, n_paths)
 

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brownian, heatkernel
+from . import brownian, geometry, heatkernel
 from .brownian import path_stream
-from .geometry import _coords, minkowski_product
 
 
 class EstimatorError(RuntimeError):
@@ -80,38 +79,35 @@ class PhaseRow:
             raise ValueError("t must be positive")
 
 
-def _log_mean_exp_with_se(z):
-    """log(mean(exp(z))) and its delta-method standard error."""
-    z = np.asarray(z, dtype=float)
+def _direct(kind, t, beta, model, n_paths, cfg, pair_matrix):
+    """log mean exp(beta^2 q) over the pathwise integrals q, with delta-method SE.
+
+    ``pair_matrix()`` returns the stored times and the per-pair profile
+    matrix; it is not called at beta = 0, where the estimate is exactly 0.
+    Non-finite exponents are dropped and counted, up to 1e-3 of the paths.
+    """
+    if beta == 0.0:
+        return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, kind)
+    times, F = pair_matrix()
+    z = beta**2 * np.trapezoid(F, times, axis=1)
+    finite = np.isfinite(z)
+    n_excl = int(np.sum(~finite))
+    if n_excl > 1e-3 * n_paths:
+        raise EstimatorError(f"{n_excl}/{n_paths} non-finite exponents")
+    z = z[finite]
     zmax = float(np.max(z))
     w = np.exp(z - zmax)
     m = float(np.mean(w))
-    log_m = zmax + math.log(m)
     se = float(np.std(w, ddof=1) / (m * math.sqrt(len(z)))) if len(z) > 1 else 0.0
-    return log_m, se
-
-
-def _pair_integrals(x, t, model, n_paths, cfg):
-    """Stored times, per-pair profile matrix F, and pathwise integrals q."""
-    times, F = brownian.pair_profile_matrix(x, x, t, cfg, n_paths, model.profile)
-    q = np.trapezoid(F, times, axis=1)
-    return times, F, q
+    return MomentEstimate(t, zmax + math.log(m), se, n_paths, beta, model, cfg.seed,
+                          kind, max_z=zmax, n_excluded=n_excl)
 
 
 def fk_second_moment(x, t, beta, model, n_paths, cfg):
     """Direct Monte Carlo estimate of log E[u(t, x)^2] over pair ensembles."""
     _check_common(t, beta, n_paths)
-    if beta == 0.0:
-        return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, "fk")
-    _, _, q = _pair_integrals(x, t, model, n_paths, cfg)
-    z = beta**2 * q
-    finite = np.isfinite(z)
-    n_excl = int(np.sum(~finite))
-    if n_excl > max(1e-3 * n_paths, 0):
-        raise EstimatorError(f"{n_excl}/{n_paths} non-finite exponents")
-    log_m2, se = _log_mean_exp_with_se(z[finite])
-    return MomentEstimate(t, log_m2, se, n_paths, beta, model, cfg.seed, "fk",
-                          max_z=float(np.max(z[finite])), n_excluded=n_excl)
+    return _direct("fk", t, beta, model, n_paths, cfg, lambda: brownian.pair_profile_matrix(
+        x, x, t, cfg, n_paths, model.profile))
 
 
 def jensen_lower(x, t, beta, model, n_paths, cfg):
@@ -125,7 +121,8 @@ def jensen_lower(x, t, beta, model, n_paths, cfg):
     _check_common(t, beta, n_paths)
     if beta == 0.0:
         return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, "jensen")
-    times, F, q = _pair_integrals(x, t, model, n_paths, cfg)
+    times, F = brownian.pair_profile_matrix(x, x, t, cfg, n_paths, model.profile)
+    q = np.trapezoid(F, times, axis=1)
     slice_means = F.mean(axis=0)
     integral = float(np.trapezoid(slice_means, times))
     se_int = float(np.std(q, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -145,7 +142,7 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg, tuples_per_order=64)
     _check_common(t, beta, n_paths)
     if not 0 <= n_terms <= 8:
         raise ValueError("n_terms must lie in [0, 8]")
-    times, F, _ = _pair_integrals(x, t, model, n_paths, cfg)
+    times, F = brownian.pair_profile_matrix(x, x, t, cfg, n_paths, model.profile)
     est = np.ones((n_paths, n_terms + 1))
     for p in range(n_paths):
         gen = path_stream(cfg.seed, p, brownian.TAG_TUPLES)
@@ -184,6 +181,8 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
             "(alpha > 1); the tail integral diverges otherwise")
     if T_max < 50:
         raise ValueError("T_max must be at least 50")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     pairs_out = []
     for k, (x, y) in enumerate(start_pairs):
         times, F = brownian.pair_profile_matrix(
@@ -199,8 +198,7 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
             if slope < -1.0:
                 tail = float(means[-1] * T_max / (-slope - 1.0))
         pairs_out.append({
-            "separation": float(np.arccosh(
-                max(-minkowski_product(_coords(x), _coords(y)), 1.0))),
+            "separation": float(geometry.distance(x, y)),
             "integral": integral,
             "tail_correction": tail,
             "decay_slope": slope,
@@ -213,18 +211,8 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
 
 def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0):
     """f(|B_s - B_s~|) on the stored grid for flat pairs (variance 2t per coord)."""
-    _, _, stored, times = brownian._schedule(t, cfg.step)
-    F = np.empty((n_paths, len(stored)))
-    tags = (brownian.TAG_PRIMARY, brownian.TAG_SECONDARY)
-    for lo, hi, gens in brownian._batches(cfg, n_paths, first_index, tags):
-        P = hi - lo
-
-        def record(slot, z, rows=F[lo:hi]):
-            rows[:, slot] = profile(np.linalg.norm(z[:P] - z[P:], axis=1))
-
-        brownian._drive(np.zeros((2 * P, cfg.dim)), gens, t, cfg,
-                        brownian._at_slots(stored, record), kernel="flat")
-    return times, F
+    return brownian._pair_profile(np.zeros((2, cfg.dim)), t, cfg, n_paths, profile,
+                                  first_index, kernel="flat")
 
 
 def euclidean_second_moment(x, t, beta, model, n_paths, cfg):
@@ -234,20 +222,20 @@ def euclidean_second_moment(x, t, beta, model, n_paths, cfg):
     translation invariance makes the starting point immaterial.
     """
     _check_common(t, beta, n_paths)
-    if cfg.dim < 3:
-        raise EstimatorError("euclidean mode requires d >= 3")
+    problem = _euclidean_problem(model, cfg.dim)
+    if problem:
+        raise EstimatorError(problem[1])
+    return _direct("fk-euclidean", t, beta, model, n_paths, cfg,
+                   lambda: _euclidean_pair_profile_matrix(t, cfg, n_paths, model.profile))
+
+
+def _euclidean_problem(model, dim):
+    """(setting, reason) that rules out euclidean mode -- "dim" or "kind" -- or None."""
+    if dim < 3:
+        return "dim", "euclidean mode requires d >= 3"
     if model.kind not in ("truncated-power", "constant"):
-        raise EstimatorError("euclidean mode expects a truncated-power or "
-                             "constant profile")
-    if beta == 0.0:
-        return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed,
-                              "fk-euclidean")
-    times, F = _euclidean_pair_profile_matrix(t, cfg, n_paths, model.profile)
-    q = np.trapezoid(F, times, axis=1)
-    z = beta**2 * q
-    log_m2, se = _log_mean_exp_with_se(z)
-    return MomentEstimate(t, log_m2, se, n_paths, beta, model, cfg.seed,
-                          "fk-euclidean", max_z=float(np.max(z)))
+        return "kind", "euclidean mode expects a truncated-power or constant profile"
+    return None
 
 
 def _check_common(t, beta, n_paths):

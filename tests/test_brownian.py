@@ -234,3 +234,13 @@ def test_dump_paths_csv():
     assert len(lines) == 1 + sum(len(p.times) for p in paths)
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+def test_reproject_far_rows_without_overflow():
+    # spatial entries beyond ~1e154 overflow the direct square-sum; every row
+    # then goes through the rescaled projection
+    x = np.array([[3e200, 4e200, 0.0, 0.0], [0.6, 0.8, 0.0, 9.0]])
+    brownian._reproject(x, 3)
+    assert x[0, 3] == pytest.approx(5e200, rel=1e-15)
+    assert x[1, 3] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert x[0, 0] == 3e200 and x[1, 1] == 0.8

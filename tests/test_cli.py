@@ -316,3 +316,53 @@ def test_eigenvalue_subcommand(capsys):
     out = capsys.readouterr().out
     val = float(out.strip().split("=")[-1])
     assert val == pytest.approx(math.pi**2, rel=1e-6)
+
+
+_EUCLIDEAN = BASE_CONFIG.replace("estimators = fk", "estimators = fk, fk-euclidean")
+
+
+@pytest.mark.parametrize("text,named", [
+    (BASE_CONFIG.replace("n_paths = 64", "n_paths = 0"), "[run] n_paths:"),
+    (BASE_CONFIG.replace("beta = 0.5", "beta ="), "[sweep] beta:"),
+    (BASE_CONFIG.replace("t = 1, 2, 3, 4", "t ="), "[sweep] t:"),
+    (_EUCLIDEAN.replace("dim = 3", "dim = 2"), "[run] dim:"),
+    (_EUCLIDEAN.replace("kind = constant", "kind = phi-alpha\nalpha = 0.5"),
+     "[model] kind:"),
+], ids=["no-paths", "no-beta", "no-t", "euclidean-dim", "euclidean-kind"])
+def test_sweep_that_cannot_produce_rows_exits_2(tmp_path, capsys, text, named):
+    rc = main(["phase-sweep", "--config", _write(tmp_path, text),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lambda_rejects_no_paths(tmp_path, capsys):
+    cfg = """\
+[model]
+kind = truncated-power
+alpha = 2.0
+
+[run]
+seed = 902
+
+[lambda]
+separations = 0
+n_paths = 0
+"""
+    out = tmp_path / "out"
+    assert main(["lambda", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "n_paths" in capsys.readouterr().err
+    assert not (out / "lambda.json").exists()
+
+
+def test_sample_path_rejects_no_paths(tmp_path, capsys):
+    rc = main(["sample-path", "--n-paths", "0", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "--n-paths" in capsys.readouterr().err
+
+
+def test_validate_honours_seed_zero(tmp_path):
+    report_path = tmp_path / "report.json"
+    main(["validate", "--suite", "covariance", "--seed", "0", "--out", str(report_path)])
+    assert json.loads(report_path.read_text())["seed"] == 0

@@ -72,3 +72,10 @@ def test_euclidean_second_moment_pinned():
     assert est.stderr_log == pytest.approx(0.003878522912710217, rel=RTOL)
     assert est.max_z == pytest.approx(0.07059606935247921, rel=RTOL)
     assert est.n_excluded == 0
+
+
+def test_log_hk_exact_d3_rejects_negative_rho():
+    with pytest.raises(ValueError, match="rho"):
+        heatkernel.log_hk_exact_d3(1.0, -1.0)
+    with pytest.raises(ValueError, match="rho"):
+        heatkernel.log_hk_exact_d3(1.0, np.array([0.5, -1.0]))

@@ -295,3 +295,12 @@ def test_sampled_points_stay_on_sheet():
     assert np.min(pts[:, -1]) >= 1.0
     near = geometry.random_points(5000, 3, rng, max_radius=8.0)
     assert np.max(np.abs(minkowski_product(near, near) + 1.0)) <= 1e-8
+
+
+def test_logsinh_matches_series_just_above_small_x():
+    # log sinh x = log x + x^2/6 - x^4/180 + O(x^6); 1e-15 absolute, widened by
+    # one ulp of the value, since doubles near log(1e-8) = -18.4 are 3.6e-15 apart
+    x = np.geomspace(1e-8, 1e-3, 20001)
+    series = np.log(x) + x**2 / 6.0 - x**4 / 180.0
+    err = np.abs(geometry._logsinh(x) - series)
+    assert np.all(err <= 1e-15 + np.spacing(np.abs(series)))
