@@ -106,8 +106,8 @@ def _direct(kind, t, beta, model, n_paths, cfg, pair_matrix):
 def fk_second_moment(x, t, beta, model, n_paths, cfg):
     """Direct Monte Carlo estimate of log E[u(t, x)^2] over pair ensembles."""
     _check_common(t, beta, n_paths)
-    return _direct("fk", t, beta, model, n_paths, cfg, lambda: brownian.pair_profile_matrix(
-        x, x, t, cfg, n_paths, model.profile))
+    return _direct("fk", t, beta, model, n_paths, cfg,
+                   lambda: brownian.pair_profile_matrix(x, x, t, cfg, n_paths, model.profile))
 
 
 def jensen_lower(x, t, beta, model, n_paths, cfg):
