@@ -109,8 +109,8 @@ def _schedule(t, step):
     (a t-proportional spacing would turn quadrature bias into a fake trend
     across a sweep).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:  # also rejects NaN
+        raise ValueError(f"t must be positive and finite, got {float(t)}")
     n_steps = max(1, int(round(t / step)))
     if n_steps > MAX_STEPS:
         raise ValueError(f"t/step = {n_steps} exceeds the {MAX_STEPS} step budget")
@@ -282,22 +282,40 @@ def endpoint_radii(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
     return geometry.distance(np.asarray(_coords(x0)), pts)
 
 
-def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0):
+def _stored_union(t, step, horizons):
+    """Stored step indices and times of horizon t, joined with the stored
+    indices of every shorter horizon that shares its dt.
+
+    A path to a shorter horizon with the same dt is a prefix of the path to
+    t, so one simulation to t serves them all.
+    """
+    _, dt, stored, _ = _schedule(t, step)
+    for h in horizons:
+        _, dt_h, stored_h, _ = _schedule(h, step)
+        if h <= t and dt_h == dt:
+            stored = np.union1d(stored, stored_h)
+    return stored, stored * dt
+
+
+def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0, horizons=()):
     """f(B_s, B_s~) on the stored grid for n_paths independent pairs.
 
     Returns (times (m,), F (n_paths, m)) where F[i, j] = profile(rho) for the
-    i-th pair at stored time j.  B starts at x0, B~ at y0.
+    i-th pair at stored time j.  B starts at x0, B~ at y0.  The grid is
+    horizon t's, joined with that of each of ``horizons`` that shares t's dt
+    (see :func:`_stored_union`).
     """
     return _pair_profile(np.stack([_coords(x0), _coords(y0)]), t, cfg, n_paths,
-                         profile, first_index)
+                         profile, first_index, horizons=horizons)
 
 
-def _pair_profile(starts, t, cfg, n_paths, profile, first_index, kernel=None):
+def _pair_profile(starts, t, cfg, n_paths, profile, first_index, kernel=None,
+                  horizons=()):
     """:func:`pair_profile_matrix` from starts = (B_0, B~_0), stepped by ``kernel``.
 
     With the "flat" kernel the rows are Euclidean and rho is their distance.
     """
-    _, _, stored, times = _schedule(t, cfg.step)
+    stored, times = _stored_union(t, cfg.step, horizons)
     F = np.empty((n_paths, len(stored)))
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
         P = hi - lo

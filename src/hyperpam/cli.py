@@ -19,6 +19,7 @@ and re-running a command with the same config yields byte-identical files.
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import json
 import math
@@ -136,11 +137,16 @@ _ESTIMATORS = {
 
 
 def _run_cell(args):
-    """One (estimator, beta, t) cell; module-level so worker pools can pickle it."""
-    kind, beta, t, model, n_paths, sampler = args
-    x0 = geometry.origin(sampler.dim)
+    """One (estimator, beta, t) cell, read from the sweep's shared pair ensemble.
+
+    Runs in the sweep's own process; the first cell of a dt group triggers
+    that group's simulation, which the ensemble shards over the worker pool.
+    Returns (kind, beta, t, row or None, error or None).
+    """
+    kind, beta, t, model, n_paths, sampler, ensemble = args
     try:
-        est = _ESTIMATORS[kind](x0, t, beta, model, n_paths, sampler)
+        est = _ESTIMATORS[kind](ensemble.x, t, beta, model, n_paths, sampler,
+                                ensemble=ensemble)
         return kind, beta, t, moments.to_phase_row(est), None
     except Exception as exc:  # keep the sweep alive; the cell is reported
         return kind, beta, t, None, f"{type(exc).__name__}: {exc}"
@@ -191,15 +197,20 @@ def cmd_phase_sweep(args):
         print("note: the constant profile has no spatial decay; it serves as "
               "an analytic oracle (log second moment = beta^2 c t)", file=sys.stderr)
 
-    cells = [(kind, beta, t, model, n_paths, sampler)
-             for kind in estimators for beta in betas for t in ts]
-    # the pool forks all its workers up front: never more than can be used
-    workers = min(workers, len(cells), _available_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
-    else:
-        results = [_run_cell(c) for c in cells]
+    # workers shard the paths of each ensemble; the pool forks all its
+    # workers up front: never more than can be used
+    workers = min(workers, n_paths, _available_cpus())
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 \
+            else contextlib.nullcontext() as pool:
+        pmap = pool.map if pool else map
+        ensembles = {flat: moments.PairEnsemble(geometry.origin(sampler.dim), model,
+                                                sampler, n_paths, ts, flat=flat,
+                                                pmap=pmap, shards=workers)
+                     for flat in (False, True)}
+        # simulation starts lazily, inside the first cell that needs it
+        results = [_run_cell((kind, beta, t, model, n_paths, sampler,
+                              ensembles[kind == "fk-euclidean"]))
+                   for kind in estimators for beta in betas for t in ts]
     results.sort(key=lambda r: (r[0], r[1], r[2]))
 
     rows = [r[3] for r in results if r[3] is not None]
@@ -269,12 +280,20 @@ def cmd_lambda(args):
     model = cfg.model()
     sampler = cfg.sampler(args.seed)
     t_max = cfg.get("lambda", "t_max", float, default=50.0)
+    # chained comparisons also reject NaN
+    if not 50 <= t_max < math.inf:
+        cfg._fail("lambda", "t_max", f"must be finite and at least 50, got {t_max}")
     seps = cfg.floats("lambda", "separations") or [0.0, 5.0, 10.0]
+    if not all(0 <= s < math.inf for s in seps):
+        cfg._fail("lambda", "separations", f"needs finite values >= 0, got {seps}")
     n_paths = cfg.get("lambda", "n_paths", int,
                       default=cfg.get("run", "n_paths", int, default=512))
     o = geometry.origin(sampler.dim)
     ys = geometry.points_from_polar(np.array(seps), np.eye(sampler.dim)[0])
-    pairs = [(o, geometry.HPoint(y, sampler.dim)) for y in ys]
+    try:  # cosh overflows beyond a separation of about 710
+        pairs = [(o, geometry.HPoint(y, sampler.dim)) for y in ys]
+    except ValueError as exc:
+        cfg._fail("lambda", "separations", str(exc))
     result = moments.lambda_constant(model, pairs, t_max, n_paths, sampler)
     result["model"] = model.label()
     result["config_hash"] = cfg.hash
@@ -291,6 +310,8 @@ def cmd_lambda(args):
 def cmd_sample_path(args):
     if args.n_paths < 1:
         raise ConfigError(f"--n-paths: must be at least 1, got {args.n_paths}")
+    if not 0 < args.t < math.inf:
+        raise ConfigError(f"--t: must be finite and > 0, got {args.t}")
     sampler = brownian.SamplerConfig(dim=args.dim, step=args.step,
                                      scheme=args.scheme, seed=args.seed)
     x0 = geometry.origin(args.dim)

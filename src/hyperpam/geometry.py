@@ -83,6 +83,9 @@ class HPoint:
             raise ValueError(
                 f"expected {self.dim + 1} coordinates, got shape {self.coords.shape}"
             )
+        # NaN fails every comparison below, so it has to be caught here
+        if not np.all(np.isfinite(self.coords)):
+            raise ValueError(f"coordinates must be finite, got {self.coords}")
         if self.coords[-1] <= 0:
             raise ValueError("time-like component must be positive (upper sheet)")
         q = minkowski_product(self.coords, self.coords)

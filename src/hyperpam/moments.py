@@ -24,9 +24,21 @@ Estimators
 * ``euclidean_second_moment``  the same direct estimator driven by flat
                              Brownian motion (variance 2t per coordinate).
 
-Time integrals use the trapezoid rule on the coarse storage grid (spacing
-<= t/128); the quadrature error is far below the Monte Carlo noise, and is
-exactly zero for the constant analytic oracle.
+Ensembles
+---------
+Every estimator reads its profile matrix from a :class:`PairEnsemble`.  A
+sweep builds one per kernel (hyperbolic, flat) and passes it to every cell:
+beta never enters the paths, the estimators share the streams, and a path to
+a shorter horizon with the same dt is a prefix of the path to the longest.
+The ensemble therefore simulates each dt group once, to its largest horizon,
+and stores the union of the group's storage grids.  Called without an
+ensemble, an estimator builds a one-horizon ensemble of its own.
+
+Time integrals use the trapezoid rule on each horizon's own storage grid
+(spacing min(t/128, 0.05), rounded down to whole steps): a cell reads
+exactly the columns a simulation to its horizon alone would store.  The
+quadrature error is far below the Monte Carlo noise, and is exactly zero
+for the constant analytic oracle.
 """
 
 import json
@@ -79,16 +91,16 @@ class PhaseRow:
             raise ValueError("t must be positive")
 
 
-def _direct(kind, t, beta, model, n_paths, cfg, pair_matrix):
+def _direct(kind, t, beta, model, n_paths, cfg, ensemble):
     """log mean exp(beta^2 q) over the pathwise integrals q, with delta-method SE.
 
-    ``pair_matrix()`` returns the stored times and the per-pair profile
-    matrix; it is not called at beta = 0, where the estimate is exactly 0.
-    Non-finite exponents are dropped and counted, up to 1e-3 of the paths.
+    The profile matrix of horizon t comes from ``ensemble``; it is not read
+    at beta = 0, where the estimate is exactly 0.  Non-finite exponents are
+    dropped and counted, up to 1e-3 of the paths.
     """
     if beta == 0.0:
         return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, kind)
-    times, F = pair_matrix()
+    times, F = ensemble.matrix(t)
     z = beta**2 * np.trapezoid(F, times, axis=1)
     finite = np.isfinite(z)
     n_excl = int(np.sum(~finite))
@@ -103,14 +115,85 @@ def _direct(kind, t, beta, model, n_paths, cfg, pair_matrix):
                           kind, max_z=zmax, n_excluded=n_excl)
 
 
-def fk_second_moment(x, t, beta, model, n_paths, cfg):
+class PairEnsemble:
+    """n_paths pairs (B, B~) observed through model.profile, for several horizons.
+
+    The horizons are grouped by the dt that ``brownian._schedule`` gives
+    them.  A group is simulated on the first :meth:`matrix` call for one of
+    its horizons, once, to its largest horizon, and kept on the union of its
+    horizons' storage grids.  The paths are split into ``shards`` contiguous
+    index ranges, simulated through ``pmap`` (``map`` or a process pool's
+    ``map``) and joined; every path draws from its own streams, so the split
+    does not change a bit.  A horizon that cannot be scheduled joins no
+    group, and :meth:`matrix` raises its scheduling error.
+
+    B starts at x and B~ at y (default x); path i uses the streams of path
+    first_index + i.  ``flat`` drives Euclidean pairs from a common start.
+    """
+
+    def __init__(self, x, model, cfg, n_paths, horizons, flat=False, pmap=map,
+                 shards=1, y=None, first_index=0):
+        self.x, self.y = x, x if y is None else y
+        self.model, self.cfg, self.flat, self.pmap = model, cfg, flat, pmap
+        self.n_paths, self.first_index = int(n_paths), int(first_index)
+        self.shards = max(1, min(int(shards), self.n_paths))
+        self._groups = {}
+        for h in horizons:
+            try:
+                dt = brownian._schedule(h, cfg.step)[1]
+            except ValueError:
+                continue
+            self._groups.setdefault(dt, []).append(h)
+        self._simulated = {}
+
+    def matrix(self, t):
+        """(times, F) for horizon t: the grid and profile values of a simulation to t."""
+        _, dt, _, times = brownian._schedule(t, self.cfg.step)
+        group = self._groups.get(dt, [])
+        if t not in group:
+            raise ValueError(f"t = {t} is not a horizon of this ensemble")
+        if dt not in self._simulated:
+            self._simulated[dt] = self._simulate(max(group), tuple(group))
+        all_times, F = self._simulated[dt]
+        # a contiguous copy keeps every later reduction's summation order
+        return times, np.ascontiguousarray(F[:, np.searchsorted(all_times, times)])
+
+    def _simulate(self, t, horizons):
+        lo, n, k = self.first_index, self.n_paths, self.shards
+        bounds = [lo + n * i // k for i in range(k + 1)]
+        jobs = [(self.x, self.y, self.model, self.cfg, self.flat, a, b, t, horizons)
+                for a, b in zip(bounds, bounds[1:])]
+        parts = list(self.pmap(_simulate_shard, jobs))
+        return parts[0][0], np.concatenate([F for _, F in parts])
+
+
+def _simulate_shard(job):
+    """(times, F) of the pairs [lo, hi) of one dt group; a process pool can run it."""
+    x, y, model, cfg, flat, lo, hi, t, horizons = job
+    if flat:
+        return _euclidean_pair_profile_matrix(t, cfg, hi - lo, model.profile,
+                                              first_index=lo, horizons=horizons)
+    return brownian.pair_profile_matrix(x, y, t, cfg, hi - lo, model.profile,
+                                        first_index=lo, horizons=horizons)
+
+
+def _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat=False):
+    """``ensemble``, or a one-horizon ensemble to t when it is None."""
+    if ensemble is None:
+        return PairEnsemble(x, model, cfg, n_paths, (t,), flat=flat)
+    if ensemble.n_paths != n_paths or ensemble.flat != flat:
+        raise ValueError("the ensemble's n_paths or kernel differs from the estimator's")
+    return ensemble
+
+
+def fk_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
     """Direct Monte Carlo estimate of log E[u(t, x)^2] over pair ensembles."""
     _check_common(t, beta, n_paths)
     return _direct("fk", t, beta, model, n_paths, cfg,
-                   lambda: brownian.pair_profile_matrix(x, x, t, cfg, n_paths, model.profile))
+                   _own_ensemble(ensemble, x, t, model, n_paths, cfg))
 
 
-def jensen_lower(x, t, beta, model, n_paths, cfg):
+def jensen_lower(x, t, beta, model, n_paths, cfg, ensemble=None):
     """Jensen lower-bound estimator: average the integrand first, then exponentiate.
 
     Requires a nonnegative profile, which every CovarianceModel kind is
@@ -121,7 +204,7 @@ def jensen_lower(x, t, beta, model, n_paths, cfg):
     _check_common(t, beta, n_paths)
     if beta == 0.0:
         return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, "jensen")
-    times, F = brownian.pair_profile_matrix(x, x, t, cfg, n_paths, model.profile)
+    times, F = _own_ensemble(ensemble, x, t, model, n_paths, cfg).matrix(t)
     q = np.trapezoid(F, times, axis=1)
     slice_means = F.mean(axis=0)
     integral = float(np.trapezoid(slice_means, times))
@@ -142,7 +225,7 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg, tuples_per_order=64)
     _check_common(t, beta, n_paths)
     if not 0 <= n_terms <= 8:
         raise ValueError("n_terms must lie in [0, 8]")
-    times, F = brownian.pair_profile_matrix(x, x, t, cfg, n_paths, model.profile)
+    times, F = PairEnsemble(x, model, cfg, n_paths, (t,)).matrix(t)
     est = np.ones((n_paths, n_terms + 1))
     for p in range(n_paths):
         gen = path_stream(cfg.seed, p, brownian.TAG_TUPLES)
@@ -185,8 +268,8 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
         raise ValueError("n_paths must be at least 1")
     pairs_out = []
     for k, (x, y) in enumerate(start_pairs):
-        times, F = brownian.pair_profile_matrix(
-            x, y, T_max, cfg, n_paths, model.profile, first_index=k * n_paths)
+        times, F = PairEnsemble(x, model, cfg, n_paths, (T_max,), y=y,
+                                first_index=k * n_paths).matrix(T_max)
         means = F.mean(axis=0)
         integral = float(np.trapezoid(means, times))
         late = times >= T_max / 4.0
@@ -209,13 +292,13 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
             "T_max": T_max, "n_paths": n_paths, "seed": cfg.seed}
 
 
-def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0):
+def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0, horizons=()):
     """f(|B_s - B_s~|) on the stored grid for flat pairs (variance 2t per coord)."""
     return brownian._pair_profile(np.zeros((2, cfg.dim)), t, cfg, n_paths, profile,
-                                  first_index, kernel="flat")
+                                  first_index, kernel="flat", horizons=horizons)
 
 
-def euclidean_second_moment(x, t, beta, model, n_paths, cfg):
+def euclidean_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
     """The direct estimator driven by flat Brownian motion (comparison mode).
 
     Requires d >= 3 (transience) and a truncated-power or constant profile;
@@ -226,7 +309,7 @@ def euclidean_second_moment(x, t, beta, model, n_paths, cfg):
     if problem:
         raise EstimatorError(problem[1])
     return _direct("fk-euclidean", t, beta, model, n_paths, cfg,
-                   lambda: _euclidean_pair_profile_matrix(t, cfg, n_paths, model.profile))
+                   _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat=True))
 
 
 def _euclidean_problem(model, dim):

@@ -31,6 +31,12 @@ def test_step_budget_guard():
         sample_path(geometry.origin(3), 2e5, cfg)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
+def test_schedule_rejects_nonfinite_horizon(t):
+    with pytest.raises(ValueError, match="finite"):
+        brownian._schedule(t, 1e-2)
+
+
 def test_path_structure_and_constraint():
     cfg = SamplerConfig(dim=3, step=1e-3, seed=SEED)
     o = geometry.origin(3)

@@ -366,3 +366,42 @@ def test_validate_honours_seed_zero(tmp_path):
     report_path = tmp_path / "report.json"
     main(["validate", "--suite", "covariance", "--seed", "0", "--out", str(report_path)])
     assert json.loads(report_path.read_text())["seed"] == 0
+
+
+_LAMBDA_CONFIG = """\
+[model]
+kind = truncated-power
+alpha = 2.0
+
+[run]
+step = 1e-1
+seed = 902
+
+[lambda]
+t_max = {t_max}
+separations = {seps}
+n_paths = 2
+"""
+
+
+@pytest.mark.parametrize("t_max,seps,named", [
+    ("inf", "0", "[lambda] t_max"),
+    ("nan", "0", "[lambda] t_max"),
+    ("50", "nan", "[lambda] separations"),
+    ("50", "0, inf", "[lambda] separations"),
+    ("50", "-1", "[lambda] separations"),
+], ids=["t_max-inf", "t_max-nan", "sep-nan", "sep-inf", "sep-negative"])
+def test_lambda_rejects_nonfinite_settings(tmp_path, capsys, t_max, seps, named):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _LAMBDA_CONFIG.format(t_max=t_max, seps=seps))
+    assert main(["lambda", "--config", cfg, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "lambda.json").exists()
+
+
+@pytest.mark.parametrize("t", ["inf", "nan", "0"])
+def test_sample_path_rejects_bad_horizon(tmp_path, capsys, t):
+    rc = main(["sample-path", "--t", t, "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "--t" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()

@@ -1,0 +1,77 @@
+"""A sweep simulates its pair ensemble once and reads every cell from it."""
+
+import json
+
+import numpy as np
+import pytest
+
+from hyperpam import brownian, geometry, moments
+from hyperpam.brownian import SamplerConfig
+from hyperpam.cli import main
+from hyperpam.covariance import CovarianceModel
+
+SWEEP = """\
+[model]
+kind = truncated-power
+alpha = 0.5
+
+[run]
+dim = 3
+step = 1e-2
+n_paths = 8
+seed = 91
+estimators = fk, jensen
+
+[sweep]
+beta = 0.5, 1.0
+t = 1, 2, 3, 4
+"""
+
+
+def test_serial_sweep_simulates_each_path_once(tmp_path, monkeypatch):
+    calls = []
+    original = brownian.pair_profile_matrix
+
+    def counting(x0, y0, t, cfg, n_paths, *args, **kwargs):
+        calls.append((n_paths, t))
+        return original(x0, y0, t, cfg, n_paths, *args, **kwargs)
+
+    monkeypatch.setattr(brownian, "pair_profile_matrix", counting)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP)
+    out = tmp_path / "out"
+    assert main(["phase-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(json.loads((out / "rows.json").read_text())["rows"]) == 2 * 2 * 4
+    # 2 estimators x 2 betas x 4 horizons, all with dt = 0.01: one simulation to t = 4
+    assert sum(n * t for n, t in calls) == 8 * 4.0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_ensemble_columns_equal_one_horizon_simulations(flat):
+    x = geometry.origin(3)
+    model = CovarianceModel("truncated-power", alpha=0.5)
+    cfg = SamplerConfig(3, 1e-2, "embedded-sde", 92)
+    horizons = (0.3, 2.0, 0.75, 1.001)
+    ens = moments.PairEnsemble(x, model, cfg, 7, horizons, flat=flat, shards=3)
+    for t in horizons:
+        if flat:
+            want = moments._euclidean_pair_profile_matrix(t, cfg, 7, model.profile)
+        else:
+            want = brownian.pair_profile_matrix(x, x, t, cfg, 7, model.profile)
+        times, F = ens.matrix(t)
+        assert F.flags.c_contiguous
+        assert times.tobytes() == want[0].tobytes()
+        assert F.tobytes() == want[1].tobytes()
+
+
+def test_ensemble_rejects_foreign_and_unschedulable_horizons():
+    x = geometry.origin(3)
+    model = CovarianceModel("truncated-power", alpha=0.5)
+    ens = moments.PairEnsemble(x, model, SamplerConfig(3, 1e-2, seed=93), 2, (1.0, 1e9))
+    with pytest.raises(ValueError, match="not a horizon"):
+        ens.matrix(2.0)
+    with pytest.raises(ValueError, match="step budget"):
+        ens.matrix(1e9)
+    assert ens.matrix(1.0)[1].shape == (2, 101)
+    assert np.all(np.isfinite(ens.matrix(1.0)[1]))

@@ -51,6 +51,14 @@ def test_hpoint_validation():
         HPoint(np.array([0.0, 1.0]), 1)  # dim too small
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hpoint_rejects_nonfinite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        HPoint(np.array([bad, 0.0, 0.0, 1.0]), 3)
+    with pytest.raises(ValueError, match="finite"):
+        HPoint(np.array([0.0, 0.0, 0.0, bad]), 3)
+
+
 def test_distance_trivia():
     o = origin(3)
     assert distance(o, o) == 0.0
