@@ -124,6 +124,19 @@ def test_radial_sampler_matches_cdf():
         assert st.kstest(x, RadialLaw(t).cdf).statistic <= 0.012
 
 
+@pytest.mark.parametrize("t", [1e-3, 0.5, 5.0, 25.0])
+def test_radial_sampler_law(t):
+    """rho(x, B_t) has the law of |2t e1 + sqrt(2t) Z| with Z a standard 3-d
+    Gaussian (complete the square in rho sinh rho e^{-t - rho^2/4t}), so
+    E rho^2 = 4t^2 + 6t exactly."""
+    rng = np.random.default_rng(SEED + 3)
+    x = sample_radial_exact_d3(t, rng, size=30000)
+    sq = x**2
+    se = sq.std(ddof=1) / math.sqrt(len(sq))
+    assert abs(sq.mean() - (4.0 * t * t + 6.0 * t)) <= 4.0 * se
+    assert st.kstest(x, RadialLaw(t).cdf).statistic <= 0.012
+
+
 def test_radial_sampler_validates_t():
     rng = np.random.default_rng(SEED)
     with pytest.raises(ValueError):
