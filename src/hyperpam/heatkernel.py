@@ -6,9 +6,13 @@ closed form
 
     H_t(rho) = (4 pi t)^{-3/2} * (rho / sinh rho) * exp(-t - rho^2 / (4 t)),
 
-and the radial density of the endpoint distance is H_t(rho) * 4 pi sinh^2 rho.
-d = 3 serves as the exact validation dimension; other dimensions are covered
-by the two-sided comparison envelope
+and the radial density of the endpoint distance is H_t(rho) * 4 pi sinh^2 rho
+= rho sinh rho exp(-t - rho^2/(4t)) / (t sqrt(4 pi t)).  Completing the square
+shows this is the density of |2t e_1 + sqrt(2t) Z| with Z a standard 3-d
+Gaussian (Bessel(3) with drift): the radius drifts at speed 2 with Gaussian
+fluctuations of variance 2t, and the exact sampler draws it this way.  d = 3
+serves as the exact validation dimension; other dimensions are covered by the
+two-sided comparison envelope
 
     t^{-d/2} exp(-(d-1)^2 t/4 - rho^2/(4t) - (d-1) rho/2) (1+rho+t)^{(d-3)/2} (1+rho),
 
@@ -20,18 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
+from scipy.linalg import eigh_tridiagonal
 
 from . import brownian
 from .geometry import _logsinh, origin
 
 
-class SamplerFailure(RuntimeError):
-    """Rejection sampler exhausted its try budget."""
-
-
 class SolverFailure(RuntimeError):
-    """Eigenvalue bracketing or integration failed."""
+    """Integration of the radial eigenfunction ODE failed."""
 
 
 def log_hk_exact_d3(t, rho):
@@ -154,100 +154,57 @@ class RadialLaw:
                          left=0.0, right=1.0)
 
 
-def sample_radial_exact_d3(t, rng, size=None, return_info=False):
-    """Draw endpoint distances from the exact d = 3 radial law by rejection.
+def sample_radial_exact_d3(t, rng, size=None):
+    """Draw endpoint distances from the exact d = 3 radial law.
 
-    Proposal: a Gaussian centered at the asymptotic drift 2t, scale inflated
-    by 1.25 over sqrt(2t) so the acceptance ratio stays bounded, truncated to
-    rho > 0.  The envelope constant is located numerically at setup.  Raises
-    :class:`SamplerFailure` when more than 1e4 proposals per requested sample
-    are consumed.
+    Each draw is |2t e_1 + sqrt(2t) Z| for three standard normals Z (the
+    drifted-Gaussian identity in the module docstring); no rejection.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     n = 1 if size is None else int(size)
-    mu = 2.0 * t
-    sd = 1.25 * math.sqrt(2.0 * t)
-
-    def log_ratio(rho):
-        # unnormalized target log(rho) + log sinh(rho) - rho^2/(4t) over the proposal
-        return (np.log(rho) + _logsinh(rho) - rho**2 / (4.0 * t)
-                + (rho - mu) ** 2 / (2.0 * sd**2))
-
-    # envelope constant: the max of the (strictly concave) log ratio
-    best = minimize_scalar(lambda rho: -log_ratio(rho), method="bounded",
-                           bounds=(1e-12, mu + 14.0 * sd + 30.0))
-    log_k = -float(best.fun) + 1e-6
-
-    out = np.empty(n)
-    filled = 0
-    proposed = 0
-    budget = 10**4 * n
-    while filled < n:
-        block = max(256, 2 * (n - filled))
-        if proposed + block > budget:
-            block = budget - proposed
-            if block <= 0:
-                raise SamplerFailure(
-                    f"rejection budget exhausted at t={t} "
-                    f"({filled}/{n} accepted after {proposed} proposals)")
-        cand = rng.normal(mu, sd, block)
-        u = rng.uniform(0.0, 1.0, block)
-        proposed += block
-        ok = cand > 0
-        with np.errstate(invalid="ignore"):
-            ok &= np.log(u) < log_ratio(np.where(ok, cand, 1.0)) - log_k
-        keep = cand[ok]
-        take = min(len(keep), n - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
-    result = float(out[0]) if size is None else out
-    if return_info:
-        return result, {"acceptance_rate": n / max(proposed, 1),
-                        "log_envelope_const": log_k}
-    return result
+    z = math.sqrt(2.0 * t) * rng.standard_normal((n, 3))
+    z[:, 0] += 2.0 * t
+    rho = np.linalg.norm(z, axis=1)
+    return float(rho[0]) if size is None else rho
 
 
-_EIGEN_EPS = 1e-6  # shooting start; regularizes the coth/1-rho singularity at 0
-
-
-def _eigen_rhs(mode, d):
+def _log_weight(rho, d, mode):
+    """log of the radial volume weight sinh^{d-1} rho (or rho^{d-1})."""
     if mode == "hyperbolic":
-        def rhs(rho, y, lam):
-            return [y[1], -(d - 1) / math.tanh(rho) * y[1] - lam * y[0]]
-    else:
-        def rhs(rho, y, lam):
-            return [y[1], -(d - 1) / rho * y[1] - lam * y[0]]
-    return rhs
+        return (d - 1) * _logsinh(rho)
+    with np.errstate(divide="ignore"):
+        return (d - 1) * np.log(rho)
 
 
-def _shoot(r, d, mode, lam):
-    rhs = _eigen_rhs(mode, d)
-    sol = solve_ivp(rhs, (_EIGEN_EPS, r), [1.0, 0.0], args=(lam,),
-                    rtol=1e-10, atol=1e-12, dense_output=True)
-    if not sol.success:
-        raise SolverFailure(f"ODE integration failed at lambda={lam}: {sol.message}")
-    return sol
+def _fv_eigenvalue(r, d, mode, n):
+    """Lowest eigenvalue of the n-cell finite-volume radial operator.
 
-
-def _has_zero(r, d, mode, lam, probe):
-    """Sturm oscillation predicate: does phi(.; lam) vanish somewhere in (0, r]?
-
-    Monotone nondecreasing in lam, which makes the principal-eigenvalue
-    bisection immune to bracketing past higher modes.
+    Cell-centred cells of width h = r/n for -(1/w)(w u')' with w the volume
+    weight: zero flux at 0 (w vanishes there), a mirrored ghost cell for the
+    Dirichlet face at r, symmetrised by sqrt(w).  Weights stay in log domain,
+    since sinh^{d-1} r overflows long before r = 100 does.
     """
-    sol = _shoot(r, d, mode, lam)
-    vals = sol.sol(probe)[0]
-    return bool(np.any(vals <= 0.0))
+    h = r / n
+    faces = h * np.arange(n + 1)
+    log_face = _log_weight(faces, d, mode)
+    log_cell = _log_weight(faces[:-1] + 0.5 * h, d, mode)
+    outer = np.exp(log_face[1:] - log_cell)
+    outer[-1] *= 2.0
+    diag = (np.exp(log_face[:-1] - log_cell) + outer) / h**2
+    off = -np.exp(log_face[1:-1] - 0.5 * (log_cell[:-1] + log_cell[1:])) / h**2
+    return eigh_tridiagonal(diag, off, eigvals_only=True,
+                            select="i", select_range=(0, 0))[0]
 
 
 def dirichlet_eigenvalue(r, d, mode="hyperbolic"):
     """Principal Dirichlet eigenvalue of -Delta on the geodesic ball of radius r.
 
-    Radial shooting with phi(eps) = 1, phi'(eps) = 0; the eigenvalue is the
-    infimum of lam for which phi(.; lam) has a zero in (0, r], located by
-    bisection on that (monotone) oscillation predicate to ~1e-10 relative.
-    ``mode`` selects the hyperbolic or the flat (euclidean) radial operator.
+    The second-order finite-volume eigenvalue (:func:`_fv_eigenvalue`) at
+    n = 2000 and 4000 cells, Richardson-extrapolated; about 5e-9 relative
+    against the closed forms over r in [1e-3, 100].  A finer pair loses
+    digits to rounding.  ``mode`` selects the hyperbolic or the flat
+    (euclidean) radial operator.
     """
     if not 0 < r <= 100:
         raise ValueError("r must lie in (0, 100]")
@@ -255,37 +212,36 @@ def dirichlet_eigenvalue(r, d, mode="hyperbolic"):
         raise ValueError("d must be an integer >= 2")
     if mode not in ("hyperbolic", "euclidean"):
         raise ValueError(f"unknown mode {mode!r}")
+    coarse, fine = (_fv_eigenvalue(r, d, mode, n) for n in (2000, 4000))
+    return float((4.0 * fine - coarse) / 3.0)
 
-    guess = (math.pi / r) ** 2 + ((d - 1) ** 2 / 4.0 if mode == "hyperbolic" else 0.0)
-    probe = np.linspace(_EIGEN_EPS, r, 2001)
 
-    lo = 0.4 * guess
-    for _ in range(80):
-        if not _has_zero(r, d, mode, lo, probe):
-            break
-        lo *= 0.5
+_EIGEN_EPS = 1e-6  # shooting start; regularizes the coth/1-rho singularity at 0
+
+
+def _shoot(r, d, mode, lam):
+    if mode == "hyperbolic":
+        def rhs(rho, y):
+            return [y[1], -(d - 1) / math.tanh(rho) * y[1] - lam * y[0]]
     else:
-        raise SolverFailure(f"no lower bracket for r={r}, d={d}, mode={mode}")
-    hi = max(2.0 * lo, 1.2 * guess)
-    for _ in range(80):
-        if _has_zero(r, d, mode, hi, probe):
-            break
-        hi *= 2.0
-    else:
-        raise SolverFailure(f"no upper bracket for r={r}, d={d}, mode={mode}")
-    while (hi - lo) > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if _has_zero(r, d, mode, mid, probe):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        def rhs(rho, y):
+            return [y[1], -(d - 1) / rho * y[1] - lam * y[0]]
+    sol = solve_ivp(rhs, (_EIGEN_EPS, r), [1.0, 0.0],
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    if not sol.success:
+        raise SolverFailure(f"ODE integration failed at lambda={lam}: {sol.message}")
+    return sol
 
 
 def dirichlet_eigenfunction(r, d, mode="hyperbolic", n_grid=4000):
     """Eigenvalue together with the radial eigenfunction sampled on a grid.
 
-    Returns (lam, rho_grid, phi, dphi); used for Rayleigh-quotient checks.
+    Returns (lam, rho_grid, phi, dphi) from one shot at the eigenvalue, with
+    phi(eps) = 1, phi'(eps) = 0; used for Rayleigh-quotient checks.  Reliable
+    for r up to about 20 in the hyperbolic mode: phi decays like
+    e^{-(d-1) rho/2} and falls under the shot's absolute tolerance 1e-12, so
+    the Rayleigh quotient is off by 1e-7 at r = 20, 6e-4 at r = 30 and 0.12
+    at r = 60 (d = 3), where phi turns negative near rho = 34.
     """
     lam = dirichlet_eigenvalue(r, d, mode)
     sol = _shoot(r, d, mode, lam)

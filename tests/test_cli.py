@@ -318,6 +318,12 @@ def test_eigenvalue_subcommand(capsys):
     assert val == pytest.approx(math.pi**2, rel=1e-6)
 
 
+def test_eigenvalue_subcommand_large_radius(capsys):
+    assert main(["eigenvalue", "--r", "100", "--dim", "3"]) == 0
+    val = float(capsys.readouterr().out.strip().split("=")[-1])
+    assert val == pytest.approx(1.0 + (math.pi / 100.0) ** 2, rel=1e-8)
+
+
 _EUCLIDEAN = BASE_CONFIG.replace("estimators = fk", "estimators = fk, fk-euclidean")
 
 

@@ -40,17 +40,17 @@ def test_log_radial_density_d3_pinned():
 
 
 @pytest.mark.parametrize("t,first4,single", [
-    (1e-3, [0.07801219830928025, 0.03384867160260637, 0.08957273875742827,
-            0.048091707398136924], 0.06048118789497987),
-    (0.5, [2.699684425387452, 2.5309013482324154, 1.7121579469649502,
-           0.929919451192978], 2.307679115381128),
-    (1.0, [4.403716766137256, 3.007143427149612, 1.9008911374185598,
-           3.3203197100642394], 3.849337540204043),
-    (5.0, [10.135158780030102, 7.9828341640606615, 8.822172089520986,
-           7.915330935055589], 14.13524445323849),
-    (25.0, [50.302224219903245, 45.48948006894945, 47.36629672637239,
-            45.338538260193374], 59.246687701020214),
-])
+    (1e-3, [0.08191559720982065, 0.03416694240654991, 0.04332498914420638,
+            0.10689016217452842], 0.057372557443313404),
+    (0.5, [2.1020013733464777, 0.7789217391078334, 1.7392590901739025,
+           1.7836293168652964], 1.6219624594348572),
+    (1.0, [3.3005260154748517, 1.5388091832933224, 2.998999483510462,
+           2.302589658751602], 2.692622041876914),
+    (5.0, [11.647436751102052, 8.60224848032604, 12.036957810645701,
+           6.474932626821568], 10.7709049910524),
+    (25.0, [51.88139502311465, 46.58889424506082, 54.28752936209453,
+            38.56868243131739], 50.76803646627247),
+], ids=["0.001", "0.5", "1.0", "5.0", "25.0"])  # t only: re-recording keeps the names
 def test_sample_radial_exact_d3_first_draws_pinned(t, first4, single):
     draws = heatkernel.sample_radial_exact_d3(t, np.random.default_rng(11), size=4)
     np.testing.assert_allclose(draws, first4, rtol=RTOL)
