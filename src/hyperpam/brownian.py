@@ -21,12 +21,17 @@ Two step schemes are provided:
 
 Driver
 ------
-Every ensemble runs through one loop, :func:`_drive`: it steps the rows of
-an (N, .) state in place, row i on its own stream, and hands the state to an
-observer at step 0 and after every step.  A pair ensemble is P rows of B
-stacked over the P rows of B~, stepped together.  The Euclidean comparison
-walk uses the same loop with an internal flat kernel, x += sqrt(2 dt) g, on
-(N, d) rows; it is not a sampler scheme.
+Every ensemble runs through one loop, :func:`_drive`: it steps a (d+1, N)
+struct-of-arrays state in place, one coordinate per row and one path per
+column, column i on its own stream, and hands the state to an observer at
+step 0 and after every step.  The kernels work on whole coordinate rows, and
+their d-term dot products are in-order multiply-adds over the leading axis.
+A pair ensemble is the P columns of B followed by the P columns of B~,
+stepped together.  Each stream still fills its own slab of the noise buffer
+in draw order; the loop reads that buffer through a small transposed block,
+so a step's noise is contiguous too.  The Euclidean comparison walk uses the
+same loop with an internal flat kernel, x += sqrt(2 dt) g, on a (d, N)
+state; it is not a sampler scheme.
 
 Reproducibility
 ---------------
@@ -45,6 +50,7 @@ from .geometry import _coords
 
 _SCHEMES = ("embedded-sde", "geodesic-walk")
 MAX_STEPS = 10**8
+_BLOCK_DOUBLES = 1 << 17  # 1 MB of noise per transposed block
 
 # role tags for the per-path substreams
 TAG_PRIMARY = 0
@@ -129,18 +135,26 @@ def _chunk_size(n_paths, dim, n_steps):
     return int(np.clip(12_000_000 // per_step, 16, n_steps))
 
 
-def _step_embedded(x, g, dt, d, root2dt, tmp):
-    """One Euler step for the whole batch; g is (P, d) spatial Gaussians at o.
+def _dot(a, b, out=None):
+    """sum_i a[i] * b[i] over the leading axis, multiply-added in index order."""
+    out = np.multiply(a[0], b[0], out=out)
+    for ai, bi in zip(a[1:], b[1:]):
+        out += ai * bi
+    return out
 
-    Only the spatial block evolves explicitly (tangent noise, transported from
-    the origin, plus the constraint drift d*X*dt); the time-like coordinate is
+
+def _step_embedded(x, g, dt, d, root2dt, s, tmp):
+    """One Euler step for the whole batch; g is (d, N) spatial Gaussians at o.
+
+    Only the spatial rows x[:d] evolve explicitly (tangent noise, transported
+    from the origin, plus the constraint drift d*X*dt); the time-like row is
     then re-derived from the hyperboloid constraint, which is exactly the
     renormalize-every-step policy.
     """
-    xs = x[:, :d]
-    s = np.einsum("pi,pi->p", g, xs)
-    s /= 1.0 + x[:, d]
-    np.multiply(s[:, None], xs, out=tmp)
+    xs = x[:d]
+    _dot(g, xs, s)
+    s /= 1.0 + x[d]
+    np.multiply(s, xs, out=tmp)
     tmp += g
     tmp *= root2dt
     xs *= 1.0 + d * dt
@@ -148,37 +162,37 @@ def _step_embedded(x, g, dt, d, root2dt, tmp):
     _reproject(x, d)
 
 
-def _step_geodesic(x, g, mag, d, scale, tmp):
-    """One geodesic step: uniform direction from g, radial length scale*|mag|."""
-    xs = x[:, :d]
-    norm = np.sqrt(np.einsum("pi,pi->p", g, g))
+def _step_geodesic(x, g, mag, d, scale, s, tmp):
+    """One geodesic step: uniform direction from g (d, N), length scale*|mag|."""
+    xs = x[:d]
+    norm = np.sqrt(_dot(g, g))
     np.maximum(norm, 1e-300, out=norm)
-    u = g / norm[:, None]
-    s = np.einsum("pi,pi->p", u, xs)
-    s /= 1.0 + x[:, d]
+    u = g / norm
+    _dot(u, xs, s)
+    s /= 1.0 + x[d]
     r = scale * np.abs(mag)
     ch, sh = np.cosh(r), np.sinh(r)
-    np.multiply(s[:, None], xs, out=tmp)
+    np.multiply(s, xs, out=tmp)
     tmp += u
-    tmp *= sh[:, None]
-    xs *= ch[:, None]
+    tmp *= sh
+    xs *= ch
     xs += tmp
     _reproject(x, d)
 
 
 def _reproject(x, d):
-    """Set the time-like coordinate from the constraint <z,z> = -1.
+    """Set the time-like row x[d] = sqrt(1 + |x[:d]|^2) of the (d+1, N) state.
 
     The direct square-sum overflows only beyond rho ~ 354 (spatial entries
     ~1e154); the rescaled projection covers that regime.
     """
-    xs = x[:, :d]
-    sq = np.einsum("pi,pi->p", xs, xs)
-    if np.all(np.isfinite(sq)):
-        np.sqrt(sq, out=sq)
-        np.hypot(1.0, sq, out=x[:, d])
+    with np.errstate(over="ignore"):  # the fallback below handles it
+        sq = _dot(x[:d], x[:d])
+    if np.isfinite(sq.max()):  # max propagates NaN
+        sq += 1.0
+        np.sqrt(sq, out=x[d])
     else:
-        x[:] = geometry.project_to_hyperboloid(x)
+        x[:] = geometry.project_to_hyperboloid(x.T).T
 
 
 def _step_flat(x, g, root2dt):
@@ -190,7 +204,8 @@ def _batches(cfg, n_paths, first_index, tags):
     """Consecutive batches of at most 2048 paths as (lo, hi, streams).
 
     A batch has one stream per (tag, path), ordered tag by tag: with two
-    tags, rows [0, P) are the primary paths and rows [P, 2P) their partners.
+    tags, streams (state columns) [0, P) drive the primary paths and
+    [P, 2P) their partners.
     """
     size = 2048  # bounds the state and noise buffers of one batch
     for lo in range(0, n_paths, size):
@@ -210,34 +225,51 @@ def _at_slots(stored, record):
 
 
 def _drive(x, gens, t, cfg, observe, kernel=None):
-    """Step every row of the state x in place to horizon t; row i draws from gens[i].
+    """Step the (d+1, N) state x in place to horizon t; column i draws from gens[i].
 
-    ``kernel`` is ``cfg.scheme`` unless given; "flat" steps Euclidean rows
-    (x is then (N, d), not (N, d+1)).  ``observe(k, x)`` is called at k = 0
-    and after every step k = 1..n_steps.
+    ``kernel`` is ``cfg.scheme`` unless given; "flat" steps Euclidean columns
+    (x is then (d, N)).  ``observe(k, x)`` is called at k = 0 and after every
+    step k = 1..n_steps.
+
+    Stream i fills its own (chunk, ncols) slab of the (N, chunk, ncols) noise
+    buffer, in draw order.  The steps read that buffer through a (b, ncols, N)
+    block of about 1 MB: every b steps, each stream's next b*ncols draws are
+    gathered, one contiguous run per stream, into an (N, b*ncols) staging
+    block, which one in-cache transposing copy turns into the step block.
+    Reading noise[:, j] directly would touch a different page for every path
+    at every step.
     """
     n_steps, dt, _, _ = _schedule(t, cfg.step)
     d = cfg.dim
     kernel = kernel or cfg.scheme
+    n = len(gens)
     root2dt = np.sqrt(2.0 * dt)
     geo_scale = np.sqrt(2.0 * d * dt)
-    tmp = np.empty((len(gens), d))
+    s, tmp = np.empty(n), np.empty((d, n))
     step = {
-        "embedded-sde": lambda g: _step_embedded(x, g, dt, d, root2dt, tmp),
-        "geodesic-walk": lambda g: _step_geodesic(x, g[:, :d], g[:, d], d, geo_scale, tmp),
+        "embedded-sde": lambda g: _step_embedded(x, g, dt, d, root2dt, s, tmp),
+        "geodesic-walk": lambda g: _step_geodesic(x, g[:d], g[d], d, geo_scale, s, tmp),
         "flat": lambda g: _step_flat(x, g, root2dt),
     }[kernel]
     ncols = d + 1 if kernel == "geodesic-walk" else d
-    chunk = _chunk_size(len(gens), d, n_steps)
-    buf = np.empty((len(gens), chunk, ncols))
+    chunk = _chunk_size(n, d, n_steps)
+    buf = np.empty((n, chunk, ncols))
+    b = max(1, min(chunk, _BLOCK_DOUBLES // (ncols * n)))
+    staged, block = np.empty((n, b * ncols)), np.empty((b, ncols, n))
     observe(0, x)
     for pos in range(0, n_steps, chunk):
         noise = buf[:, :min(chunk, n_steps - pos)]
         for i, gen in enumerate(gens):
             gen.standard_normal(out=noise[i])
-        for j in range(noise.shape[1]):
-            step(noise[:, j])
-            observe(pos + j + 1, x)
+        for j0 in range(0, noise.shape[1], b):
+            nb = min(b, noise.shape[1] - j0)
+            rows = staged[:, :nb * ncols]
+            rows[...] = noise[:, j0:j0 + nb].reshape(n, nb * ncols)
+            blk = block[:nb]
+            blk.reshape(nb * ncols, n)[...] = rows.T
+            for k, g in enumerate(blk, pos + j0 + 1):
+                step(g)
+                observe(k, x)
 
 
 def _sample(x0, t, cfg, path_index, tags):
@@ -247,10 +279,10 @@ def _sample(x0, t, cfg, path_index, tags):
     points = np.empty((len(tags), len(stored), coords.shape[0]))
 
     def record(slot, x):
-        points[:, slot] = x
+        points[:, slot] = x.T
 
     gens = [path_stream(cfg.seed, path_index, tag) for tag in tags]
-    _drive(np.tile(coords, (len(tags), 1)), gens, t, cfg, _at_slots(stored, record))
+    _drive(np.tile(coords[:, None], len(tags)), gens, t, cfg, _at_slots(stored, record))
     return [BrownianPath(times, p, cfg.seed) for p in points]
 
 
@@ -273,7 +305,9 @@ def endpoints(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0, starts=None):
     out = np.tile(_coords(x0), (n_paths, 1)) if starts is None \
         else np.array(starts[:n_paths], dtype=float)
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
-        _drive(out[lo:hi], gens, t, cfg, lambda k, x: None)
+        state = out[lo:hi].T.copy()
+        _drive(state, gens, t, cfg, lambda k, x: None)
+        out[lo:hi] = state.T
     return out
 
 
@@ -322,16 +356,15 @@ def _pair_profile(starts, t, cfg, n_paths, profile, first_index, kernel=None,
         P = hi - lo
 
         def record(slot, z, rows=F[lo:hi]):
-            x, y = z[:P], z[P:]
+            x, y = z[:, :P], z[:, P:]
             if kernel == "flat":
-                rho = np.linalg.norm(x - y, axis=1)
+                rho = np.linalg.norm(x - y, axis=0)
             else:
-                minus_ip = (x[:, -1] * y[:, -1]
-                            - np.einsum("pi,pi->p", x[:, :-1], y[:, :-1]))
+                minus_ip = x[-1] * y[-1] - _dot(x[:-1], y[:-1])
                 rho = np.arccosh(np.maximum(minus_ip, 1.0))
             rows[:, slot] = profile(rho)
 
-        _drive(np.repeat(starts, P, axis=0), gens, t, cfg, _at_slots(stored, record),
+        _drive(np.repeat(starts.T, P, axis=1), gens, t, cfg, _at_slots(stored, record),
                kernel)
     return times, F
 
@@ -350,10 +383,10 @@ def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
         def observe(k, x, block=out[lo:hi]):
             if k == 0:  # the start is at distance 0 <= r, whatever rounding says
                 return
-            minus_ip = x[:, -1] * coords[-1] - x[:, :-1] @ coords[:-1]
+            minus_ip = x[-1] * coords[-1] - coords[:-1] @ x[:-1]
             block[(minus_ip > cosh_r) & ~np.isfinite(block)] = k * dt
 
-        _drive(np.tile(coords, (hi - lo, 1)), gens, t_max, cfg, observe)
+        _drive(np.tile(coords[:, None], hi - lo), gens, t_max, cfg, observe)
     return out
 
 

@@ -63,6 +63,7 @@ class _Config:
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read config: {exc}") from exc
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.optionxform = str  # case-sensitive keys: [model] C and c differ
         try:
             parser.read_string(self.text)
         except configparser.Error as exc:
@@ -97,13 +98,23 @@ class _Config:
 
     def model(self):
         kind = self.get("model", "kind", str, required=True)
-        alpha = self.get("model", "alpha", float)
-        big_c = self.get("model", "C", float, default=1.0)
-        small_c = self.get("model", "c", float, default=1.0)
-        try:
-            return CovarianceModel(kind, alpha=alpha, C=big_c, c=small_c)
-        except ValueError as exc:
-            self._fail("model", "kind", str(exc))
+        fields = {
+            "alpha": self.get("model", "alpha", float),
+            "C": self.get("model", "C", float, default=1.0),
+            "c": self.get("model", "c", float, default=1.0),
+        }
+        # CovarianceModel checks alpha against the kind and each amplitude on
+        # its own: probe them one at a time so the error names the key that failed
+        probes = {"kind": {"kind": kind, "alpha": 1.0},
+                  "alpha": {"kind": kind, "alpha": fields["alpha"]},
+                  "C": {"kind": "constant", "C": fields["C"]},
+                  "c": {"kind": "constant", "c": fields["c"]}}
+        for key, probe in probes.items():
+            try:
+                CovarianceModel(**probe)
+            except ValueError as exc:
+                self._fail("model", key, str(exc))
+        return CovarianceModel(kind, **fields)
 
     def sampler(self, seed_override=None):
         seed = seed_override if seed_override is not None \
@@ -189,6 +200,9 @@ def cmd_phase_sweep(args):
         if kind not in _ESTIMATORS:
             raise ConfigError(f"{args.config}: [run] estimators: unknown kind "
                               f"{kind!r} (choose from {sorted(_ESTIMATORS)})")
+    repeated = sorted({kind for kind in estimators if estimators.count(kind) > 1})
+    if repeated:
+        cfg._fail("run", "estimators", f"lists {', '.join(repeated)} more than once")
     problem = moments._euclidean_problem(model, sampler.dim)
     if "fk-euclidean" in estimators and problem:
         key, message = problem

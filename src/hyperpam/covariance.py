@@ -82,11 +82,14 @@ class CovarianceModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.kind in ("phi-alpha", "truncated-power"):
             if self.alpha is None or self.alpha <= 0:
                 raise ValueError(f"{self.kind} requires alpha > 0")
-        if self.C <= 0 or self.c <= 0:
-            raise ValueError("amplitudes must be positive")
+        # chained comparisons also reject NaN
+        if not (0 < self.C < math.inf and 0 < self.c < math.inf):
+            raise ValueError("amplitudes must be positive and finite")
 
     def profile(self, rho):
         """F(rho); vectorized over rho."""

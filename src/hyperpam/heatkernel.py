@@ -220,13 +220,22 @@ _EIGEN_EPS = 1e-6  # shooting start; regularizes the coth/1-rho singularity at 0
 
 
 def _shoot(r, d, mode, lam):
+    """Shot of the Liouville-scaled w = s^k phi, k = (d-1)/2, s = sinh rho (flat: rho).
+
+    w'' = (k^2 + k(k-1)/sinh^2 rho - lam) w (flat: (k(k-1)/rho^2 - lam) w) has
+    no first-order term, so w stays O(1) where phi decays like e^{-k rho}.
+    Starts from phi(eps) = 1, phi'(eps) = 0.
+    """
+    k = 0.5 * (d - 1)
     if mode == "hyperbolic":
         def rhs(rho, y):
-            return [y[1], -(d - 1) / math.tanh(rho) * y[1] - lam * y[0]]
+            return [y[1], (k * k + k * (k - 1.0) / math.sinh(rho) ** 2 - lam) * y[0]]
+        s0, ds0 = math.sinh(_EIGEN_EPS), math.cosh(_EIGEN_EPS)
     else:
         def rhs(rho, y):
-            return [y[1], -(d - 1) / rho * y[1] - lam * y[0]]
-    sol = solve_ivp(rhs, (_EIGEN_EPS, r), [1.0, 0.0],
+            return [y[1], (k * (k - 1.0) / rho**2 - lam) * y[0]]
+        s0, ds0 = _EIGEN_EPS, 1.0
+    sol = solve_ivp(rhs, (_EIGEN_EPS, r), [s0**k, k * s0 ** (k - 1.0) * ds0],
                     rtol=1e-10, atol=1e-12, dense_output=True)
     if not sol.success:
         raise SolverFailure(f"ODE integration failed at lambda={lam}: {sol.message}")
@@ -237,17 +246,21 @@ def dirichlet_eigenfunction(r, d, mode="hyperbolic", n_grid=4000):
     """Eigenvalue together with the radial eigenfunction sampled on a grid.
 
     Returns (lam, rho_grid, phi, dphi) from one shot at the eigenvalue, with
-    phi(eps) = 1, phi'(eps) = 0; used for Rayleigh-quotient checks.  Reliable
-    for r up to about 20 in the hyperbolic mode: phi decays like
-    e^{-(d-1) rho/2} and falls under the shot's absolute tolerance 1e-12, so
-    the Rayleigh quotient is off by 1e-7 at r = 20, 6e-4 at r = 30 and 0.12
-    at r = 60 (d = 3), where phi turns negative near rho = 34.
+    phi(eps) = 1, phi'(eps) = 0; used for Rayleigh-quotient checks.  The shot
+    (:func:`_shoot`) integrates w = s^k phi, k = (d-1)/2, s = sinh rho (flat:
+    rho), which stays O(1) where phi decays like e^{-k rho}; then
+    phi = w / s^k and phi' = (w' - k (s'/s) w) / s^k.  The Rayleigh quotient
+    matches the eigenvalue to about 1e-9 for r up to 60 (d = 3).
     """
     lam = dirichlet_eigenvalue(r, d, mode)
-    sol = _shoot(r, d, mode, lam)
     grid = np.linspace(_EIGEN_EPS, r, n_grid)
-    vals = sol.sol(grid)
-    return lam, grid, vals[0], vals[1]
+    w, dw = _shoot(r, d, mode, lam).sol(grid)
+    k = 0.5 * (d - 1)
+    if mode == "hyperbolic":
+        s_k, ds_over_s = np.exp(k * _logsinh(grid)), 1.0 / np.tanh(grid)
+    else:
+        s_k, ds_over_s = grid**k, 1.0 / grid
+    return lam, grid, w / s_k, (dw - k * ds_over_s * w) / s_k
 
 
 def exit_tail_estimate(r, t_grid, n_paths, cfg, x0=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from hyperpam import brownian, geometry, heatkernel
+from hyperpam import brownian, geometry, heatkernel, moments
 from hyperpam.brownian import (
     BrownianPath, SamplerConfig, dump_paths_csv, event_indicators,
     radial_statistics, sample_pair, sample_path,
@@ -246,7 +246,35 @@ def test_reproject_far_rows_without_overflow():
     # spatial entries beyond ~1e154 overflow the direct square-sum; every row
     # then goes through the rescaled projection
     x = np.array([[3e200, 4e200, 0.0, 0.0], [0.6, 0.8, 0.0, 9.0]])
-    brownian._reproject(x, 3)
+    brownian._reproject(x.T, 3)  # the driver state is (d+1, N)
     assert x[0, 3] == pytest.approx(5e200, rel=1e-15)
     assert x[1, 3] == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert x[0, 0] == 3e200 and x[1, 1] == 0.8
+
+
+def _driver_outputs(d, scheme):
+    o = geometry.origin(d)
+    y = geometry.exp_map(o, geometry.TangentVec(o, np.eye(d + 1)[1]), 0.7)
+    cfg = SamplerConfig(d, 1e-2, scheme, SEED)
+    return [
+        brownian.endpoints(o, 0.5, cfg, 5, first_index=3),
+        brownian.exit_times(o, 0.3, 0.5, cfg, 5),
+        brownian.pair_profile_matrix(o, y, 0.5, cfg, 5, np.cos)[1],
+        moments._euclidean_pair_profile_matrix(0.5, cfg, 5, np.cos)[1],
+    ]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("scheme", ["embedded-sde", "geodesic-walk"])
+@pytest.mark.parametrize("chunk,block_doubles", [(7, None), (None, 64), (7, 64)])
+def test_driver_bytes_independent_of_chunk_and_block(monkeypatch, d, scheme, chunk,
+                                                     block_doubles):
+    # 50 steps: chunks of 7 and noise blocks of 1-4 steps leave partial chunks
+    # and blocks, which must not shift the noise against the steps
+    expect = _driver_outputs(d, scheme)
+    if chunk is not None:
+        monkeypatch.setattr(brownian, "_chunk_size", lambda n_paths, dim, n_steps: chunk)
+    if block_doubles is not None:
+        monkeypatch.setattr(brownian, "_BLOCK_DOUBLES", block_doubles)
+    for got, want in zip(_driver_outputs(d, scheme), expect):
+        assert got.tobytes() == want.tobytes()

@@ -411,3 +411,33 @@ def test_sample_path_rejects_bad_horizon(tmp_path, capsys, t):
     assert rc == 2
     assert "--t" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("key,good,bad", [
+    ("alpha", "kind = constant\nc = 1.0", "kind = truncated-power\nalpha = -1"),
+    ("alpha", "kind = constant\nc = 1.0", "kind = phi-alpha\nalpha = nan"),
+    ("alpha", "kind = constant\nc = 1.0", "kind = constant\nalpha = inf"),
+    ("C", "kind = constant\nc = 1.0", "kind = truncated-power\nC = -1\nalpha = 2"),
+    ("C", "kind = constant\nc = 1.0", "kind = truncated-power\nC = nan\nalpha = 2"),
+    ("c", "c = 1.0", "c = -1"),
+    ("c", "c = 1.0", "c = inf"),
+    ("c", "c = 1.0", "c = nan"),
+])
+def test_model_config_error_names_key(tmp_path, capsys, key, good, bad):
+    text = BASE_CONFIG.replace(good, bad)
+    line = text.splitlines().index(next(ln for ln in bad.splitlines()
+                                        if ln.startswith(key + " "))) + 1
+    rc = main(["phase-sweep", "--config", _write(tmp_path, text),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"exp.cfg:{line}: [model] {key}:" in capsys.readouterr().err
+
+
+def test_repeated_estimator_rejected(tmp_path, capsys):
+    bad = BASE_CONFIG.replace("estimators = fk", "estimators = fk, jensen,fk")
+    rc = main(["phase-sweep", "--config", _write(tmp_path, bad),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "exp.cfg:10: [run] estimators: lists fk more than once" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

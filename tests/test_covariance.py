@@ -151,6 +151,13 @@ def test_model_validation():
         CovarianceModel("nonsense")
     with pytest.raises(ValueError):
         CovarianceModel("constant", c=-0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CovarianceModel("phi-alpha", alpha=bad)
+        with pytest.raises(ValueError):
+            CovarianceModel("truncated-power", alpha=2.0, C=bad)
+        with pytest.raises(ValueError):
+            CovarianceModel("constant", c=bad)
 
 
 def test_evaluate_kinds():

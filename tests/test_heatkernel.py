@@ -189,6 +189,17 @@ def test_eigenvalue_rayleigh_quotient():
         assert rayleigh == pytest.approx(lam, rel=1e-6)
 
 
+@pytest.mark.parametrize("r", [30.0, 60.0])
+def test_eigenfunction_large_radius(r):
+    # phi decays like e^{-rho}: a shot on phi itself drops under its absolute
+    # tolerance here and turns negative near rho = 34
+    lam, grid, phi, dphi = dirichlet_eigenfunction(r, 3, "hyperbolic", n_grid=20000)
+    w = np.sinh(grid) ** 2
+    rayleigh = np.trapezoid(dphi**2 * w, grid) / np.trapezoid(phi**2 * w, grid)
+    assert rayleigh == pytest.approx(lam, rel=1e-6)
+    assert np.all(phi[:-1] > 0)
+
+
 def test_eigenvalue_validates_arguments():
     with pytest.raises(ValueError):
         dirichlet_eigenvalue(0.0, 3)
