@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperpam import geometry, moments
+from hyperpam import brownian, geometry, moments
 from hyperpam.brownian import SamplerConfig
 from hyperpam.covariance import CovarianceModel
 from hyperpam.moments import (
@@ -261,3 +261,22 @@ def test_validation_of_common_arguments():
         fk_second_moment(O3, 1.0, -0.1, model, 8, _cfg())
     with pytest.raises(ValueError):
         fk_second_moment(O3, 1.0, 0.1, model, 0, _cfg())
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_ensemble_union_of_strides_matches_one_horizon_runs(flat):
+    # t = 2.56, 5.12, 10 at step 1e-2 share dt = 0.01 but store every 2nd,
+    # 4th and 5th step: the group's grid is a union of different strides
+    model = CovarianceModel("truncated-power", alpha=0.5)
+    cfg = _cfg(seed=SEED + 11)
+    horizons = (2.56, 5.12, 10.0)
+    assert {brownian._schedule(t, cfg.step)[1] for t in horizons} == {0.01}
+    ens = moments.PairEnsemble(O3, model, cfg, 5, horizons, flat=flat, shards=3)
+    for t in horizons:
+        if flat:
+            want = moments._euclidean_pair_profile_matrix(t, cfg, 5, model.profile)
+        else:
+            want = brownian.pair_profile_matrix(O3, O3, t, cfg, 5, model.profile)
+        times, F = ens.matrix(t)
+        assert times.tobytes() == want[0].tobytes()
+        assert F.tobytes() == want[1].tobytes()
