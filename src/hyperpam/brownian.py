@@ -41,6 +41,7 @@ ensembles are reproducible and independent of batch sizes, worker counts,
 and execution order.  Identical configs produce bit-identical output.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,40 +318,26 @@ def endpoint_radii(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
     return geometry.distance(np.asarray(_coords(x0)), pts)
 
 
-def _stored_union(t, step, horizons):
-    """Stored step indices and times of horizon t, joined with the stored
-    indices of every shorter horizon that shares its dt.
-
-    A path to a shorter horizon with the same dt is a prefix of the path to
-    t, so one simulation to t serves them all.
-    """
-    _, dt, stored, _ = _schedule(t, step)
-    for h in horizons:
-        _, dt_h, stored_h, _ = _schedule(h, step)
-        if h <= t and dt_h == dt:
-            stored = np.union1d(stored, stored_h)
-    return stored, stored * dt
-
-
-def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0, horizons=()):
-    """f(B_s, B_s~) on the stored grid for n_paths independent pairs.
+def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0, stored=None):
+    """f(B_s, B_s~) at stored steps of n_paths independent pairs driven to t.
 
     Returns (times (m,), F (n_paths, m)) where F[i, j] = profile(rho) for the
-    i-th pair at stored time j.  B starts at x0, B~ at y0.  The grid is
-    horizon t's, joined with that of each of ``horizons`` that shares t's dt
-    (see :func:`_stored_union`).
+    i-th pair at the j-th stored step.  B starts at x0, B~ at y0.  ``stored``
+    is a sorted array of step indices in [0, n_steps]; by default it is
+    horizon t's own storage grid from :func:`_schedule`.
     """
     return _pair_profile(np.stack([_coords(x0), _coords(y0)]), t, cfg, n_paths,
-                         profile, first_index, horizons=horizons)
+                         profile, first_index, stored=stored)
 
 
 def _pair_profile(starts, t, cfg, n_paths, profile, first_index, kernel=None,
-                  horizons=()):
+                  stored=None):
     """:func:`pair_profile_matrix` from starts = (B_0, B~_0), stepped by ``kernel``.
 
     With the "flat" kernel the rows are Euclidean and rho is their distance.
     """
-    stored, times = _stored_union(t, cfg.step, horizons)
+    _, dt, own, _ = _schedule(t, cfg.step)
+    stored = own if stored is None else stored
     F = np.empty((n_paths, len(stored)))
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
         P = hi - lo
@@ -366,7 +353,7 @@ def _pair_profile(starts, t, cfg, n_paths, profile, first_index, kernel=None,
 
         _drive(np.repeat(starts.T, P, axis=1), gens, t, cfg, _at_slots(stored, record),
                kernel)
-    return times, F
+    return stored * dt, F
 
 
 def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
@@ -430,12 +417,9 @@ def event_indicators(pair, x0, delta, s, y0=None):
 
     def penalty(vertex, p, q):
         try:
-            ang = float(geometry.angle_at(vertex, p, q))
-        except ValueError:
+            return float(geometry.triangle_deficit(vertex, p, q)["bound"])
+        except ValueError:  # degenerate triangle
             return np.inf
-        if 1.0 - np.cos(ang) <= 0.0:
-            return np.inf
-        return float(np.log(2.0) - np.log1p(-np.cos(ang)))
 
     pen_single = penalty(cx, b_s, bt_s)
     a_event = radial_ok and pen_single <= delta * s_used
@@ -453,9 +437,7 @@ def event_indicators(pair, x0, delta, s, y0=None):
 
 def dump_paths_csv(paths, file):
     """Write paths as CSV rows (path_id, t, z1..z_{d+1})."""
-    own = isinstance(file, str)
-    fh = open(file, "w") if own else file
-    try:
+    with open(file, "w") if isinstance(file, str) else contextlib.nullcontext(file) as fh:
         d = paths[0].dim
         cols = ",".join(f"z{k + 1}" for k in range(d + 1))
         fh.write(f"path_id,t,{cols}\n")
@@ -463,6 +445,3 @@ def dump_paths_csv(paths, file):
             for tt, row in zip(path.times, path.points):
                 vals = ",".join(repr(float(v)) for v in row)
                 fh.write(f"{pid},{float(tt)!r},{vals}\n")
-    finally:
-        if own:
-            fh.close()

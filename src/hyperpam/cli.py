@@ -134,6 +134,15 @@ class _Config:
         return brownian.SamplerConfig(seed=seed, **fields)
 
 
+def _out_dir(path):
+    """Create the directory ``path`` named by --out; a failure is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {path}: {exc}") from exc
+    return path
+
+
 def _meta(cfg, sampler, extra=None):
     meta = {"config_hash": cfg.hash, "seed": sampler.seed}
     meta.update(extra or {})
@@ -191,15 +200,13 @@ def cmd_phase_sweep(args):
             cfg._fail("run", "workers", f"must be at least 1, got {workers}")
     # chained comparisons also reject NaN, which fails every comparison
     if not betas or not all(0 <= b < math.inf for b in betas):
-        raise ConfigError(f"{args.config}: [sweep] beta: needs one or more values, "
-                          "all finite and >= 0")
+        cfg._fail("sweep", "beta", "needs one or more values, all finite and >= 0")
     if not ts or not all(0 < t < math.inf for t in ts):
-        raise ConfigError(f"{args.config}: [sweep] t: needs one or more values, "
-                          "all finite and > 0")
+        cfg._fail("sweep", "t", "needs one or more values, all finite and > 0")
     for kind in estimators:
         if kind not in _ESTIMATORS:
-            raise ConfigError(f"{args.config}: [run] estimators: unknown kind "
-                              f"{kind!r} (choose from {sorted(_ESTIMATORS)})")
+            cfg._fail("run", "estimators",
+                      f"unknown kind {kind!r} (choose from {sorted(_ESTIMATORS)})")
     repeated = sorted({kind for kind in estimators if estimators.count(kind) > 1})
     if repeated:
         cfg._fail("run", "estimators", f"lists {', '.join(repeated)} more than once")
@@ -234,8 +241,7 @@ def cmd_phase_sweep(args):
         print(f"warning: cell {err['estimator']} beta={err['beta']} "
               f"t={err['t']} failed: {err['error']}", file=sys.stderr)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(Path(args.out))
     # workers deliberately not recorded: results are worker-count independent
     meta = _meta(cfg, sampler, {"model": model.label()})
     moments.write_rows_csv(rows, str(out / "rows.csv"), meta)
@@ -276,7 +282,7 @@ def cmd_validate(args):
     seed = 20260809 if args.seed is None else args.seed
     report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=seed)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        _out_dir(Path(args.out).parent)
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
@@ -311,8 +317,7 @@ def cmd_lambda(args):
     result = moments.lambda_constant(model, pairs, t_max, n_paths, sampler)
     result["model"] = model.label()
     result["config_hash"] = cfg.hash
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(Path(args.out))
     with open(out / "lambda.json", "w") as fh:
         json.dump(result, fh, indent=1, default=float)
         fh.write("\n")
@@ -332,7 +337,7 @@ def cmd_sample_path(args):
     paths = [brownian.sample_path(x0, args.t, sampler, path_index=i)
              for i in range(args.n_paths)]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _out_dir(out.parent)
     with open(out, "w") as fh:
         fh.write(f"# config_hash=- seed={sampler.seed} scheme={sampler.scheme} "
                  f"step={sampler.step!r}\n")
@@ -402,7 +407,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, moments.EstimatorError) as exc:
+    except (ValueError, moments.EstimatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

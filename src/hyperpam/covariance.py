@@ -110,12 +110,8 @@ class CovarianceModel:
         return float(self.profile(distance(x, y)))
 
     def sup_value(self):
-        """Supremum of the profile (attained at rho = 0 for the decaying kinds)."""
-        if self.kind == "phi-alpha":
-            return 1.0
-        if self.kind == "truncated-power":
-            return self.C
-        return self.c
+        """Supremum of the profile: every kind attains it at rho = 0."""
+        return float(self.profile(0.0))
 
     def label(self):
         if self.kind == "phi-alpha":

@@ -30,9 +30,10 @@ Every estimator reads its profile matrix from a :class:`PairEnsemble`.  A
 sweep builds one per kernel (hyperbolic, flat) and passes it to every cell:
 beta never enters the paths, the estimators share the streams, and a path to
 a shorter horizon with the same dt is a prefix of the path to the longest.
-The ensemble therefore simulates each dt group once, to its largest horizon,
-and stores the union of the group's storage grids.  Called without an
-ensemble, an estimator builds a one-horizon ensemble of its own.
+The ensemble is the one owner of the storage plan: it schedules each horizon
+once, simulates each dt group once, to its largest horizon, and hands the
+driver the union of the group's stored step indices as ``stored``.  Called
+without an ensemble, an estimator builds a one-horizon ensemble of its own.
 
 Time integrals use the trapezoid rule on each horizon's own storage grid
 (spacing min(t/128, 0.05), rounded down to whole steps): a cell reads
@@ -42,6 +43,7 @@ but truncated-power has a sqrt(s) cusp at s = 0 that the first panels
 overestimate: +4.0% at t = 5 and +5.6% at t = 10 for alpha = 2.
 """
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -119,14 +121,16 @@ def _direct(kind, t, beta, model, n_paths, cfg, ensemble):
 class PairEnsemble:
     """n_paths pairs (B, B~) observed through model.profile, for several horizons.
 
-    The horizons are grouped by the dt that ``brownian._schedule`` gives
-    them.  A group is simulated on the first :meth:`matrix` call for one of
-    its horizons, once, to its largest horizon, and kept on the union of its
-    horizons' storage grids.  The paths are split into ``shards`` contiguous
-    index ranges, simulated through ``pmap`` (``map`` or a process pool's
-    ``map``) and joined; every path draws from its own streams, so the split
-    does not change a bit.  A horizon that cannot be scheduled joins no
-    group, and :meth:`matrix` raises its scheduling error.
+    The ensemble owns the storage plan: on construction it schedules each
+    horizon once (``brownian._schedule``: dt and stored step indices), and
+    horizons with one dt form a group.  The first :meth:`matrix` call for a
+    horizon simulates its group once, to its largest horizon, storing the
+    union of the group's step indices; each horizon reads its own columns.
+    The paths are split into ``shards`` contiguous index ranges, simulated
+    through ``pmap`` (``map`` or a process pool's ``map``) and joined; every
+    path draws from its own streams, so the split does not change a bit.  A
+    horizon that cannot be scheduled joins no group, and :meth:`matrix`
+    raises its scheduling error.
 
     B starts at x and B~ at y (default x); path i uses the streams of path
     first_index + i.  ``flat`` drives Euclidean pairs from a common start.
@@ -138,44 +142,44 @@ class PairEnsemble:
         self.model, self.cfg, self.flat, self.pmap = model, cfg, flat, pmap
         self.n_paths, self.first_index = int(n_paths), int(first_index)
         self.shards = max(1, min(int(shards), self.n_paths))
-        self._groups = {}
+        self._plan = {}  # horizon -> (dt, stored step indices)
         for h in horizons:
             try:
-                dt = brownian._schedule(h, cfg.step)[1]
+                self._plan[h] = brownian._schedule(h, cfg.step)[1:3]
             except ValueError:
                 continue
-            self._groups.setdefault(dt, []).append(h)
-        self._simulated = {}
+        self._simulated = {}  # dt -> (stored union, F)
 
     def matrix(self, t):
         """(times, F) for horizon t: the grid and profile values of a simulation to t."""
-        _, dt, _, times = brownian._schedule(t, self.cfg.step)
-        group = self._groups.get(dt, [])
-        if t not in group:
+        if t not in self._plan:
+            brownian._schedule(t, self.cfg.step)  # raises if t cannot be scheduled
             raise ValueError(f"t = {t} is not a horizon of this ensemble")
+        dt, stored = self._plan[t]
         if dt not in self._simulated:
-            self._simulated[dt] = self._simulate(max(group), tuple(group))
-        all_times, F = self._simulated[dt]
+            self._simulated[dt] = self._simulate(dt)
+        union, F = self._simulated[dt]
         # a contiguous copy keeps every later reduction's summation order
-        return times, np.ascontiguousarray(F[:, np.searchsorted(all_times, times)])
+        return stored * dt, np.ascontiguousarray(F[:, np.searchsorted(union, stored)])
 
-    def _simulate(self, t, horizons):
+    def _simulate(self, dt):
+        group = [h for h, (dt_h, _) in self._plan.items() if dt_h == dt]
+        union = np.unique(np.concatenate([self._plan[h][1] for h in group]))
         lo, n, k = self.first_index, self.n_paths, self.shards
         bounds = [lo + n * i // k for i in range(k + 1)]
-        jobs = [(self.x, self.y, self.model, self.cfg, self.flat, a, b, t, horizons)
+        jobs = [(self.x, self.y, self.model, self.cfg, self.flat, a, b, max(group), union)
                 for a, b in zip(bounds, bounds[1:])]
-        parts = list(self.pmap(_simulate_shard, jobs))
-        return parts[0][0], np.concatenate([F for _, F in parts])
+        return union, np.concatenate([F for _, F in self.pmap(_simulate_shard, jobs)])
 
 
 def _simulate_shard(job):
     """(times, F) of the pairs [lo, hi) of one dt group; a process pool can run it."""
-    x, y, model, cfg, flat, lo, hi, t, horizons = job
+    x, y, model, cfg, flat, lo, hi, t, stored = job
     if flat:
         return _euclidean_pair_profile_matrix(t, cfg, hi - lo, model.profile,
-                                              first_index=lo, horizons=horizons)
+                                              first_index=lo, stored=stored)
     return brownian.pair_profile_matrix(x, y, t, cfg, hi - lo, model.profile,
-                                        first_index=lo, horizons=horizons)
+                                        first_index=lo, stored=stored)
 
 
 def _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat=False):
@@ -293,10 +297,10 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
             "T_max": T_max, "n_paths": n_paths, "seed": cfg.seed}
 
 
-def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0, horizons=()):
-    """f(|B_s - B_s~|) on the stored grid for flat pairs (variance 2t per coord)."""
+def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0, stored=None):
+    """f(|B_s - B_s~|) at stored steps for flat pairs (variance 2t per coord)."""
     return brownian._pair_profile(np.zeros((2, cfg.dim)), t, cfg, n_paths, profile,
-                                  first_index, kernel="flat", horizons=horizons)
+                                  first_index, kernel="flat", stored=stored)
 
 
 def euclidean_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
@@ -439,9 +443,7 @@ def to_phase_row(est):
 
 def write_rows_csv(rows, file, meta=None):
     """Write PhaseRows with the exact column set; meta goes into a '#' header."""
-    own = isinstance(file, str)
-    fh = open(file, "w") if own else file
-    try:
+    with open(file, "w") if isinstance(file, str) else contextlib.nullcontext(file) as fh:
         if meta:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -451,9 +453,6 @@ def write_rows_csv(rows, file, meta=None):
                 repr(float(r.log_m2)), repr(float(r.stderr_log)),
                 str(int(r.n_paths)), r.estimator_kind, str(int(r.seed)),
             ]) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def write_rows_json(rows, file, meta=None):
@@ -466,11 +465,6 @@ def write_rows_json(rows, file, meta=None):
             "seed": int(r.seed),
         } for r in rows],
     }
-    own = isinstance(file, str)
-    fh = open(file, "w") if own else file
-    try:
+    with open(file, "w") if isinstance(file, str) else contextlib.nullcontext(file) as fh:
         json.dump(payload, fh, indent=1, allow_nan=True)
         fh.write("\n")
-    finally:
-        if own:
-            fh.close()

@@ -1,0 +1,73 @@
+"""The benchmark's hooks still attach.
+
+``perfbench/`` wraps hyperpam functions by name from outside the package, so
+a rename or a new signature of a traced function would otherwise break
+``perfbench/run.py --trace 1`` without failing a test.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+SWEEP = """\
+[model]
+kind = truncated-power
+alpha = 0.5
+
+[run]
+dim = 3
+step = 1e-2
+n_paths = 8
+seed = 5
+estimators = fk, fk-euclidean
+
+[sweep]
+beta = 0.5
+t = 1, 2, 4
+"""
+
+
+def _probe(tmp_path, *opts):
+    """Run a --workers 1 sweep through perfbench/probe.py; (process, events file)."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP)
+    events = tmp_path / "events"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    cmd = [sys.executable, str(PERFBENCH / "probe.py"), "--events", str(events), *opts,
+           "--", "phase-sweep", "--config", str(cfg), "--workers", "1",
+           "--out", str(tmp_path / "out")]
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    return proc, events
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_sweep_counts_every_path_step(tmp_path):
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    proc, _ = _probe(tmp_path, "--trace", str(trace))
+    assert proc.returncode == 0, proc.stderr
+    tracing = _tracing()
+    metrics = tracing.layer_metrics(*tracing.load(str(trace)))
+    # one dt group: 8 pairs x 2 paths x 400 steps to t = 4, once per kernel
+    assert metrics["brownian.path_steps.embedded-sde"][0] == 6400
+    assert metrics["moments.path_steps.flat"][0] == 6400
+    assert metrics["moments.cells"][0] == 2 * 3
+
+
+def test_setup_only_probe_marks_one_start(tmp_path):
+    proc, events = _probe(tmp_path, "--setup-only")
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in events.read_text().splitlines()] == ["start"]

@@ -1,8 +1,10 @@
 """CLI: configs, sweeps, validation driver, exit codes, determinism."""
 
+import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -441,3 +443,42 @@ def test_repeated_estimator_rejected(tmp_path, capsys):
     assert "exp.cfg:10: [run] estimators: lists fk more than once" \
         in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,good,bad", [
+    ("sweep", "beta", "beta = 0.5", "beta = -1"),
+    ("sweep", "beta", "beta = 0.5", "beta ="),
+    ("sweep", "t", "t = 1, 2, 3, 4", "t = 1, 0"),
+    ("run", "estimators", "estimators = fk", "estimators = fk, mc3000"),
+])
+def test_sweep_config_error_carries_line(tmp_path, capsys, section, key, good, bad):
+    text = BASE_CONFIG.replace(good, bad)
+    line = text.splitlines().index(bad) + 1
+    rc = main(["phase-sweep", "--config", _write(tmp_path, text),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"exp.cfg:{line}: [{section}] {key}:" in capsys.readouterr().err
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("")
+    rc = main(["phase-sweep", "--config",
+               _write(tmp_path, BASE_CONFIG.replace("n_paths = 64", "n_paths = 4")),
+               "--out", str(out)])
+    assert rc == 2
+    assert "config error: --out:" in capsys.readouterr().err
+
+
+class _BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_stdout_write_error_propagates_after_outputs(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, BASE_CONFIG.replace("n_paths = 64", "n_paths = 4"))
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["phase-sweep", "--config", cfg, "--out", str(out)])
+    assert (out / "rows.csv").read_text().count("\n") == 2 + 4
