@@ -7,13 +7,16 @@ impossible tolerance really turns the exit status red.
 
 Sizes here are trimmed for a fast default run; the pytest suite carries the
 full-size versions of the same properties.
+
+``scipy.stats`` (about half a second to import) and ``scipy.integrate`` load
+inside the checks that call them, not at import: ``cli`` imports this module,
+and a sweep never runs a check.
 """
 
 import math
 import time
 
 import numpy as np
-import scipy.stats as st
 
 from . import brownian, covariance, geometry, heatkernel
 
@@ -107,6 +110,7 @@ def _check_law_of_cosines(scale, seed):
 
 
 def _check_sphere_direction_chi2(scale, seed):
+    import scipy.stats as st
     rng = np.random.default_rng(seed)
     n = 40000
     dirs = geometry.random_directions(n, 3, rng)
@@ -198,6 +202,7 @@ def _check_radial_speed(scale, seed):
 
 
 def _check_radial_law(scale, seed):
+    import scipy.stats as st
     cfg = brownian.SamplerConfig(dim=3, step=1e-3, seed=seed)
     o = geometry.origin(3)
     radii = brownian.endpoint_radii(o, 1.0, cfg, 6000)
@@ -207,6 +212,7 @@ def _check_radial_law(scale, seed):
 
 
 def _check_scheme_agreement(scale, seed):
+    import scipy.stats as st
     o = geometry.origin(3)
     r1 = brownian.endpoint_radii(
         o, 5.0, brownian.SamplerConfig(3, 1e-3, "embedded-sde", seed), 5000)

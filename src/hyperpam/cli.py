@@ -124,14 +124,27 @@ class _Config:
             "step": self.get("run", "step", float, default=1e-3),
             "scheme": self.get("run", "scheme", str, default="embedded-sde"),
         }
-        # SamplerConfig checks each field on its own: validate them one at a
-        # time so the error names the key that failed
-        for key, value in fields.items():
-            try:
-                brownian.SamplerConfig(**{key: value})
-            except ValueError as exc:
-                self._fail("run", key, str(exc))
-        return brownian.SamplerConfig(seed=seed, **fields)
+        return _sampler_config(lambda key, message: self._fail("run", key, message),
+                               seed=seed, **fields)
+
+
+def _flag_error(key, message):
+    """Raise the config error for command-line flag ``--key``."""
+    raise ConfigError(f"--{key}: {message}")
+
+
+def _sampler_config(fail, **fields):
+    """SamplerConfig of ``fields``; ``fail(key, message)`` reports a bad field.
+
+    SamplerConfig checks each field on its own: validate them one at a time
+    so the error names the key that failed.
+    """
+    for key, value in fields.items():
+        try:
+            brownian.SamplerConfig(**{key: value})
+        except ValueError as exc:
+            fail(key, str(exc))
+    return brownian.SamplerConfig(**fields)
 
 
 def _out_dir(path):
@@ -141,6 +154,15 @@ def _out_dir(path):
     except OSError as exc:
         raise ConfigError(f"--out: cannot create directory {path}: {exc}") from exc
     return path
+
+
+def _out_file(path):
+    """Open the file ``path`` named by --out for writing; a failure is a config error."""
+    _out_dir(path.parent)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot open {path}: {exc}") from exc
 
 
 def _meta(cfg, sampler, extra=None):
@@ -279,11 +301,16 @@ def cmd_phase_sweep(args):
 
 
 def cmd_validate(args):
+    # 0 is allowed: it turns every check red (the harness self-test)
+    if not 0 <= args.tolerance_scale < math.inf:  # also rejects NaN
+        raise ConfigError(
+            f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale}")
     seed = 20260809 if args.seed is None else args.seed
+    if seed < 0:  # the checks seed numpy generators directly
+        raise ConfigError(f"--seed: must be a non-negative integer, got {seed}")
     report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=seed)
     if args.out:
-        _out_dir(Path(args.out).parent)
-        with open(args.out, "w") as fh:
+        with _out_file(Path(args.out)) as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
     for c in report["checks"]:
@@ -331,14 +358,13 @@ def cmd_sample_path(args):
         raise ConfigError(f"--n-paths: must be at least 1, got {args.n_paths}")
     if not 0 < args.t < math.inf:
         raise ConfigError(f"--t: must be finite and > 0, got {args.t}")
-    sampler = brownian.SamplerConfig(dim=args.dim, step=args.step,
-                                     scheme=args.scheme, seed=args.seed)
+    sampler = _sampler_config(_flag_error, dim=args.dim, step=args.step,
+                              scheme=args.scheme, seed=args.seed)
     x0 = geometry.origin(args.dim)
     paths = [brownian.sample_path(x0, args.t, sampler, path_index=i)
              for i in range(args.n_paths)]
     out = Path(args.out)
-    _out_dir(out.parent)
-    with open(out, "w") as fh:
+    with _out_file(out) as fh:
         fh.write(f"# config_hash=- seed={sampler.seed} scheme={sampler.scheme} "
                  f"step={sampler.step!r}\n")
         brownian.dump_paths_csv(paths, fh)
@@ -347,7 +373,11 @@ def cmd_sample_path(args):
 
 
 def cmd_eigenvalue(args):
-    lam = heatkernel.dirichlet_eigenvalue(args.r, args.dim, args.mode)
+    _sampler_config(_flag_error, dim=args.dim)
+    try:
+        lam = heatkernel.dirichlet_eigenvalue(args.r, args.dim, args.mode)
+    except ValueError as exc:  # --dim is checked and --mode a choice: --r failed
+        raise ConfigError(f"--r: {exc}") from exc
     print(f"lambda({args.mode}, r={args.r:g}, d={args.dim}) = {lam!r}")
     return 0
 

@@ -17,17 +17,31 @@ two-sided comparison envelope
     t^{-d/2} exp(-(d-1)^2 t/4 - rho^2/(4t) - (d-1) rho/2) (1+rho+t)^{(d-3)/2} (1+rho),
 
 which brackets the true kernel with universal positive constants.
+
+``scipy.linalg`` (the eigenvalue) and ``scipy.integrate`` (the eigenfunction
+shot) load on first use, not at import: every subcommand imports this module,
+and a sweep calls neither.  ``solve_ivp`` stays a module attribute, loaded by
+the module ``__getattr__`` (PEP 562), because ``_shoot`` calls through it and
+the benchmark's tracer wraps it there.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
 
 from . import brownian
 from .geometry import _logsinh, origin
+
+
+def __getattr__(name):
+    """Load ``solve_ivp`` on first access (PEP 562); see the module docstring."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        globals()[name] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverFailure(RuntimeError):
@@ -193,6 +207,7 @@ def _fv_eigenvalue(r, d, mode, n):
     outer[-1] *= 2.0
     diag = (np.exp(log_face[:-1] - log_cell) + outer) / h**2
     off = -np.exp(log_face[1:-1] - 0.5 * (log_cell[:-1] + log_cell[1:])) / h**2
+    from scipy.linalg import eigh_tridiagonal
     return eigh_tridiagonal(diag, off, eigvals_only=True,
                             select="i", select_range=(0, 0))[0]
 
@@ -235,6 +250,8 @@ def _shoot(r, d, mode, lam):
         def rhs(rho, y):
             return [y[1], (k * (k - 1.0) / rho**2 - lam) * y[0]]
         s0, ds0 = _EIGEN_EPS, 1.0
+    # the module attribute, not the global name: the first shot runs __getattr__
+    solve_ivp = sys.modules[__name__].solve_ivp
     sol = solve_ivp(rhs, (_EIGEN_EPS, r), [s0**k, k * s0 ** (k - 1.0) * ds0],
                     rtol=1e-10, atol=1e-12, dense_output=True)
     if not sol.success:

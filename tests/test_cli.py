@@ -482,3 +482,33 @@ def test_stdout_write_error_propagates_after_outputs(tmp_path, monkeypatch):
     with pytest.raises(BrokenPipeError):
         main(["phase-sweep", "--config", cfg, "--out", str(out)])
     assert (out / "rows.csv").read_text().count("\n") == 2 + 4
+
+
+@pytest.mark.parametrize("argv", [["validate", "--suite", "covariance"], ["sample-path"]],
+                         ids=["validate", "sample-path"])
+def test_out_that_is_a_directory_exits_2(tmp_path, capsys, argv):
+    rc = main([*argv, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error: --out:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+def test_validate_rejects_bad_tolerance_scale(capsys, scale):
+    rc = main(["validate", "--suite", "covariance", "--tolerance-scale", scale])
+    assert rc == 2
+    assert "config error: --tolerance-scale:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sample-path", "--dim", "1"], "--dim"),
+    (["sample-path", "--step", "0"], "--step"),
+    (["eigenvalue", "--r", "nan"], "--r"),
+    (["eigenvalue", "--r", "1", "--dim", "1"], "--dim"),
+    (["validate", "--seed", "-1"], "--seed"),
+], ids=["sample-path-dim", "sample-path-step", "eigenvalue-r", "eigenvalue-dim",
+        "validate-seed"])
+def test_argument_error_names_flag(tmp_path, capsys, argv, flag):
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "eigenvalue" else []
+    assert main([*argv, *out]) == 2
+    assert f"config error: {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
