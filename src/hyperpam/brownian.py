@@ -27,11 +27,14 @@ column, column i on its own stream, and hands the state to an observer at
 step 0 and after every step.  The kernels work on whole coordinate rows, and
 their d-term dot products are in-order multiply-adds over the leading axis.
 A pair ensemble is the P columns of B followed by the P columns of B~,
-stepped together.  Each stream still fills its own slab of the noise buffer
-in draw order; the loop reads that buffer through a small transposed block,
-so a step's noise is contiguous too.  The Euclidean comparison walk uses the
-same loop with an internal flat kernel, x += sqrt(2 dt) g, on a (d, N)
-state; it is not a sampler scheme.
+stepped together.  An ensemble runs in near-equal batches of at most
+``_MAX_COLUMNS`` (4096) state columns, paths times role tags.  Each stream
+refills about ``_REFILL_NORMALS`` (2048) normals at a time into its own slab
+of the noise buffer, in draw order, so the buffer is at most 4096 x 2048
+doubles (64 MiB) and shrinks with the batch; the loop reads it through a
+small transposed block, so a step's noise is contiguous too.  The Euclidean comparison walk uses the same loop
+with an internal flat kernel, x += sqrt(2 dt) g, on a (d, N) state; it is
+not a sampler scheme.
 
 Reproducibility
 ---------------
@@ -52,6 +55,8 @@ from .geometry import _coords
 _SCHEMES = ("embedded-sde", "geodesic-walk")
 MAX_STEPS = 10**8
 _BLOCK_DOUBLES = 1 << 17  # 1 MB of noise per transposed block
+_MAX_COLUMNS = 4096  # state columns (paths x role tags) per driven batch
+_REFILL_NORMALS = 2048  # normals each stream draws per noise refill
 
 # role tags for the per-path substreams
 TAG_PRIMARY = 0
@@ -130,10 +135,15 @@ def _schedule(t, step):
     return n_steps, dt, stored, stored * dt
 
 
-def _chunk_size(n_paths, dim, n_steps):
-    """Steps per noise chunk, sized to keep chunk buffers around ~100 MB."""
-    per_step = max(1, n_paths * (dim + 1))
-    return int(np.clip(12_000_000 // per_step, 16, n_steps))
+def _chunk_size(ncols, n_steps):
+    """Steps per noise refill: about _REFILL_NORMALS draws per stream.
+
+    ``ncols`` is the normals one stream draws per step.  A refill is one
+    ``standard_normal`` call per stream, whose fixed cost (about 1 us) is then
+    a few percent of the draws; the (N, chunk, ncols) buffer is at most
+    _MAX_COLUMNS x _REFILL_NORMALS doubles (64 MiB), less for narrower batches.
+    """
+    return int(np.clip(_REFILL_NORMALS // ncols, 16, n_steps))
 
 
 def _dot(a, b, out=None):
@@ -202,15 +212,18 @@ def _step_flat(x, g, root2dt):
 
 
 def _batches(cfg, n_paths, first_index, tags):
-    """Consecutive batches of at most 2048 paths as (lo, hi, streams).
+    """Consecutive near-equal batches of paths as (lo, hi, streams).
 
-    A batch has one stream per (tag, path), ordered tag by tag: with two
-    tags, streams (state columns) [0, P) drive the primary paths and
-    [P, 2P) their partners.
+    A batch drives at most _MAX_COLUMNS state columns (paths x tags), and
+    the batch sizes differ by at most one path: 5000 walkers run as
+    2 x 2500, not 4096 + 904.  A batch has one stream per (tag, path),
+    ordered tag by tag: with two tags, streams (state columns) [0, P) drive
+    the primary paths and [P, 2P) their partners.
     """
-    size = 2048  # bounds the state and noise buffers of one batch
-    for lo in range(0, n_paths, size):
-        hi = min(lo + size, n_paths)
+    per_batch = max(1, _MAX_COLUMNS // len(tags))
+    n_batches = -(-n_paths // per_batch)
+    for k in range(n_batches):
+        lo, hi = k * n_paths // n_batches, (k + 1) * n_paths // n_batches
         yield lo, hi, [path_stream(cfg.seed, i, tag) for tag in tags
                        for i in range(first_index + lo, first_index + hi)]
 
@@ -253,7 +266,7 @@ def _drive(x, gens, t, cfg, observe, kernel=None):
         "flat": lambda g: _step_flat(x, g, root2dt),
     }[kernel]
     ncols = d + 1 if kernel == "geodesic-walk" else d
-    chunk = _chunk_size(n, d, n_steps)
+    chunk = _chunk_size(ncols, n_steps)
     buf = np.empty((n, chunk, ncols))
     b = max(1, min(chunk, _BLOCK_DOUBLES // (ncols * n)))
     staged, block = np.empty((n, b * ncols)), np.empty((b, ncols, n))

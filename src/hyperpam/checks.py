@@ -8,15 +8,20 @@ impossible tolerance really turns the exit status red.
 Sizes here are trimmed for a fast default run; the pytest suite carries the
 full-size versions of the same properties.
 
-``scipy.stats`` (about half a second to import) and ``scipy.integrate`` load
-inside the checks that call them, not at import: ``cli`` imports this module,
-and a sweep never runs a check.
+The checks do not use ``scipy.stats``, which costs about half a second and
+45 MB to import for three numbers: the chi-square bound is an inverse
+incomplete gamma, and the Kolmogorov-Smirnov distances are the helpers
+:func:`_ks_distance` and :func:`_ks_2samp_distance` (the pytest suite holds
+them equal to ``scipy.stats``).  ``scipy.integrate`` loads inside the one
+check that calls it, not at import: ``cli`` imports this module, and a sweep
+never runs a check.
 """
 
 import math
 import time
 
 import numpy as np
+from scipy import special
 
 from . import brownian, covariance, geometry, heatkernel
 
@@ -31,6 +36,26 @@ def _record(name, observed, limit, scale, detail=""):
         "passed": bool(observed <= eff),
         "detail": detail,
     }
+
+
+def _ks_distance(x, cdf):
+    """One-sample Kolmogorov-Smirnov D: max(i/n - F, F - (i-1)/n) over sorted x."""
+    n = len(x)
+    f = cdf(np.sort(x))
+    return max((np.arange(1.0, n + 1) / n - f).max(), (f - np.arange(0.0, n) / n).max())
+
+
+def _ks_2samp_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov D: the largest gap between the two ECDFs.
+
+    The gap is counted in integers over the common denominator len(a)*len(b)
+    and divided once, so D is the correctly rounded fraction.
+    """
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    gap = (np.searchsorted(a, both, side="right") * len(b)
+           - np.searchsorted(b, both, side="right") * len(a))
+    return np.abs(gap).max() / (len(a) * len(b))
 
 
 # ---------------------------------------------------------------- geometry
@@ -110,7 +135,6 @@ def _check_law_of_cosines(scale, seed):
 
 
 def _check_sphere_direction_chi2(scale, seed):
-    import scipy.stats as st
     rng = np.random.default_rng(seed)
     n = 40000
     dirs = geometry.random_directions(n, 3, rng)
@@ -121,7 +145,9 @@ def _check_sphere_direction_chi2(scale, seed):
     counts, _ = np.histogram(ang, bins=edges)
     expected = n / k
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return _record("sphere-direction-chi2", chi2, st.chi2.ppf(0.99, k - 1), scale)
+    # the 0.99 quantile of chi-square with k - 1 degrees of freedom
+    return _record("sphere-direction-chi2", chi2,
+                   2.0 * special.gammaincinv((k - 1) / 2, 0.99), scale)
 
 
 # -------------------------------------------------------------- heatkernel
@@ -202,23 +228,21 @@ def _check_radial_speed(scale, seed):
 
 
 def _check_radial_law(scale, seed):
-    import scipy.stats as st
     cfg = brownian.SamplerConfig(dim=3, step=1e-3, seed=seed)
     o = geometry.origin(3)
     radii = brownian.endpoint_radii(o, 1.0, cfg, 6000)
     law = heatkernel.RadialLaw(1.0)
-    ks = st.kstest(radii, law.cdf).statistic
+    ks = _ks_distance(radii, law.cdf)
     return _record("radial-law-vs-exact", ks, 0.02, scale)
 
 
 def _check_scheme_agreement(scale, seed):
-    import scipy.stats as st
     o = geometry.origin(3)
     r1 = brownian.endpoint_radii(
         o, 5.0, brownian.SamplerConfig(3, 1e-3, "embedded-sde", seed), 5000)
     r2 = brownian.endpoint_radii(
         o, 5.0, brownian.SamplerConfig(3, 1e-3, "geodesic-walk", seed), 5000)
-    return _record("scheme-agreement", st.ks_2samp(r1, r2).statistic, 0.03, scale)
+    return _record("scheme-agreement", _ks_2samp_distance(r1, r2), 0.03, scale)
 
 
 def _check_determinism(scale, seed):

@@ -266,8 +266,10 @@ def cmd_phase_sweep(args):
     out = _out_dir(Path(args.out))
     # workers deliberately not recorded: results are worker-count independent
     meta = _meta(cfg, sampler, {"model": model.label()})
-    moments.write_rows_csv(rows, str(out / "rows.csv"), meta)
-    moments.write_rows_json(rows, str(out / "rows.json"), meta)
+    with _out_file(out / "rows.csv") as fh:
+        moments.write_rows_csv(rows, fh, meta)
+    with _out_file(out / "rows.json") as fh:
+        moments.write_rows_json(rows, fh, meta)
 
     summaries = {}
     for kind in estimators:
@@ -292,7 +294,7 @@ def cmd_phase_sweep(args):
                 "r2_power": fit.r2_power,
                 "exponent_loglog": fit.exponent_loglog,
             }
-    with open(out / "summary.json", "w") as fh:
+    with _out_file(out / "summary.json") as fh:
         json.dump({"meta": meta, "summaries": summaries, "errors": errors},
                   fh, indent=1, default=float)
         fh.write("\n")
@@ -345,7 +347,7 @@ def cmd_lambda(args):
     result["model"] = model.label()
     result["config_hash"] = cfg.hash
     out = _out_dir(Path(args.out))
-    with open(out / "lambda.json", "w") as fh:
+    with _out_file(out / "lambda.json") as fh:
         json.dump(result, fh, indent=1, default=float)
         fh.write("\n")
     print(f"lambda_hat={result['lambda_hat']:.6f} "

@@ -266,15 +266,43 @@ def _driver_outputs(d, scheme):
 
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("scheme", ["embedded-sde", "geodesic-walk"])
-@pytest.mark.parametrize("chunk,block_doubles", [(7, None), (None, 64), (7, 64)])
+@pytest.mark.parametrize("chunk,block_doubles,max_columns", [
+    pytest.param(7, None, None, id="7-None"),
+    pytest.param(None, 64, None, id="None-64"),
+    pytest.param(7, 64, None, id="7-64"),
+    pytest.param(None, None, 3, id="cols3"),
+    pytest.param(None, None, 4, id="cols4"),
+])
 def test_driver_bytes_independent_of_chunk_and_block(monkeypatch, d, scheme, chunk,
-                                                     block_doubles):
+                                                     block_doubles, max_columns):
     # 50 steps: chunks of 7 and noise blocks of 1-4 steps leave partial chunks
-    # and blocks, which must not shift the noise against the steps
+    # and blocks, which must not shift the noise against the steps; column caps
+    # of 3 and 4 split the 5 walkers and 5 pairs into uneven batches
     expect = _driver_outputs(d, scheme)
     if chunk is not None:
-        monkeypatch.setattr(brownian, "_chunk_size", lambda n_paths, dim, n_steps: chunk)
+        monkeypatch.setattr(brownian, "_chunk_size", lambda ncols, n_steps: chunk)
     if block_doubles is not None:
         monkeypatch.setattr(brownian, "_BLOCK_DOUBLES", block_doubles)
+    if max_columns is not None:
+        monkeypatch.setattr(brownian, "_MAX_COLUMNS", max_columns)
     for got, want in zip(_driver_outputs(d, scheme), expect):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_columns", [1, 3, 4, 4096])
+@pytest.mark.parametrize("tags", [(0,), (0, 1)])
+@pytest.mark.parametrize("n_paths", [1, 5, 2048, 2049, 5000])
+def test_batches_respect_column_cap_and_split_evenly(monkeypatch, max_columns, tags,
+                                                     n_paths):
+    monkeypatch.setattr(brownian, "_MAX_COLUMNS", max_columns)
+    monkeypatch.setattr(brownian, "path_stream", lambda seed, i, tag: (i, tag))
+    batches = list(brownian._batches(SamplerConfig(seed=SEED), n_paths, 10, tags))
+    sizes = [hi - lo for lo, hi, _ in batches]
+    assert [lo for lo, _, _ in batches] == [0, *np.cumsum(sizes)[:-1]]
+    assert sum(sizes) == n_paths and min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert all(len(gens) == size * len(tags) for (_, _, gens), size in zip(batches, sizes))
+    assert all(len(gens) <= max(max_columns, len(tags)) for _, _, gens in batches)
+    # as few batches as the cap allows
+    assert len(batches) == -(-n_paths // max(1, max_columns // len(tags)))
+    lo, hi, gens = batches[-1]
+    assert gens == [(i, tag) for tag in tags for i in range(10 + lo, 10 + hi)]

@@ -492,6 +492,36 @@ def test_out_that_is_a_directory_exits_2(tmp_path, capsys, argv):
     assert "config error: --out:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["rows.csv", "rows.json", "summary.json"])
+def test_sweep_output_that_is_a_directory_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = _write(tmp_path, BASE_CONFIG.replace("n_paths = 64", "n_paths = 4"))
+    assert main(["phase-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: --out: cannot open {out / name}" in capsys.readouterr().err
+
+
+def test_lambda_output_that_is_a_directory_exits_2(tmp_path, capsys):
+    cfg = """\
+[model]
+kind = truncated-power
+alpha = 2.0
+
+[run]
+step = 0.1
+seed = 902
+
+[lambda]
+separations = 0
+n_paths = 2
+"""
+    out = tmp_path / "out"
+    (out / "lambda.json").mkdir(parents=True)
+    assert main(["lambda", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error: --out: cannot open {out / 'lambda.json'}" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
 def test_validate_rejects_bad_tolerance_scale(capsys, scale):
     rc = main(["validate", "--suite", "covariance", "--tolerance-scale", scale])
