@@ -87,6 +87,13 @@ class _Config:
         except ValueError as exc:
             self._fail(section, key, f"cannot parse {raw!r}: {exc}")
 
+    def count(self, section, key, default):
+        """Integer key that must be at least 1."""
+        value = self.get(section, key, int, default=default)
+        if value < 1:
+            self._fail(section, key, f"must be at least 1, got {value}")
+        return value
+
     def floats(self, section, key, required=False):
         raw = self.get(section, key, str, required=required)
         if raw is None:
@@ -207,9 +214,7 @@ def cmd_phase_sweep(args):
     sampler = cfg.sampler(args.seed)
     betas = cfg.floats("sweep", "beta", required=True)
     ts = cfg.floats("sweep", "t", required=True)
-    n_paths = cfg.get("run", "n_paths", int, default=1024)
-    if n_paths < 1:
-        cfg._fail("run", "n_paths", f"must be at least 1, got {n_paths}")
+    n_paths = cfg.count("run", "n_paths", 1024)
     estimators = [e.strip() for e in
                   cfg.get("run", "estimators", str, default="fk").split(",")]
     if args.workers is not None:
@@ -217,9 +222,7 @@ def cmd_phase_sweep(args):
         if workers < 1:
             raise ConfigError(f"--workers: must be at least 1, got {workers}")
     else:
-        workers = cfg.get("run", "workers", int, default=1)
-        if workers < 1:
-            cfg._fail("run", "workers", f"must be at least 1, got {workers}")
+        workers = cfg.count("run", "workers", 1)
     # chained comparisons also reject NaN, which fails every comparison
     if not betas or not all(0 <= b < math.inf for b in betas):
         cfg._fail("sweep", "beta", "needs one or more values, all finite and >= 0")
@@ -335,8 +338,9 @@ def cmd_lambda(args):
     seps = cfg.floats("lambda", "separations") or [0.0, 5.0, 10.0]
     if not all(0 <= s < math.inf for s in seps):
         cfg._fail("lambda", "separations", f"needs finite values >= 0, got {seps}")
-    n_paths = cfg.get("lambda", "n_paths", int,
-                      default=cfg.get("run", "n_paths", int, default=512))
+    # [lambda] n_paths overrides [run] n_paths
+    n_paths = cfg.count("lambda" if cfg.parser.has_option("lambda", "n_paths")
+                        else "run", "n_paths", 512)
     o = geometry.origin(sampler.dim)
     ys = geometry.points_from_polar(np.array(seps), np.eye(sampler.dim)[0])
     try:  # cosh overflows beyond a separation of about 710
@@ -444,5 +448,18 @@ def main(argv=None):
         return 2
 
 
+def console():
+    """Console entry point: :func:`main`, but a closed stdout (``hyperpam ... | head``)
+    ends quietly with 141, as after SIGPIPE; the outputs are written by then."""
+    try:
+        rc = main()
+        sys.stdout.flush()  # a closed pipe may fail only at this last flush
+        return rc
+    except BrokenPipeError:
+        # so the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

