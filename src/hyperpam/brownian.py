@@ -44,7 +44,6 @@ ensembles are reproducible and independent of batch sizes, worker counts,
 and execution order.  Identical configs produce bit-identical output.
 """
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -449,12 +448,11 @@ def event_indicators(pair, x0, delta, s, y0=None):
 
 
 def dump_paths_csv(paths, file):
-    """Write paths as CSV rows (path_id, t, z1..z_{d+1})."""
-    with open(file, "w") if isinstance(file, str) else contextlib.nullcontext(file) as fh:
-        d = paths[0].dim
-        cols = ",".join(f"z{k + 1}" for k in range(d + 1))
-        fh.write(f"path_id,t,{cols}\n")
-        for pid, path in enumerate(paths):
-            for tt, row in zip(path.times, path.points):
-                vals = ",".join(repr(float(v)) for v in row)
-                fh.write(f"{pid},{float(tt)!r},{vals}\n")
+    """Write paths to the open ``file`` as CSV rows (path_id, t, z1..z_{d+1})."""
+    d = paths[0].dim
+    cols = ",".join(f"z{k + 1}" for k in range(d + 1))
+    file.write(f"path_id,t,{cols}\n")
+    for pid, path in enumerate(paths):
+        for tt, row in zip(path.times, path.points):
+            vals = ",".join(repr(float(v)) for v in row)
+            file.write(f"{pid},{float(tt)!r},{vals}\n")

@@ -12,18 +12,23 @@ eigenvalue    principal Dirichlet eigenvalue of a geodesic ball
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 
-Config files are flat INI-style key/value sections (diffable and hashable);
-every output file embeds the config hash and master seed in a header comment,
-and re-running a command with the same config yields byte-identical files.
+Config files are flat INI-style key/value sections (diffable and hashable).
+rows.csv has the config hash and master seed in a '#' header line; rows.json,
+summary.json and lambda.json carry them as keys; the sample-path CSV header
+and the validate report give the seed but no hash.  Reruns with the same
+config or flags yield byte-identical files, except the validate report's
+elapsed_s timings.
 """
 
 import argparse
 import configparser
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -39,16 +44,16 @@ class ConfigError(Exception):
 
 
 def _line_of(text, section, key=None):
-    """Best-effort line number of a section or key inside the raw config text."""
-    target = f"[{section}]" if key is None else key
-    in_section = key is None
+    """Best-effort line number of a section or key (ended by '=' or ':') in the config."""
+    in_section = False
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             in_section = stripped == f"[{section}]"
             if key is None and in_section:
                 return i
-        elif key is not None and in_section and stripped.split("=")[0].strip() == key:
+        elif key is not None and in_section \
+                and re.split("[=:]", stripped, maxsplit=1)[0].strip() == key:
             return i
     return 0
 
@@ -172,12 +177,6 @@ def _out_file(path):
         raise ConfigError(f"--out: cannot open {path}: {exc}") from exc
 
 
-def _meta(cfg, sampler, extra=None):
-    meta = {"config_hash": cfg.hash, "seed": sampler.seed}
-    meta.update(extra or {})
-    return meta
-
-
 _ESTIMATORS = {
     "fk": moments.fk_second_moment,
     "jensen": moments.jensen_lower,
@@ -268,7 +267,7 @@ def cmd_phase_sweep(args):
 
     out = _out_dir(Path(args.out))
     # workers deliberately not recorded: results are worker-count independent
-    meta = _meta(cfg, sampler, {"model": model.label()})
+    meta = {"config_hash": cfg.hash, "seed": sampler.seed, "model": model.label()}
     with _out_file(out / "rows.csv") as fh:
         moments.write_rows_csv(rows, fh, meta)
     with _out_file(out / "rows.json") as fh:
@@ -287,16 +286,7 @@ def cmd_phase_sweep(args):
             hyp = "power-t^{1-alpha}" if (alpha is not None and 0 < alpha < 1) \
                 else "linear-in-t"
             fit = moments.growth_fit(sel, hyp)
-            summaries[key] = {
-                "hypothesis": hyp,
-                "classification": fit.classification,
-                "rate_or_exponent": fit.rate_or_exponent,
-                "r_squared": fit.r_squared,
-                "slope_linear": fit.slope_linear,
-                "r2_linear": fit.r2_linear,
-                "r2_power": fit.r2_power,
-                "exponent_loglog": fit.exponent_loglog,
-            }
+            summaries[key] = {"hypothesis": hyp, **dataclasses.asdict(fit)}
     with _out_file(out / "summary.json") as fh:
         json.dump({"meta": meta, "summaries": summaries, "errors": errors},
                   fh, indent=1, default=float)
@@ -335,9 +325,11 @@ def cmd_lambda(args):
     # chained comparisons also reject NaN
     if not 50 <= t_max < math.inf:
         cfg._fail("lambda", "t_max", f"must be finite and at least 50, got {t_max}")
-    seps = cfg.floats("lambda", "separations") or [0.0, 5.0, 10.0]
-    if not all(0 <= s < math.inf for s in seps):
-        cfg._fail("lambda", "separations", f"needs finite values >= 0, got {seps}")
+    seps = cfg.floats("lambda", "separations")
+    seps = [0.0, 5.0, 10.0] if seps is None else seps
+    if not seps or not all(0 <= s < math.inf for s in seps):
+        cfg._fail("lambda", "separations",
+                  f"needs one or more values, all finite and >= 0, got {seps}")
     # [lambda] n_paths overrides [run] n_paths
     n_paths = cfg.count("lambda" if cfg.parser.has_option("lambda", "n_paths")
                         else "run", "n_paths", 512)
@@ -402,7 +394,7 @@ def build_parser():
 
     val = sub.add_parser("validate", help="run the property-check suites")
     val.add_argument("--suite", default="all",
-                     choices=["geometry", "heatkernel", "brownian", "covariance", "all"])
+                     choices=[*checks.SUITES, "all"])
     val.add_argument("--tolerance-scale", type=float, default=1.0,
                      help="multiply every limit (harness self-test knob)")
     val.add_argument("--seed", type=int, default=None)
@@ -420,8 +412,7 @@ def build_parser():
     sp.add_argument("--n-paths", type=int, default=1)
     sp.add_argument("--dim", type=int, default=3)
     sp.add_argument("--step", type=float, default=1e-3)
-    sp.add_argument("--scheme", default="embedded-sde",
-                    choices=["embedded-sde", "geodesic-walk"])
+    sp.add_argument("--scheme", default="embedded-sde", choices=brownian._SCHEMES)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="paths.csv")
     sp.set_defaults(func=cmd_sample_path)

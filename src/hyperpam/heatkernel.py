@@ -105,56 +105,32 @@ def hk_envelope(t, rho, d):
 
 @dataclass
 class RadialLaw:
-    """Distribution of the endpoint distance rho(x, B_t).
+    """Exact distribution of the endpoint distance rho(x, B_t) in d = 3.
 
-    kind "exact-d3" uses the closed-form d = 3 density (already normalized);
-    kind "envelope-d" normalizes the envelope numerically and is only meant
-    for qualitative comparisons.
+    ``cdf`` interpolates a trapezoid table of :func:`log_radial_density_d3`
+    on [0, ``support_hi()``], built on first use.
     """
 
     t: float
-    dim: int = 3
-    kind: str = "exact-d3"
     _grid: np.ndarray = field(init=False, repr=False, default=None)
     _cdf: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError("t must be positive")
-        if self.kind not in ("exact-d3", "envelope-d"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "exact-d3" and self.dim != 3:
-            raise ValueError("the exact law is only available for d = 3")
 
     def support_hi(self):
-        return (self.dim - 1) * self.t + 14.0 * math.sqrt(2.0 * self.t) + 30.0
-
-    def log_pdf_unnorm(self, rho):
-        if self.kind == "exact-d3":
-            return log_radial_density_d3(self.t, rho)
-        rho = np.asarray(rho, dtype=float)
-        return log_hk_envelope(self.t, rho, self.dim) + (self.dim - 1) * _logsinh(
-            np.maximum(rho, 1e-300))
+        return 2.0 * self.t + 14.0 * math.sqrt(2.0 * self.t) + 30.0
 
     def _ensure_tables(self):
         if self._grid is not None:
             return
         grid = np.linspace(0.0, self.support_hi(), 8001)
         logp = np.full(grid.shape, -np.inf)
-        logp[1:] = self.log_pdf_unnorm(grid[1:])
+        logp[1:] = log_radial_density_d3(self.t, grid[1:])
         p = np.exp(logp - np.max(logp[np.isfinite(logp)]))
         cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * 0.5 * np.diff(grid))])
         self._grid, self._cdf = grid, cdf / cdf[-1]
-
-    def pdf(self, rho):
-        """Normalized density (numeric normalization for the envelope kind)."""
-        rho = np.asarray(rho, dtype=float)
-        out = np.where(rho > 0, np.exp(self.log_pdf_unnorm(np.maximum(rho, 1e-300))), 0.0)
-        if self.kind == "envelope-d":
-            total = np.trapezoid(np.exp(self.log_pdf_unnorm(
-                np.linspace(1e-12, self.support_hi(), 8001))), dx=self.support_hi() / 8000)
-            out = out / total
-        return out
 
     def cdf(self, rho):
         self._ensure_tables()
@@ -257,8 +233,8 @@ def dirichlet_eigenfunction(r, d, mode="hyperbolic", n_grid=4000):
     return lam, grid, spline(grid) / phi0, spline(grid, 1) / phi0
 
 
-def exit_tail_estimate(r, t_grid, n_paths, cfg, x0=None):
-    """Monte Carlo survival probabilities of the ball exit time.
+def exit_tail_estimate(r, t_grid, n_paths, cfg):
+    """Monte Carlo survival probabilities of the exit time from the ball B(o, r).
 
     Estimates P(sigma_r > t) over ``t_grid`` with binomial standard errors and
     fits a log-linear slope through the unflagged entries (entries with zero
@@ -270,8 +246,7 @@ def exit_tail_estimate(r, t_grid, n_paths, cfg, x0=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing")
-    start = origin(cfg.dim) if x0 is None else x0
-    times = brownian.exit_times(start, r, float(t_grid[-1]), cfg, n_paths)
+    times = brownian.exit_times(origin(cfg.dim), r, float(t_grid[-1]), cfg, n_paths)
 
     rows = []
     for t in t_grid:

@@ -43,10 +43,9 @@ but truncated-power has a sqrt(s) cusp at s = 0 that the first panels
 overestimate: +4.0% at t = 5 and +5.6% at t = 10 for alpha = 2.
 """
 
-import contextlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,7 +77,7 @@ class MomentEstimate:
 
 @dataclass
 class PhaseRow:
-    """One record feeding the growth-exponent fitter and the CSV/JSON output."""
+    """One growth-fit input; its fields, in order, are the rows.csv/rows.json columns."""
 
     alpha: float
     beta: float
@@ -357,9 +356,11 @@ def critical_beta_exponential(model, r, d):
 
 @dataclass
 class GrowthFit:
+    """One growth fit; its fields, in order, are a summary.json entry's keys."""
+
+    classification: str
     rate_or_exponent: float
     r_squared: float
-    classification: str
     slope_linear: float
     r2_linear: float
     r2_power: float
@@ -426,11 +427,10 @@ def growth_fit(rows, hypothesis):
         rate, r2 = exponent, r2_pow
     else:
         rate, r2 = b_lin, float("nan")
-    return GrowthFit(rate, r2, classification, b_lin, r2_lin, r2_pow, exponent)
+    return GrowthFit(classification, rate, r2, b_lin, r2_lin, r2_pow, exponent)
 
 
-CSV_COLUMNS = ("alpha", "beta", "t", "log_m2", "stderr_log", "n_paths",
-               "estimator_kind", "seed")
+CSV_COLUMNS = tuple(f.name for f in fields(PhaseRow))
 
 
 def to_phase_row(est):
@@ -441,30 +441,23 @@ def to_phase_row(est):
                     est.n_paths, est.estimator_kind, est.seed)
 
 
+def _row_values(row):
+    """The row's values in CSV_COLUMNS order, each cast to its field's type."""
+    return [f.type(getattr(row, f.name)) for f in fields(PhaseRow)]
+
+
 def write_rows_csv(rows, file, meta=None):
-    """Write PhaseRows with the exact column set; meta goes into a '#' header."""
-    with open(file, "w") if isinstance(file, str) else contextlib.nullcontext(file) as fh:
-        if meta:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join([
-                repr(float(r.alpha)), repr(float(r.beta)), repr(float(r.t)),
-                repr(float(r.log_m2)), repr(float(r.stderr_log)),
-                str(int(r.n_paths)), r.estimator_kind, str(int(r.seed)),
-            ]) + "\n")
+    """Write PhaseRows to the open ``file``: a '#' meta header, then CSV_COLUMNS."""
+    if meta:
+        file.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+    file.write(",".join(CSV_COLUMNS) + "\n")
+    for r in rows:
+        file.write(",".join(map(str, _row_values(r))) + "\n")
 
 
 def write_rows_json(rows, file, meta=None):
-    payload = {
-        "meta": meta or {},
-        "rows": [{
-            "alpha": float(r.alpha), "beta": float(r.beta), "t": float(r.t),
-            "log_m2": float(r.log_m2), "stderr_log": float(r.stderr_log),
-            "n_paths": int(r.n_paths), "estimator_kind": r.estimator_kind,
-            "seed": int(r.seed),
-        } for r in rows],
-    }
-    with open(file, "w") if isinstance(file, str) else contextlib.nullcontext(file) as fh:
-        json.dump(payload, fh, indent=1, allow_nan=True)
-        fh.write("\n")
+    """Write PhaseRows to the open ``file`` as JSON, one object per row."""
+    payload = {"meta": meta or {},
+               "rows": [dict(zip(CSV_COLUMNS, _row_values(r))) for r in rows]}
+    json.dump(payload, file, indent=1, allow_nan=True)
+    file.write("\n")

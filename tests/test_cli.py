@@ -210,6 +210,16 @@ def test_constant_sweep_reproduces_rate(tmp_path):
     assert first.startswith("#") and "config_hash=" in first and "seed=4242" in first
 
 
+def test_summary_entry_key_order(tmp_path):
+    out = tmp_path / "out"
+    assert main(["phase-sweep", "--config", _write(tmp_path, BASE_CONFIG),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summaries"]
+    assert list(summary["fk:beta=0.5"]) == [
+        "hypothesis", "classification", "rate_or_exponent", "r_squared",
+        "slope_linear", "r2_linear", "r2_power", "exponent_loglog"]
+
+
 def test_sweep_reruns_byte_identical(tmp_path):
     cfg = _write(tmp_path, BASE_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -400,7 +410,8 @@ n_paths = 2
     ("50", "nan", "[lambda] separations"),
     ("50", "0, inf", "[lambda] separations"),
     ("50", "-1", "[lambda] separations"),
-], ids=["t_max-inf", "t_max-nan", "sep-nan", "sep-inf", "sep-negative"])
+    ("50", "", "[lambda] separations"),
+], ids=["t_max-inf", "t_max-nan", "sep-nan", "sep-inf", "sep-negative", "sep-empty"])
 def test_lambda_rejects_nonfinite_settings(tmp_path, capsys, t_max, seps, named):
     out = tmp_path / "out"
     cfg = _write(tmp_path, _LAMBDA_CONFIG.format(t_max=t_max, seps=seps))
@@ -466,6 +477,8 @@ def test_repeated_estimator_rejected(tmp_path, capsys):
     ("sweep", "beta", "beta = 0.5", "beta ="),
     ("sweep", "t", "t = 1, 2, 3, 4", "t = 1, 0"),
     ("run", "estimators", "estimators = fk", "estimators = fk, mc3000"),
+    ("sweep", "beta", "beta = 0.5", "beta: -1"),
+    ("model", "c", "c = 1.0", "c: -1"),
 ])
 def test_sweep_config_error_carries_line(tmp_path, capsys, section, key, good, bad):
     text = BASE_CONFIG.replace(good, bad)

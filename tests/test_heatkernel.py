@@ -79,12 +79,6 @@ def test_radial_law_tables():
     assert cdf[0] == 0.0
     assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(cdf) >= 0.0)
-    with pytest.raises(ValueError):
-        RadialLaw(1.0, dim=4, kind="exact-d3")
-    env = RadialLaw(1.0, dim=4, kind="envelope-d")
-    mass = np.trapezoid(env.pdf(np.linspace(1e-9, env.support_hi(), 20001)),
-                        np.linspace(1e-9, env.support_hi(), 20001))
-    assert mass == pytest.approx(1.0, abs=1e-3)
 
 
 def test_log_radial_density_tiny_rho():

@@ -240,6 +240,7 @@ def test_row_io_roundtrip():
     lines = text.strip().splitlines()
     assert lines[0].startswith("# config_hash=abc")
     assert lines[1] == "alpha,beta,t,log_m2,stderr_log,n_paths,estimator_kind,seed"
+    assert lines[3] == "nan,0.0,10.0,0.0,0.0,100,jensen,42"
     assert len(lines) == 4
     # byte-stable: writing the same rows twice gives identical text
     buf2 = io.StringIO()
@@ -251,6 +252,7 @@ def test_row_io_roundtrip():
     payload = json.loads(jbuf.getvalue())
     assert payload["meta"]["seed"] == 42
     assert payload["rows"][0]["log_m2"] == 1.25
+    assert all(tuple(row) == moments.CSV_COLUMNS for row in payload["rows"])
 
 
 def test_validation_of_common_arguments():
