@@ -23,18 +23,19 @@ Driver
 ------
 Every ensemble runs through one loop, :func:`_drive`: it steps a (d+1, N)
 struct-of-arrays state in place, one coordinate per row and one path per
-column, column i on its own stream, and hands the state to an observer at
-step 0 and after every step.  The kernels work on whole coordinate rows, and
-their d-term dot products are in-order multiply-adds over the leading axis.
-A pair ensemble is the P columns of B followed by the P columns of B~,
-stepped together.  An ensemble runs in near-equal batches of at most
-``_MAX_COLUMNS`` (4096) state columns, paths times role tags.  Each stream
-refills about ``_REFILL_NORMALS`` (2048) normals at a time into its own slab
-of the noise buffer, in draw order, so the buffer is at most 4096 x 2048
-doubles (64 MiB) and shrinks with the batch; the loop reads it through a
-small transposed block, so a step's noise is contiguous too.  The Euclidean comparison walk uses the same loop
-with an internal flat kernel, x += sqrt(2 dt) g, on a (d, N) state; it is
-not a sampler scheme.
+column, column i on its own stream, and hands the state to a recorder at the
+stored step indices only.  Both schemes move every column along a transported
+tangent direction in one step function, :func:`_step`, whose d-term dot
+products are in-order multiply-adds over the leading axis.  A pair ensemble
+is the P columns of B followed by the P columns of B~, stepped together.
+Ensembles run in near-equal batches of at most ``_MAX_COLUMNS`` (4096) state
+columns, paths times role tags.  Each stream refills about
+``_REFILL_NORMALS`` (2048) normals at a time into its own slab of the noise
+buffer, in draw order, so the buffer is at most 4096 x 2048 doubles (64 MiB)
+and shrinks with the batch; the loop reads it through a small transposed
+block, so a step's noise is contiguous too.  The Euclidean comparison walk
+uses the same loop with an internal flat kernel, x += sqrt(2 dt) g, on a
+(d, N) state; it is not a sampler scheme.
 
 Reproducibility
 ---------------
@@ -153,41 +154,29 @@ def _dot(a, b, out=None):
     return out
 
 
-def _step_embedded(x, g, dt, d, root2dt, s, tmp):
-    """One Euler step for the whole batch; g is (d, N) spatial Gaussians at o.
+def _step(x, v, a, b, d, s, tmp):
+    """x[:d] <- b x[:d] + a T_x(v) in every column, then x[d] from the constraint.
 
-    Only the spatial rows x[:d] evolve explicitly (tangent noise, transported
-    from the origin, plus the constraint drift d*X*dt); the time-like row is
-    then re-derived from the hyperboloid constraint, which is exactly the
-    renormalize-every-step policy.
+    v (d, N) is tangent at o and T_x parallel-transports it to x.  The Euler
+    step is (v, a, b) = (g, sqrt(2 dt), 1 + d dt), noise plus the constraint
+    drift; the geodesic step is (g/|g|, sinh r, cosh r).
     """
     xs = x[:d]
-    _dot(g, xs, s)
+    _dot(v, xs, s)
     s /= 1.0 + x[d]
     np.multiply(s, xs, out=tmp)
-    tmp += g
-    tmp *= root2dt
-    xs *= 1.0 + d * dt
+    tmp += v
+    tmp *= a
+    xs *= b
     xs += tmp
     _reproject(x, d)
 
 
 def _step_geodesic(x, g, mag, d, scale, s, tmp):
     """One geodesic step: uniform direction from g (d, N), length scale*|mag|."""
-    xs = x[:d]
-    norm = np.sqrt(_dot(g, g))
-    np.maximum(norm, 1e-300, out=norm)
-    u = g / norm
-    _dot(u, xs, s)
-    s /= 1.0 + x[d]
+    norm = np.maximum(np.sqrt(_dot(g, g)), 1e-300)
     r = scale * np.abs(mag)
-    ch, sh = np.cosh(r), np.sinh(r)
-    np.multiply(s, xs, out=tmp)
-    tmp += u
-    tmp *= sh
-    xs *= ch
-    xs += tmp
-    _reproject(x, d)
+    _step(x, g / norm, np.sinh(r), np.cosh(r), d, s, tmp)
 
 
 def _reproject(x, d):
@@ -203,11 +192,6 @@ def _reproject(x, d):
         np.sqrt(sq, out=x[d])
     else:
         x[:] = geometry.project_to_hyperboloid(x.T).T
-
-
-def _step_flat(x, g, root2dt):
-    """One flat Brownian step (generator Delta, as above): x += sqrt(2 dt) g."""
-    x += root2dt * g
 
 
 def _batches(cfg, n_paths, first_index, tags):
@@ -227,22 +211,13 @@ def _batches(cfg, n_paths, first_index, tags):
                        for i in range(first_index + lo, first_index + hi)]
 
 
-def _at_slots(stored, record):
-    """An observer that calls record(slot, x) at the stored step indices only."""
-    slot_of = {k: slot for slot, k in enumerate(stored.tolist())}
-
-    def observe(k, x):
-        if k in slot_of:
-            record(slot_of[k], x)
-    return observe
-
-
-def _drive(x, gens, t, cfg, observe, kernel=None):
+def _drive(x, gens, t, cfg, stored=(), record=None, kernel=None):
     """Step the (d+1, N) state x in place to horizon t; column i draws from gens[i].
 
     ``kernel`` is ``cfg.scheme`` unless given; "flat" steps Euclidean columns
-    (x is then (d, N)).  ``observe(k, x)`` is called at k = 0 and after every
-    step k = 1..n_steps.
+    (x is then (d, N)).  ``stored`` is a sorted sequence of step indices in
+    [0, n_steps]; ``record(slot, x)`` is called with the state at the
+    slot-th of them (k = 0 is the start) and at no other step.
 
     Stream i fills its own (chunk, ncols) slab of the (N, chunk, ncols) noise
     buffer, in draw order.  The steps read that buffer through a (b, ncols, N)
@@ -260,16 +235,20 @@ def _drive(x, gens, t, cfg, observe, kernel=None):
     geo_scale = np.sqrt(2.0 * d * dt)
     s, tmp = np.empty(n), np.empty((d, n))
     step = {
-        "embedded-sde": lambda g: _step_embedded(x, g, dt, d, root2dt, s, tmp),
+        "embedded-sde": lambda g: _step(x, g, root2dt, 1.0 + d * dt, d, s, tmp),
         "geodesic-walk": lambda g: _step_geodesic(x, g[:d], g[d], d, geo_scale, s, tmp),
-        "flat": lambda g: _step_flat(x, g, root2dt),
+        "flat": lambda g: np.add(x, root2dt * g, out=x),  # generator Delta, as above
     }[kernel]
     ncols = d + 1 if kernel == "geodesic-walk" else d
     chunk = _chunk_size(ncols, n_steps)
     buf = np.empty((n, chunk, ncols))
     b = max(1, min(chunk, _BLOCK_DOUBLES // (ncols * n)))
     staged, block = np.empty((n, b * ncols)), np.empty((b, ncols, n))
-    observe(0, x)
+    marks = enumerate(stored)
+    slot, due = next(marks, (None, None))
+    while due == 0:
+        record(slot, x)
+        slot, due = next(marks, (None, None))
     for pos in range(0, n_steps, chunk):
         noise = buf[:, :min(chunk, n_steps - pos)]
         for i, gen in enumerate(gens):
@@ -282,7 +261,9 @@ def _drive(x, gens, t, cfg, observe, kernel=None):
             blk.reshape(nb * ncols, n)[...] = rows.T
             for k, g in enumerate(blk, pos + j0 + 1):
                 step(g)
-                observe(k, x)
+                while k == due:
+                    record(slot, x)
+                    slot, due = next(marks, (None, None))
 
 
 def _sample(x0, t, cfg, path_index, tags):
@@ -295,7 +276,7 @@ def _sample(x0, t, cfg, path_index, tags):
         points[:, slot] = x.T
 
     gens = [path_stream(cfg.seed, path_index, tag) for tag in tags]
-    _drive(np.tile(coords[:, None], len(tags)), gens, t, cfg, _at_slots(stored, record))
+    _drive(np.tile(coords[:, None], len(tags)), gens, t, cfg, stored, record)
     return [BrownianPath(times, p, cfg.seed) for p in points]
 
 
@@ -319,7 +300,7 @@ def endpoints(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0, starts=None):
         else np.array(starts[:n_paths], dtype=float)
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
         state = out[lo:hi].T.copy()
-        _drive(state, gens, t, cfg, lambda k, x: None)
+        _drive(state, gens, t, cfg)
         out[lo:hi] = state.T
     return out
 
@@ -358,13 +339,13 @@ def _pair_profile(starts, t, cfg, n_paths, profile, first_index, kernel=None,
             x, y = z[:, :P], z[:, P:]
             if kernel == "flat":
                 rho = np.linalg.norm(x - y, axis=0)
-            else:
-                minus_ip = x[-1] * y[-1] - _dot(x[:-1], y[:-1])
+            else:  # radii summing past ~711 make this inf - inf = NaN; estimators refuse it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    minus_ip = x[-1] * y[-1] - _dot(x[:-1], y[:-1])
                 rho = np.arccosh(np.maximum(minus_ip, 1.0))
             rows[:, slot] = profile(rho)
 
-        _drive(np.repeat(starts.T, P, axis=1), gens, t, cfg, _at_slots(stored, record),
-               kernel)
+        _drive(np.repeat(starts.T, P, axis=1), gens, t, cfg, stored, record, kernel)
     return stored * dt, F
 
 
@@ -375,17 +356,16 @@ def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
     """
     coords = _coords(x0)
     cosh_r = np.cosh(r)
-    dt = _schedule(t_max, cfg.step)[1]
+    n_steps, dt, _, _ = _schedule(t_max, cfg.step)
     out = np.full(n_paths, np.inf)
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
 
-        def observe(k, x, block=out[lo:hi]):
-            if k == 0:  # the start is at distance 0 <= r, whatever rounding says
-                return
+        def record(slot, x, block=out[lo:hi]):  # slot i is step i + 1; the start never exits
             minus_ip = x[-1] * coords[-1] - coords[:-1] @ x[:-1]
-            block[(minus_ip > cosh_r) & ~np.isfinite(block)] = k * dt
+            block[(minus_ip > cosh_r) & ~np.isfinite(block)] = (slot + 1) * dt
 
-        _drive(np.tile(coords[:, None], hi - lo), gens, t_max, cfg, observe)
+        _drive(np.tile(coords[:, None], hi - lo), gens, t_max, cfg,
+               range(1, n_steps + 1), record)
     return out
 
 

@@ -99,14 +99,20 @@ class _Config:
             self._fail(section, key, f"must be at least 1, got {value}")
         return value
 
-    def floats(self, section, key, required=False):
-        raw = self.get(section, key, str, required=required)
-        if raw is None:
-            return None
-        try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            self._fail(section, key, f"cannot parse float list {raw!r}: {exc}")
+    def floats(self, section, key, positive=False, default=None):
+        """Distinct finite floats >= 0 (> 0 if ``positive``); required without a default."""
+        values = self.get(section, key,
+                          lambda raw: [float(tok) for tok in raw.replace(",", " ").split()],
+                          default, required=default is None)
+        # chained comparisons also reject NaN, which fails every comparison
+        if not values or not all(0 <= v < math.inf and (v > 0 or not positive)
+                                 for v in values):
+            self._fail(section, key, "needs one or more values, all finite and "
+                       f"{'> 0' if positive else '>= 0'}, got {values}")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            self._fail(section, key, f"lists {', '.join(map(repr, repeated))} more than once")
+        return values
 
     def model(self):
         kind = self.get("model", "kind", str, required=True)
@@ -211,8 +217,8 @@ def cmd_phase_sweep(args):
     cfg = _Config(args.config)
     model = cfg.model()
     sampler = cfg.sampler(args.seed)
-    betas = cfg.floats("sweep", "beta", required=True)
-    ts = cfg.floats("sweep", "t", required=True)
+    betas = cfg.floats("sweep", "beta")
+    ts = cfg.floats("sweep", "t", positive=True)
     n_paths = cfg.count("run", "n_paths", 1024)
     estimators = [e.strip() for e in
                   cfg.get("run", "estimators", str, default="fk").split(",")]
@@ -222,11 +228,6 @@ def cmd_phase_sweep(args):
             raise ConfigError(f"--workers: must be at least 1, got {workers}")
     else:
         workers = cfg.count("run", "workers", 1)
-    # chained comparisons also reject NaN, which fails every comparison
-    if not betas or not all(0 <= b < math.inf for b in betas):
-        cfg._fail("sweep", "beta", "needs one or more values, all finite and >= 0")
-    if not ts or not all(0 < t < math.inf for t in ts):
-        cfg._fail("sweep", "t", "needs one or more values, all finite and > 0")
     for kind in estimators:
         if kind not in _ESTIMATORS:
             cfg._fail("run", "estimators",
@@ -325,11 +326,7 @@ def cmd_lambda(args):
     # chained comparisons also reject NaN
     if not 50 <= t_max < math.inf:
         cfg._fail("lambda", "t_max", f"must be finite and at least 50, got {t_max}")
-    seps = cfg.floats("lambda", "separations")
-    seps = [0.0, 5.0, 10.0] if seps is None else seps
-    if not seps or not all(0 <= s < math.inf for s in seps):
-        cfg._fail("lambda", "separations",
-                  f"needs one or more values, all finite and >= 0, got {seps}")
+    seps = cfg.floats("lambda", "separations", default=[0.0, 5.0, 10.0])
     # [lambda] n_paths overrides [run] n_paths
     n_paths = cfg.count("lambda" if cfg.parser.has_option("lambda", "n_paths")
                         else "run", "n_paths", 512)

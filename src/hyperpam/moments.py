@@ -52,6 +52,9 @@ import numpy as np
 from . import brownian, geometry, heatkernel
 from .brownian import path_stream
 
+_DYSON_TUPLES = 64  # uniform time tuples per path and expansion order
+_M_F_GRID = 2001  # distances in [0, r] at which m_f evaluates the profile
+
 
 class EstimatorError(RuntimeError):
     """Too many excluded paths or an invalid estimator configuration."""
@@ -104,17 +107,23 @@ def _direct(kind, t, beta, model, n_paths, cfg, ensemble):
         return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, kind)
     times, F = ensemble.matrix(t)
     z = beta**2 * np.trapezoid(F, times, axis=1)
-    finite = np.isfinite(z)
-    n_excl = int(np.sum(~finite))
-    if n_excl > 1e-3 * n_paths:
-        raise EstimatorError(f"{n_excl}/{n_paths} non-finite exponents")
-    z = z[finite]
+    z = z[_finite_paths(z, "exponents")]
     zmax = float(np.max(z))
     w = np.exp(z - zmax)
     m = float(np.mean(w))
     se = float(np.std(w, ddof=1) / (m * math.sqrt(len(z)))) if len(z) > 1 else 0.0
     return MomentEstimate(t, zmax + math.log(m), se, n_paths, beta, model, cfg.seed,
-                          kind, max_z=zmax, n_excluded=n_excl)
+                          kind, max_z=zmax, n_excluded=n_paths - len(z))
+
+
+def _finite_paths(values, what):
+    """Mask of the paths (rows of ``values``) with only finite values; more than
+    1e-3 of the paths with a non-finite value is an EstimatorError."""
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    n_excl = int(np.sum(~finite))
+    if n_excl > 1e-3 * len(finite):
+        raise EstimatorError(f"{n_excl}/{len(finite)} non-finite {what}")
+    return finite
 
 
 class PairEnsemble:
@@ -210,15 +219,16 @@ def jensen_lower(x, t, beta, model, n_paths, cfg, ensemble=None):
         return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, "jensen")
     times, F = _own_ensemble(ensemble, x, t, model, n_paths, cfg).matrix(t)
     q = np.trapezoid(F, times, axis=1)
-    slice_means = F.mean(axis=0)
-    integral = float(np.trapezoid(slice_means, times))
-    se_int = float(np.std(q, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    finite = _finite_paths(q, "profile integrals")
+    q = q[finite]
+    integral = float(np.trapezoid(F[finite].mean(axis=0), times))
+    se_int = float(np.std(q, ddof=1) / math.sqrt(len(q))) if len(q) > 1 else 0.0
     return MomentEstimate(t, beta**2 * integral, beta**2 * se_int, n_paths, beta,
                           model, cfg.seed, "jensen",
-                          max_z=float(beta**2 * np.max(q)))
+                          max_z=float(beta**2 * np.max(q)), n_excluded=n_paths - len(q))
 
 
-def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg, tuples_per_order=64):
+def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     """Partial sum of the beta^2-expansion up to order ``n_terms``.
 
     Each iterated time integral is estimated on the same path ensemble by
@@ -235,8 +245,8 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg, tuples_per_order=64)
         gen = path_stream(cfg.seed, p, brownian.TAG_TUPLES)
         row = F[p]
         for n in range(1, n_terms + 1):
-            u = gen.uniform(0.0, t, size=(tuples_per_order, n))
-            vals = np.interp(u.ravel(), times, row).reshape(tuples_per_order, n)
+            u = gen.uniform(0.0, t, size=(_DYSON_TUPLES, n))
+            vals = np.interp(u.ravel(), times, row).reshape(_DYSON_TUPLES, n)
             est[p, n] = t**n * float(np.mean(np.prod(vals, axis=1)))
     coef = np.array([beta ** (2 * n) / math.factorial(n)
                      for n in range(n_terms + 1)])
@@ -274,7 +284,7 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
     for k, (x, y) in enumerate(start_pairs):
         times, F = PairEnsemble(x, model, cfg, n_paths, (T_max,), y=y,
                                 first_index=k * n_paths).matrix(T_max)
-        means = F.mean(axis=0)
+        means = F[_finite_paths(F, "profile values")].mean(axis=0)
         integral = float(np.trapezoid(means, times))
         late = times >= T_max / 4.0
         late &= means > 0
@@ -328,19 +338,19 @@ def _euclidean_problem(model, dim):
 def _check_common(t, beta, n_paths):
     if t <= 0:
         raise ValueError("t must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= beta < math.inf:  # also rejects NaN
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
 
 
-def m_f(model, r, n_grid=2001):
+def m_f(model, r):
     """min f over pairs of points in the ball of radius r/2 around a common center.
 
     For a radial profile this is the minimum of F over distances [0, r]
     (computed on a dense grid rather than assuming monotonicity).
     """
-    grid = np.linspace(0.0, r, n_grid)
+    grid = np.linspace(0.0, r, _M_F_GRID)
     return float(np.min(model.profile(grid)))
 
 

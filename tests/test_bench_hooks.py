@@ -32,16 +32,21 @@ t = 1, 2, 4
 """
 
 
-def _probe(tmp_path, *opts):
-    """Run a --workers 1 sweep through perfbench/probe.py; (process, events file)."""
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SWEEP)
+def _probe(tmp_path, *opts, command=None):
+    """Run ``command`` (default: a --workers 1 sweep) through perfbench/probe.py.
+
+    Returns (process, events file).
+    """
+    if command is None:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP)
+        command = ["phase-sweep", "--config", str(cfg), "--workers", "1",
+                   "--out", str(tmp_path / "out")]
     events = tmp_path / "events"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     cmd = [sys.executable, str(PERFBENCH / "probe.py"), "--events", str(events), *opts,
-           "--", "phase-sweep", "--config", str(cfg), "--workers", "1",
-           "--out", str(tmp_path / "out")]
+           "--", *command]
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     return proc, events
@@ -65,6 +70,21 @@ def test_traced_sweep_counts_every_path_step(tmp_path):
     assert metrics["brownian.path_steps.embedded-sde"][0] == 6400
     assert metrics["moments.path_steps.flat"][0] == 6400
     assert metrics["moments.cells"][0] == 2 * 3
+
+
+def test_traced_validate_counts_the_exit_time_walkers(tmp_path):
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    proc, _ = _probe(tmp_path, "--trace", str(trace),
+                     command=["validate", "--suite", "heatkernel"])
+    assert proc.returncode == 0, proc.stderr
+    tracing = _tracing()
+    metrics = tracing.layer_metrics(*tracing.load(str(trace)))
+    # the exit-tail check drives 3,000 walkers x 450 steps through exit_times,
+    # 3 normals per step; the eigenvalue checks call dirichlet_eigenvalue 6 times
+    assert metrics["brownian.path_steps.embedded-sde"][0] == 1_350_000
+    assert metrics["brownian.rng_normals"][0] == 4_050_000
+    assert metrics["heatkernel.eigen_calls"][0] == 6
 
 
 def test_setup_only_probe_marks_one_start(tmp_path):

@@ -411,13 +411,40 @@ n_paths = 2
     ("50", "0, inf", "[lambda] separations"),
     ("50", "-1", "[lambda] separations"),
     ("50", "", "[lambda] separations"),
-], ids=["t_max-inf", "t_max-nan", "sep-nan", "sep-inf", "sep-negative", "sep-empty"])
+    ("50", "0, 5, 0", "[lambda] separations: lists 0.0 more than once"),
+], ids=["t_max-inf", "t_max-nan", "sep-nan", "sep-inf", "sep-negative", "sep-empty",
+        "sep-repeated"])
 def test_lambda_rejects_nonfinite_settings(tmp_path, capsys, t_max, seps, named):
     out = tmp_path / "out"
     cfg = _write(tmp_path, _LAMBDA_CONFIG.format(t_max=t_max, seps=seps))
     assert main(["lambda", "--config", cfg, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not (out / "lambda.json").exists()
+
+
+# past t ~ 180 at d = 3 the two radii sum beyond ~711 and the pair distance
+# overflows; pytest turns a leaked numpy warning into an error
+def test_lambda_long_horizon_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _LAMBDA_CONFIG.format(t_max=200, seps=0).replace(
+        "n_paths = 2", "n_paths = 4"))
+    assert main(["lambda", "--config", cfg, "--out", str(out)]) == 2
+    assert "non-finite profile values" in capsys.readouterr().err
+    assert not (out / "lambda.json").exists()
+
+
+def test_long_horizon_jensen_cell_is_an_error(tmp_path):
+    text = BASE_CONFIG.replace("kind = constant\nc = 1.0",
+                               "kind = truncated-power\nalpha = 0.5")
+    text = text.replace("step = 1e-2", "step = 1e-1").replace("n_paths = 64", "n_paths = 4")
+    text = text.replace("estimators = fk", "estimators = fk, jensen").replace(
+        "t = 1, 2, 3, 4", "t = 200")
+    out = tmp_path / "out"
+    assert main(["phase-sweep", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    errors = json.loads((out / "summary.json").read_text())["errors"]
+    assert sorted(e["estimator"] for e in errors) == ["fk", "jensen"]
+    assert "non-finite profile integrals" in errors[1]["error"]
+    assert (out / "rows.csv").read_text().splitlines()[2:] == []
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -479,6 +506,9 @@ def test_repeated_estimator_rejected(tmp_path, capsys):
     ("run", "estimators", "estimators = fk", "estimators = fk, mc3000"),
     ("sweep", "beta", "beta = 0.5", "beta: -1"),
     ("model", "c", "c = 1.0", "c: -1"),
+    ("sweep", "beta", "beta = 0.5", "beta = 0.5, 0.5"),
+    ("sweep", "t", "t = 1, 2, 3, 4", "t = 1, 1, 2, 3, 4"),
+    ("sweep", "t", "t = 1, 2, 3, 4", "t = 1, 2, 3, 4, 2.0"),
 ])
 def test_sweep_config_error_carries_line(tmp_path, capsys, section, key, good, bad):
     text = BASE_CONFIG.replace(good, bad)
@@ -487,6 +517,7 @@ def test_sweep_config_error_carries_line(tmp_path, capsys, section, key, good, b
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"exp.cfg:{line}: [{section}] {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_that_is_a_file_exits_2(tmp_path, capsys):

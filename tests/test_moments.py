@@ -259,8 +259,10 @@ def test_validation_of_common_arguments():
     model = CovarianceModel("constant")
     with pytest.raises(ValueError):
         fk_second_moment(O3, -1.0, 0.1, model, 8, _cfg())
-    with pytest.raises(ValueError):
-        fk_second_moment(O3, 1.0, -0.1, model, 8, _cfg())
+    for beta in (-0.1, math.nan, math.inf):
+        for estimator in (fk_second_moment, jensen_lower):
+            with pytest.raises(ValueError, match="beta must be"):
+                estimator(O3, 1.0, beta, model, 8, _cfg())
     with pytest.raises(ValueError):
         fk_second_moment(O3, 1.0, 0.1, model, 0, _cfg())
 
