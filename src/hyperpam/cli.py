@@ -24,6 +24,7 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -37,6 +38,15 @@ import numpy as np
 
 from . import brownian, checks, geometry, heatkernel, moments
 from .covariance import CovarianceModel
+
+
+# every key some command reads, by section
+_KEYS = {
+    "model": ("kind", "alpha", "C", "c"),
+    "run": ("seed", "dim", "step", "scheme", "n_paths", "estimators", "workers"),
+    "sweep": ("beta", "t"),
+    "lambda": ("t_max", "separations", "n_paths"),
+}
 
 
 class ConfigError(Exception):
@@ -75,11 +85,23 @@ class _Config:
             raise ConfigError(f"{path}: {exc}") from exc
         self.parser = parser
         self.hash = hashlib.sha256(self.text.encode()).hexdigest()[:16]
+        # a key no command reads is most likely a typo: name it rather than run
+        # without it; [DEFAULT] keys would reach every section, so it is unknown
+        sections = parser.sections()
+        if parser.defaults():
+            sections.insert(0, parser.default_section)
+        for section in sections:
+            known = _KEYS.get(section)
+            if known is None:
+                self._fail(section, None, f"unknown section (known: {', '.join(_KEYS)})")
+            for key in parser.options(section):
+                if key not in known:
+                    self._fail(section, key, f"unknown key (known: {', '.join(known)})")
 
     def _fail(self, section, key, message):
         line = _line_of(self.text, section, key)
         where = f"{self.path}:{line}" if line else self.path
-        raise ConfigError(f"{where}: [{section}] {key}: {message}")
+        raise ConfigError(f"{where}: [{section}]{'' if key is None else ' ' + key}: {message}")
 
     def get(self, section, key, cast, default=None, required=False):
         if not self.parser.has_option(section, key):
@@ -94,45 +116,44 @@ class _Config:
 
     def count(self, section, key, default):
         """Integer key that must be at least 1."""
-        value = self.get(section, key, int, default=default)
-        if value < 1:
-            self._fail(section, key, f"must be at least 1, got {value}")
-        return value
+        return _at_least_one(key, self.get(section, key, int, default=default),
+                             functools.partial(self._fail, section))
+
+    def distinct(self, section, key, item, default=None):
+        """Distinct values ``item(token)`` of a comma- or space-separated list;
+        required without a default.  ``item`` raises ValueError on a bad token."""
+        values = self.get(section, key,
+                          lambda raw: [item(tok) for tok in raw.replace(",", " ").split()],
+                          default, required=default is None)
+        if not values:
+            self._fail(section, key, "needs one or more values")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            self._fail(section, key, f"lists {', '.join(map(str, repeated))} more than once")
+        return values
 
     def floats(self, section, key, positive=False, default=None):
         """Distinct finite floats >= 0 (> 0 if ``positive``); required without a default."""
-        values = self.get(section, key,
-                          lambda raw: [float(tok) for tok in raw.replace(",", " ").split()],
-                          default, required=default is None)
+        values = self.distinct(section, key, float, default)
         # chained comparisons also reject NaN, which fails every comparison
-        if not values or not all(0 <= v < math.inf and (v > 0 or not positive)
-                                 for v in values):
-            self._fail(section, key, "needs one or more values, all finite and "
+        if not all(0 <= v < math.inf and (v > 0 or not positive) for v in values):
+            self._fail(section, key, "values must be finite and "
                        f"{'> 0' if positive else '>= 0'}, got {values}")
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            self._fail(section, key, f"lists {', '.join(map(repr, repeated))} more than once")
         return values
 
     def model(self):
-        kind = self.get("model", "kind", str, required=True)
         fields = {
+            "kind": self.get("model", "kind", str, required=True),
             "alpha": self.get("model", "alpha", float),
             "C": self.get("model", "C", float, default=1.0),
             "c": self.get("model", "c", float, default=1.0),
         }
-        # CovarianceModel checks alpha against the kind and each amplitude on
-        # its own: probe them one at a time so the error names the key that failed
-        probes = {"kind": {"kind": kind, "alpha": 1.0},
-                  "alpha": {"kind": kind, "alpha": fields["alpha"]},
-                  "C": {"kind": "constant", "C": fields["C"]},
-                  "c": {"kind": "constant", "c": fields["c"]}}
-        for key, probe in probes.items():
-            try:
-                CovarianceModel(**probe)
-            except ValueError as exc:
-                self._fail("model", key, str(exc))
-        return CovarianceModel(kind, **fields)
+        # alpha is checked against the kind, the kind with a valid alpha, and
+        # each amplitude on its own
+        context = {"kind": {"alpha": 1.0}, "alpha": {"kind": fields["kind"]},
+                   "C": {"kind": "constant"}, "c": {"kind": "constant"}}
+        return _record(CovarianceModel, fields, functools.partial(self._fail, "model"),
+                       context)
 
     def sampler(self, seed_override=None):
         seed = seed_override if seed_override is not None \
@@ -141,9 +162,9 @@ class _Config:
             "dim": self.get("run", "dim", int, default=3),
             "step": self.get("run", "step", float, default=1e-3),
             "scheme": self.get("run", "scheme", str, default="embedded-sde"),
+            "seed": seed,
         }
-        return _sampler_config(lambda key, message: self._fail("run", key, message),
-                               seed=seed, **fields)
+        return _record(brownian.SamplerConfig, fields, functools.partial(self._fail, "run"))
 
 
 def _flag_error(key, message):
@@ -151,18 +172,26 @@ def _flag_error(key, message):
     raise ConfigError(f"--{key}: {message}")
 
 
-def _sampler_config(fail, **fields):
-    """SamplerConfig of ``fields``; ``fail(key, message)`` reports a bad field.
+def _record(cls, fields, fail, context=None):
+    """``cls(**fields)``; ``fail(key, message)`` reports the field that fails.
 
-    SamplerConfig checks each field on its own: validate them one at a time
+    ``cls`` checks each field on its own, together with the fields of
+    ``context[key]`` (none by default): build it one field at a time first,
     so the error names the key that failed.
     """
     for key, value in fields.items():
         try:
-            brownian.SamplerConfig(**{key: value})
+            cls(**(context or {}).get(key, {}), **{key: value})
         except ValueError as exc:
             fail(key, str(exc))
-    return brownian.SamplerConfig(**fields)
+    return cls(**fields)
+
+
+def _at_least_one(key, value, fail):
+    """``value``; ``fail(key, message)`` unless it is at least 1."""
+    if value < 1:
+        fail(key, f"must be at least 1, got {value}")
+    return value
 
 
 def _out_dir(path):
@@ -181,6 +210,13 @@ def _out_file(path):
         return open(path, "w")
     except OSError as exc:
         raise ConfigError(f"--out: cannot open {path}: {exc}") from exc
+
+
+def _write_json(path, payload):
+    """Write ``payload`` to the --out file ``path`` as indented JSON and a newline."""
+    with _out_file(path) as fh:
+        json.dump(payload, fh, indent=1, default=float)
+        fh.write("\n")
 
 
 _ESTIMATORS = {
@@ -220,21 +256,13 @@ def cmd_phase_sweep(args):
     betas = cfg.floats("sweep", "beta")
     ts = cfg.floats("sweep", "t", positive=True)
     n_paths = cfg.count("run", "n_paths", 1024)
-    estimators = [e.strip() for e in
-                  cfg.get("run", "estimators", str, default="fk").split(",")]
-    if args.workers is not None:
-        workers = args.workers
-        if workers < 1:
-            raise ConfigError(f"--workers: must be at least 1, got {workers}")
-    else:
-        workers = cfg.count("run", "workers", 1)
+    estimators = cfg.distinct("run", "estimators", str, default=["fk"])
     for kind in estimators:
         if kind not in _ESTIMATORS:
             cfg._fail("run", "estimators",
                       f"unknown kind {kind!r} (choose from {sorted(_ESTIMATORS)})")
-    repeated = sorted({kind for kind in estimators if estimators.count(kind) > 1})
-    if repeated:
-        cfg._fail("run", "estimators", f"lists {', '.join(repeated)} more than once")
+    workers = cfg.count("run", "workers", 1) if args.workers is None \
+        else _at_least_one("workers", args.workers, _flag_error)
     problem = moments._euclidean_problem(model, sampler.dim)
     if "fk-euclidean" in estimators and problem:
         key, message = problem
@@ -288,10 +316,7 @@ def cmd_phase_sweep(args):
                 else "linear-in-t"
             fit = moments.growth_fit(sel, hyp)
             summaries[key] = {"hypothesis": hyp, **dataclasses.asdict(fit)}
-    with _out_file(out / "summary.json") as fh:
-        json.dump({"meta": meta, "summaries": summaries, "errors": errors},
-                  fh, indent=1, default=float)
-        fh.write("\n")
+    _write_json(out / "summary.json", {"meta": meta, "summaries": summaries, "errors": errors})
     print(f"wrote {out / 'rows.csv'}, rows={len(rows)}, errors={len(errors)}")
     return 0
 
@@ -306,9 +331,7 @@ def cmd_validate(args):
         raise ConfigError(f"--seed: must be a non-negative integer, got {seed}")
     report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=seed)
     if args.out:
-        with _out_file(Path(args.out)) as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
+        _write_json(Path(args.out), report)
     for c in report["checks"]:
         status = "pass" if c["passed"] else "FAIL"
         print(f"[{status}] {c['suite']}/{c['name']}: observed={c['observed']:.3e} "
@@ -340,21 +363,19 @@ def cmd_lambda(args):
     result["model"] = model.label()
     result["config_hash"] = cfg.hash
     out = _out_dir(Path(args.out))
-    with _out_file(out / "lambda.json") as fh:
-        json.dump(result, fh, indent=1, default=float)
-        fh.write("\n")
+    _write_json(out / "lambda.json", result)
     print(f"lambda_hat={result['lambda_hat']:.6f} "
           f"beta0_hat={result['beta0_hat']:.6f} -> {out / 'lambda.json'}")
     return 0
 
 
 def cmd_sample_path(args):
-    if args.n_paths < 1:
-        raise ConfigError(f"--n-paths: must be at least 1, got {args.n_paths}")
+    _at_least_one("n-paths", args.n_paths, _flag_error)
     if not 0 < args.t < math.inf:
         raise ConfigError(f"--t: must be finite and > 0, got {args.t}")
-    sampler = _sampler_config(_flag_error, dim=args.dim, step=args.step,
-                              scheme=args.scheme, seed=args.seed)
+    sampler = _record(brownian.SamplerConfig, {"dim": args.dim, "step": args.step,
+                                               "scheme": args.scheme, "seed": args.seed},
+                      _flag_error)
     x0 = geometry.origin(args.dim)
     paths = [brownian.sample_path(x0, args.t, sampler, path_index=i)
              for i in range(args.n_paths)]
@@ -368,7 +389,7 @@ def cmd_sample_path(args):
 
 
 def cmd_eigenvalue(args):
-    _sampler_config(_flag_error, dim=args.dim)
+    _record(brownian.SamplerConfig, {"dim": args.dim}, _flag_error)
     try:
         lam = heatkernel.dirichlet_eigenvalue(args.r, args.dim, args.mode)
     except ValueError as exc:  # --dim is checked and --mode a choice: --r failed

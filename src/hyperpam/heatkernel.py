@@ -10,9 +10,11 @@ and the radial density of the endpoint distance is H_t(rho) * 4 pi sinh^2 rho
 = rho sinh rho exp(-t - rho^2/(4t)) / (t sqrt(4 pi t)).  Completing the square
 shows this is the density of |2t e_1 + sqrt(2t) Z| with Z a standard 3-d
 Gaussian (Bessel(3) with drift): the radius drifts at speed 2 with Gaussian
-fluctuations of variance 2t, and the exact sampler draws it this way.  d = 3
-serves as the exact validation dimension; other dimensions are covered by the
-two-sided comparison envelope
+fluctuations of variance 2t.  The exact sampler draws it this way, and
+:class:`RadialLaw` takes its CDF in closed form from the same identity
+(normal CDFs from ``scipy.special.ndtr``).  d = 3 serves as the exact
+validation dimension; other dimensions are covered by the two-sided
+comparison envelope
 
     t^{-d/2} exp(-(d-1)^2 t/4 - rho^2/(4t) - (d-1) rho/2) (1+rho+t)^{(d-3)/2} (1+rho),
 
@@ -25,9 +27,10 @@ imports this module, and a sweep calls neither.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import brownian
 from .geometry import _logsinh, origin
@@ -71,12 +74,8 @@ def log_radial_density_d3(t, rho):
     domain so it stays finite far beyond the cosh overflow radius.  The
     density is zero (log -inf) at rho <= 0.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
-    with np.errstate(divide="ignore"):
-        out = (math.log(4.0 * math.pi) - 1.5 * math.log(4.0 * math.pi * t)
-               + np.log(rho) + _logsinh(rho) - t - rho**2 / (4.0 * t))
+    out = math.log(4.0 * math.pi) + 2.0 * _logsinh(rho) + log_hk_exact_d3(t, rho)
     return out if out.ndim else float(out)
 
 
@@ -107,13 +106,12 @@ def hk_envelope(t, rho, d):
 class RadialLaw:
     """Exact distribution of the endpoint distance rho(x, B_t) in d = 3.
 
-    ``cdf`` interpolates a trapezoid table of :func:`log_radial_density_d3`
-    on [0, ``support_hi()``], built on first use.
+    ``cdf`` is P(|m e_1 + s Z| <= rho) with m = 2t, s = sqrt(2t) (the module
+    docstring's identity) in closed form: Phi(a) - Phi(-b) - (s/m)(phi(a) - phi(b))
+    with a = (rho - m)/s and b = (rho + m)/s.
     """
 
     t: float
-    _grid: np.ndarray = field(init=False, repr=False, default=None)
-    _cdf: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.t <= 0:
@@ -122,20 +120,14 @@ class RadialLaw:
     def support_hi(self):
         return 2.0 * self.t + 14.0 * math.sqrt(2.0 * self.t) + 30.0
 
-    def _ensure_tables(self):
-        if self._grid is not None:
-            return
-        grid = np.linspace(0.0, self.support_hi(), 8001)
-        logp = np.full(grid.shape, -np.inf)
-        logp[1:] = log_radial_density_d3(self.t, grid[1:])
-        p = np.exp(logp - np.max(logp[np.isfinite(logp)]))
-        cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * 0.5 * np.diff(grid))])
-        self._grid, self._cdf = grid, cdf / cdf[-1]
-
     def cdf(self, rho):
-        self._ensure_tables()
-        return np.interp(np.asarray(rho, dtype=float), self._grid, self._cdf,
-                         left=0.0, right=1.0)
+        m, s = 2.0 * self.t, math.sqrt(2.0 * self.t)
+        rho = np.asarray(rho, dtype=float)
+        a, b = (rho - m) / s, (rho + m) / s
+        # Phi(a) - Phi(-b), not Phi(a) + Phi(b) - 1: exactly 0 at rho = 0
+        out = special.ndtr(a) - special.ndtr(-b) \
+            - (s / m) * (np.exp(-0.5 * a**2) - np.exp(-0.5 * b**2)) / math.sqrt(2.0 * math.pi)
+        return np.clip(out, 0.0, 1.0)
 
 
 def sample_radial_exact_d3(t, rng, size=None):

@@ -92,8 +92,8 @@ class PhaseRow:
     seed: int
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
+        if not 0 < self.t < math.inf:  # also rejects NaN
+            raise ValueError(f"t must be finite and positive, got {self.t}")
 
 
 def _direct(kind, t, beta, model, n_paths, cfg, ensemble):
@@ -191,11 +191,20 @@ def _simulate_shard(job):
 
 
 def _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat=False):
-    """``ensemble``, or a one-horizon ensemble to t when it is None."""
+    """``ensemble``, or a one-horizon ensemble to t when it is None.
+
+    A given ensemble must be the one the estimator would build: same paths,
+    kernel, model and sampler config, and (hyperbolic kernel) both walkers
+    started at x; the flat kernel is translation invariant.
+    """
     if ensemble is None:
         return PairEnsemble(x, model, cfg, n_paths, (t,), flat=flat)
-    if ensemble.n_paths != n_paths or ensemble.flat != flat:
-        raise ValueError("the ensemble's n_paths or kernel differs from the estimator's")
+    same_start = flat or all(np.array_equal(geometry._coords(p), geometry._coords(x))
+                             for p in (ensemble.x, ensemble.y))
+    if not same_start or (ensemble.n_paths, ensemble.flat, ensemble.model,
+                          ensemble.cfg) != (n_paths, flat, model, cfg):
+        raise ValueError("the ensemble's n_paths, kernel, model, sampler config or "
+                         "start point differs from the estimator's")
     return ensemble
 
 
@@ -240,8 +249,9 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     if not 0 <= n_terms <= 8:
         raise ValueError("n_terms must lie in [0, 8]")
     times, F = PairEnsemble(x, model, cfg, n_paths, (t,)).matrix(t)
+    finite = _finite_paths(F, "profile values")
     est = np.ones((n_paths, n_terms + 1))
-    for p in range(n_paths):
+    for p in np.flatnonzero(finite):
         gen = path_stream(cfg.seed, p, brownian.TAG_TUPLES)
         row = F[p]
         for n in range(1, n_terms + 1):
@@ -250,14 +260,16 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
             est[p, n] = t**n * float(np.mean(np.prod(vals, axis=1)))
     coef = np.array([beta ** (2 * n) / math.factorial(n)
                      for n in range(n_terms + 1)])
+    est = est[finite]
     per_path = est @ coef
     total = float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1) / (total * math.sqrt(n_paths))) \
-        if n_paths > 1 else 0.0
+    se = float(np.std(per_path, ddof=1) / (total * math.sqrt(len(est)))) \
+        if len(est) > 1 else 0.0
     term_means = coef * est.mean(axis=0)
     truncated = bool(n_terms >= 1 and term_means[-1] > 0.01 * np.sum(term_means))
     return MomentEstimate(t, math.log(total), se, n_paths, beta, model, cfg.seed,
-                          "dyson", max_z=float(np.max(per_path)), terms=term_means,
+                          "dyson", max_z=float(np.max(per_path)),
+                          n_excluded=n_paths - len(est), terms=term_means,
                           truncation_flag=truncated)
 
 
@@ -336,8 +348,8 @@ def _euclidean_problem(model, dim):
 
 
 def _check_common(t, beta, n_paths):
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:  # also rejects NaN
+        raise ValueError(f"t must be finite and positive, got {t}")
     if not 0 <= beta < math.inf:  # also rejects NaN
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     if n_paths < 1:

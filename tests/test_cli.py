@@ -265,17 +265,21 @@ t = 4, 8, 16, 32
     assert fit["r2_power"] > fit["r2_linear"]
 
 
-def test_validate_suite_passes_and_self_test(tmp_path, capsys):
+@pytest.mark.parametrize("suite,some_checks", [
+    ("geometry", {"hyperboloid-constraint", "triangle-inequality"}),
+    ("heatkernel", {"radial-density-normalization", "dirichlet-hyperbolic-limits"}),
+    ("covariance", {"decay-limit", "positive-type", "quadrature-consistency"}),
+], ids=["geometry", "heatkernel", "covariance"])
+def test_validate_suite_passes_and_self_test(tmp_path, capsys, suite, some_checks):
     report_path = tmp_path / "report.json"
-    rc = main(["validate", "--suite", "covariance", "--out", str(report_path)])
+    rc = main(["validate", "--suite", suite, "--out", str(report_path)])
     assert rc == 0
     report = json.loads(report_path.read_text())
     assert report["all_passed"]
-    names = {c["name"] for c in report["checks"]}
-    assert {"decay-limit", "positive-type", "quadrature-consistency"} <= names
+    assert some_checks <= {c["name"] for c in report["checks"]}
     capsys.readouterr()
     # corrupted tolerance: every limit scaled to zero must turn the run red
-    rc = main(["validate", "--suite", "covariance", "--tolerance-scale", "0.0"])
+    rc = main(["validate", "--suite", suite, "--tolerance-scale", "0.0"])
     assert rc == 1
 
 
@@ -487,6 +491,23 @@ def test_model_config_error_names_key(tmp_path, capsys, key, good, bad):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"exp.cfg:{line}: [model] {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("good,bad,named", [
+    ("n_paths = 64", "n_path = 4", "[run] n_path: unknown key"),
+    ("estimators = fk", "estimator = jensen", "[run] estimator: unknown key"),
+    ("c = 1.0", "beta = 0.5\nc = 1.0", "[model] beta: unknown key"),
+    ("[sweep]", "[sweeps]", "[sweeps]: unknown section"),
+    ("[model]", "[DEFAULT]\nseed = 1\n\n[model]", "[DEFAULT]: unknown section"),
+], ids=["n_path", "estimator", "model-beta", "section", "default-section"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, good, bad, named):
+    text = BASE_CONFIG.replace(good, bad)
+    line = text.splitlines().index(bad.splitlines()[0]) + 1
+    rc = main(["phase-sweep", "--config", _write(tmp_path, text),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"exp.cfg:{line}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_repeated_estimator_rejected(tmp_path, capsys):

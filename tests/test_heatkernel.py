@@ -81,6 +81,18 @@ def test_radial_law_tables():
     assert np.all(np.diff(cdf) >= 0.0)
 
 
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 25.0, 100.0])
+def test_radial_law_cdf_matches_noncentral_chi2(t):
+    # rho^2 / (2t) is noncentral chi-square with 3 degrees of freedom and
+    # noncentrality |2t e_1|^2 / (2t) = 2t
+    law = RadialLaw(t)
+    rho = np.linspace(0.0, law.support_hi(), 2001)
+    np.testing.assert_allclose(law.cdf(rho), st.ncx2.cdf(rho**2 / (2.0 * t), 3, 2.0 * t),
+                               rtol=0.0, atol=1e-12)
+    assert law.cdf(0.0) == 0.0
+    assert law.cdf(law.support_hi()) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_log_radial_density_tiny_rho():
     # density ~ 4 pi (4 pi t)^{-3/2} e^{-t} rho^2 as rho -> 0; log sinh must
     # stay finite (log rho) far below where sinh rho = rho in floating point

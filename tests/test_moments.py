@@ -129,6 +129,34 @@ def test_dyson_fields_survive_dataclass_replace():
     assert copy.truncation_flag is est.truncation_flag is True
 
 
+def test_dyson_refuses_non_finite_profile_values():
+    # past t ~ 180 at d = 3 the pair distance overflows to NaN on every path
+    model = CovarianceModel("truncated-power", alpha=2.0)
+    with pytest.raises(EstimatorError, match="non-finite profile values"):
+        dyson_partial(O3, 200.0, 0.5, model, 2, 4, _cfg(step=0.1))
+
+
+_OTHER_RUN = {"model": CovarianceModel("truncated-power", alpha=1.5), "cfg": _cfg(seed=3),
+              "x": geometry.HPoint(np.array([1.0, 0.0, 0.0, math.sqrt(2.0)]), 3)}
+
+
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("change", sorted(_OTHER_RUN))
+def test_estimator_rejects_another_runs_ensemble(flat, change):
+    estimator = euclidean_second_moment if flat else fk_second_moment
+    run = {"model": CovarianceModel("truncated-power", alpha=2.0), "cfg": _cfg(seed=2),
+           "x": O3}
+    ens = moments.PairEnsemble(run["x"], run["model"], run["cfg"], 4, (1.0,), flat=flat)
+    own = estimator(run["x"], 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ens)
+    run[change] = _OTHER_RUN[change]
+    if flat and change == "x":  # flat pairs are translation invariant
+        est = estimator(run["x"], 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ens)
+        assert est.log_m2 == own.log_m2
+        return
+    with pytest.raises(ValueError, match="differs from the estimator's"):
+        estimator(run["x"], 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ens)
+
+
 def test_dyson_validates_n_terms():
     model = CovarianceModel("constant")
     with pytest.raises(ValueError):
@@ -265,6 +293,13 @@ def test_validation_of_common_arguments():
                 estimator(O3, 1.0, beta, model, 8, _cfg())
     with pytest.raises(ValueError):
         fk_second_moment(O3, 1.0, 0.1, model, 0, _cfg())
+    # beta = 0 returns before any path is scheduled: t is checked first
+    for t in (math.nan, math.inf):
+        for estimator in (fk_second_moment, jensen_lower):
+            with pytest.raises(ValueError, match="t must be finite and positive"):
+                estimator(O3, t, 0.0, model, 8, _cfg())
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            PhaseRow(1.0, 0.0, t, 0.0, 0.0, 8, "fk", 0)
 
 
 @pytest.mark.parametrize("flat", [False, True])
