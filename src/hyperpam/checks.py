@@ -13,15 +13,15 @@ The checks do not use ``scipy.stats``, which costs about half a second and
 incomplete gamma, and the Kolmogorov-Smirnov distances are the helpers
 :func:`_ks_distance` and :func:`_ks_2samp_distance` (the pytest suite holds
 them equal to ``scipy.stats``).  Nor do they use ``scipy.integrate``: the
-quadrature check integrates with a Gauss-Jacobi rule from the already loaded
-``scipy.special`` (the pytest suite holds it equal to ``quad``).
+quadrature check integrates with a Gauss-Jacobi rule from ``scipy.special``
+(the pytest suite holds it equal to ``quad``).  Importing this module loads
+no scipy module; ``scipy.special`` loads inside the checks that call it.
 """
 
 import math
 import time
 
 import numpy as np
-from scipy import special
 
 from . import brownian, covariance, geometry, heatkernel
 
@@ -145,9 +145,10 @@ def _check_sphere_direction_chi2(scale, seed):
     counts, _ = np.histogram(ang, bins=edges)
     expected = n / k
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    from scipy.special import gammaincinv
     # the 0.99 quantile of chi-square with k - 1 degrees of freedom
     return _record("sphere-direction-chi2", chi2,
-                   2.0 * special.gammaincinv((k - 1) / 2, 0.99), scale)
+                   2.0 * gammaincinv((k - 1) / 2, 0.99), scale)
 
 
 # -------------------------------------------------------------- heatkernel
@@ -277,7 +278,8 @@ def _check_decay_limit(scale, seed):
 def _phi_alpha_gauss_jacobi(rho, alpha):
     """phi_alpha(rho) = int_0^1 alpha v^{alpha-1} e^{-v psi} dv, by 40-node
     Gauss-Jacobi: weight (1+x)^{alpha-1} on [-1, 1], v = (1+x)/2."""
-    x, w = special.roots_jacobi(40, 0.0, alpha - 1.0)
+    from scipy.special import roots_jacobi
+    x, w = roots_jacobi(40, 0.0, alpha - 1.0)
     terms = np.exp(-0.5 * (1.0 + x) * covariance.psi(rho))
     return alpha * 2.0**-alpha * float(np.dot(w, terms))
 

@@ -13,14 +13,15 @@ distance rho alone:
 
 The lower incomplete gamma function comes from scipy's regularized
 ``gammainc``, vectorized, so profile evaluation along large path ensembles
-stays cheap.
+stays cheap.  ``scipy.special`` loads when a ``phi-alpha`` model is built (a
+sweep builds it while parsing its config, before its pool forks), not at
+import: the other kinds never call it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .geometry import HPoint, distance
 
@@ -47,7 +48,8 @@ def lower_incomplete_gamma(a, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    out = special.gammainc(a, x) * math.gamma(a)
+    from scipy.special import gammainc
+    out = gammainc(a, x) * math.gamma(a)
     return out if out.ndim else float(out)
 
 
@@ -55,14 +57,14 @@ def phi_alpha(rho, alpha):
     """The power-decay positive-type profile alpha * Psi^{-alpha} * gamma(alpha, Psi).
 
     Equals the average of exp(-u^{1/alpha} * Psi) over u uniform in [0, 1];
-    continuous at rho = 0 with value 1.
+    continuous at rho = 0 with value 1, 0 at rho = inf, NaN at rho = NaN.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     p = np.asarray(psi(rho), dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
-    out = np.ones_like(p)
+    out = np.where(np.isnan(p), np.nan, 1.0)
     mask = p > 1e-12
     if np.any(mask):
         pm = p[mask]
@@ -87,6 +89,10 @@ class CovarianceModel:
         if self.kind in ("phi-alpha", "truncated-power"):
             if self.alpha is None or self.alpha <= 0:
                 raise ValueError(f"{self.kind} requires alpha > 0")
+        if self.kind == "phi-alpha":
+            # load scipy.special now, in the process that parses the config,
+            # so a sweep's forked workers inherit it instead of each paying it
+            import scipy.special  # noqa: F401
         # chained comparisons also reject NaN
         if not (0 < self.C < math.inf and 0 < self.c < math.inf):
             raise ValueError("amplitudes must be positive and finite")

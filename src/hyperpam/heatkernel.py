@@ -12,9 +12,9 @@ shows this is the density of |2t e_1 + sqrt(2t) Z| with Z a standard 3-d
 Gaussian (Bessel(3) with drift): the radius drifts at speed 2 with Gaussian
 fluctuations of variance 2t.  The exact sampler draws it this way, and
 :class:`RadialLaw` takes its CDF in closed form from the same identity
-(normal CDFs from ``scipy.special.ndtr``).  d = 3 serves as the exact
-validation dimension; other dimensions are covered by the two-sided
-comparison envelope
+(normal CDFs from ``scipy.special.ndtr``, loaded on the first ``cdf`` call).
+d = 3 serves as the exact validation dimension; other dimensions are covered
+by the two-sided comparison envelope
 
     t^{-d/2} exp(-(d-1)^2 t/4 - rho^2/(4t) - (d-1) rho/2) (1+rho+t)^{(d-3)/2} (1+rho),
 
@@ -22,15 +22,14 @@ which brackets the true kernel with universal positive constants.
 
 The principal Dirichlet eigenvalue and its eigenfunction both come from one
 finite-volume radial operator (:func:`_fv_operator`).  ``scipy.linalg`` and
-``scipy.interpolate`` load on first use, not at import: every subcommand
-imports this module, and a sweep calls neither.
+``scipy.interpolate`` load on first use too, not at import: every subcommand
+imports this module, and a sweep calls none of them.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import brownian
 from .geometry import _logsinh, origin
@@ -47,8 +46,8 @@ def __getattr__(name):
 
 def log_hk_exact_d3(t, rho):
     """log of the d = 3 heat kernel, safe where the kernel itself underflows."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("rho must be nonnegative")
@@ -81,8 +80,8 @@ def log_radial_density_d3(t, rho):
 
 def log_hk_envelope(t, rho, d):
     """Log of the two-sided comparison envelope (any d >= 2, any t > 0)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if d < 2 or int(d) != d:
         raise ValueError("d must be an integer >= 2")
     rho = np.asarray(rho, dtype=float)
@@ -114,8 +113,8 @@ class RadialLaw:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
+        if not 0 < self.t < math.inf:
+            raise ValueError("t must be positive and finite")
 
     def support_hi(self):
         return 2.0 * self.t + 14.0 * math.sqrt(2.0 * self.t) + 30.0
@@ -124,8 +123,9 @@ class RadialLaw:
         m, s = 2.0 * self.t, math.sqrt(2.0 * self.t)
         rho = np.asarray(rho, dtype=float)
         a, b = (rho - m) / s, (rho + m) / s
+        from scipy.special import ndtr
         # Phi(a) - Phi(-b), not Phi(a) + Phi(b) - 1: exactly 0 at rho = 0
-        out = special.ndtr(a) - special.ndtr(-b) \
+        out = ndtr(a) - ndtr(-b) \
             - (s / m) * (np.exp(-0.5 * a**2) - np.exp(-0.5 * b**2)) / math.sqrt(2.0 * math.pi)
         return np.clip(out, 0.0, 1.0)
 
@@ -136,8 +136,8 @@ def sample_radial_exact_d3(t, rng, size=None):
     Each draw is |2t e_1 + sqrt(2t) Z| for three standard normals Z (the
     drifted-Gaussian identity in the module docstring); no rejection.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     n = 1 if size is None else int(size)
     z = math.sqrt(2.0 * t) * rng.standard_normal((n, 3))
     z[:, 0] += 2.0 * t
@@ -233,8 +233,8 @@ def exit_tail_estimate(r, t_grid, n_paths, cfg):
     survivors are flagged and excluded).  The slope should approach the
     negative principal Dirichlet eigenvalue of the ball.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing")

@@ -437,9 +437,9 @@ def test_lambda_long_horizon_exits_2(tmp_path, capsys):
     assert not (out / "lambda.json").exists()
 
 
-def test_long_horizon_jensen_cell_is_an_error(tmp_path):
-    text = BASE_CONFIG.replace("kind = constant\nc = 1.0",
-                               "kind = truncated-power\nalpha = 0.5")
+@pytest.mark.parametrize("kind", ["truncated-power", "phi-alpha"])
+def test_long_horizon_jensen_cell_is_an_error(tmp_path, kind):
+    text = BASE_CONFIG.replace("kind = constant\nc = 1.0", f"kind = {kind}\nalpha = 0.5")
     text = text.replace("step = 1e-2", "step = 1e-1").replace("n_paths = 64", "n_paths = 4")
     text = text.replace("estimators = fk", "estimators = fk, jensen").replace(
         "t = 1, 2, 3, 4", "t = 200")

@@ -133,6 +133,14 @@ def test_phi_alpha_monotone_and_bounded():
         assert np.all(vals > 0.0)
 
 
+def test_phi_alpha_propagates_nan():
+    # an overflowed pair distance is NaN; the profile must not turn it into 1
+    assert math.isnan(phi_alpha(math.nan, 0.5))
+    vals = phi_alpha(np.array([0.0, math.nan, 1.0, math.inf]), 0.5)
+    assert vals[0] == 1.0 and math.isnan(vals[1]) and 0.0 < vals[2] < 1.0
+    assert vals[3] == 0.0 == phi_alpha(math.inf, 0.5)
+
+
 def test_phi_alpha_power_envelopes():
     """Fitted-constant upper/lower power bounds hold on rho in [5, 100]."""
     grid = np.linspace(5.0, 100.0, 400)

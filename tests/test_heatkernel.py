@@ -11,7 +11,7 @@ from hyperpam import brownian, geometry, heatkernel
 from hyperpam.heatkernel import (
     RadialLaw, dirichlet_eigenfunction, dirichlet_eigenvalue,
     exit_tail_estimate, hk_envelope, hk_exact_d3, log_hk_envelope,
-    log_hk_exact_d3, sample_radial_exact_d3,
+    log_hk_exact_d3, log_radial_density_d3, sample_radial_exact_d3,
 )
 
 SEED = 20260809
@@ -243,6 +243,25 @@ def test_exit_tail_estimate():
         exit_tail_estimate(-1.0, [0.5], 10, cfg)
     with pytest.raises(ValueError):
         exit_tail_estimate(1.0, [0.5, 0.25], 10, cfg)
+
+
+_T_OR_R_ENTRY_POINTS = {
+    "log_hk_exact_d3": lambda v: log_hk_exact_d3(v, 1.0),
+    "log_radial_density_d3": lambda v: log_radial_density_d3(v, 1.0),
+    "log_hk_envelope": lambda v: log_hk_envelope(v, 1.0, 3),
+    "RadialLaw": RadialLaw,
+    "sample_radial_exact_d3": lambda v: sample_radial_exact_d3(
+        v, np.random.default_rng(SEED)),
+    "exit_tail_estimate": lambda v: exit_tail_estimate(
+        v, [0.5], 10, brownian.SamplerConfig(dim=3, step=1e-2, seed=SEED)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(_T_OR_R_ENTRY_POINTS))
+def test_rejects_nonfinite_time_or_radius(entry, bad):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        _T_OR_R_ENTRY_POINTS[entry](bad)
 
 
 def test_chapman_kolmogorov_radial():

@@ -136,6 +136,14 @@ def test_dyson_refuses_non_finite_profile_values():
         dyson_partial(O3, 200.0, 0.5, model, 2, 4, _cfg(step=0.1))
 
 
+@pytest.mark.parametrize("estimator", [fk_second_moment, jensen_lower])
+def test_phi_alpha_overflowed_pair_distance_is_an_error(estimator):
+    # 6 of the 8 final pair distances are NaN at t = 200
+    model = CovarianceModel("phi-alpha", alpha=0.5)
+    with pytest.raises(EstimatorError, match="6/8 non-finite"):
+        estimator(O3, 200.0, 0.5, model, 8, _cfg(seed=1, step=0.1))
+
+
 _OTHER_RUN = {"model": CovarianceModel("truncated-power", alpha=1.5), "cfg": _cfg(seed=3),
               "x": geometry.HPoint(np.array([1.0, 0.0, 0.0, math.sqrt(2.0)]), 3)}
 
