@@ -61,7 +61,6 @@ _REFILL_NORMALS = 2048  # normals each stream draws per noise refill
 # role tags for the per-path substreams
 TAG_PRIMARY = 0
 TAG_SECONDARY = 1
-TAG_TUPLES = 2
 TAG_CHAIN = 5
 
 

@@ -38,13 +38,13 @@ def psi(rho):
 
 
 def lower_incomplete_gamma(a, x):
-    """gamma(a, x) = integral_0^x e^{-v} v^{a-1} dv for a > 0, x >= 0.
+    """gamma(a, x) = integral_0^x e^{-v} v^{a-1} dv for finite a > 0, x >= 0.
 
     scipy's regularized P(a, x) times Gamma(a); vectorized over x.  A scalar
     x returns a float, an array x an ndarray.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:  # also rejects NaN
+        raise ValueError("a must be positive and finite")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")

@@ -236,8 +236,8 @@ def exit_tail_estimate(r, t_grid, n_paths, cfg):
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be increasing")
+    if not (t_grid.size and np.all(np.isfinite(t_grid)) and np.all(np.diff(t_grid) > 0)):
+        raise ValueError("t_grid must be a nonempty increasing grid of finite times")
     times = brownian.exit_times(origin(cfg.dim), r, float(t_grid[-1]), cfg, n_paths)
 
     rows = []

@@ -11,14 +11,14 @@ plus a max-exponent diagnostic that flags ensemble undersampling.
 
 Estimators
 ----------
-* ``fk_second_moment``       log-mean-exp over the pair ensemble (the direct
-                             Monte Carlo estimator).
-* ``jensen_lower``           exp(beta^2 * integral of the ensemble-averaged
-                             integrand); a low-variance guaranteed lower bound
-                             (per-sample, it is log-mean-exp's Jensen minorant).
-* ``dyson_partial``          the first terms of the expansion in beta^2, with
-                             the iterated time integrals estimated by uniform
-                             time tuples on the same ensemble.
+Each pair estimator reduces z = beta^2 q, with q = integral_0^t f ds the
+profile integral of one path, and reports max_z = max(z) as its diagnostic.
+
+* ``fk_second_moment``       log-mean-exp of z (direct Monte Carlo).
+* ``jensen_lower``           mean(z); a low-variance guaranteed lower bound
+                             (per sample, log-mean-exp's Jensen minorant).
+* ``dyson_partial``          log mean of sum_{n <= N} z^n / n!, the first
+                             terms of the expansion in beta^2.
 * ``lambda_constant``        the uniform bound on integral_0^inf E f(B_t, B_t~) dt
                              and the derived smallness threshold 1/sqrt(Lambda).
 * ``euclidean_second_moment``  the same direct estimator driven by flat
@@ -26,8 +26,9 @@ Estimators
 
 Ensembles
 ---------
-Every estimator reads its profile matrix from a :class:`PairEnsemble`.  A
-sweep builds one per kernel (hyperbolic, flat) and passes it to every cell:
+Every estimator reads its paths from a :class:`PairEnsemble`, the pair
+estimators through its q per path, :meth:`PairEnsemble.integrals`.  A sweep
+builds one per kernel (hyperbolic, flat) and passes it to every cell:
 beta never enters the paths, the estimators share the streams, and a path to
 a shorter horizon with the same dt is a prefix of the path to the longest.
 The ensemble is the one owner of the storage plan: it schedules each horizon
@@ -50,9 +51,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import brownian, geometry, heatkernel
-from .brownian import path_stream
 
-_DYSON_TUPLES = 64  # uniform time tuples per path and expansion order
 _M_F_GRID = 2001  # distances in [0, r] at which m_f evaluates the profile
 
 
@@ -97,23 +96,29 @@ class PhaseRow:
 
 
 def _direct(kind, t, beta, model, n_paths, cfg, ensemble):
-    """log mean exp(beta^2 q) over the pathwise integrals q, with delta-method SE.
+    """log mean exp(z) over the exponents z = beta^2 q, with delta-method SE.
 
-    The profile matrix of horizon t comes from ``ensemble``; it is not read
-    at beta = 0, where the estimate is exactly 0.  Non-finite exponents are
-    dropped and counted, up to 1e-3 of the paths.
+    The ensemble is not read at beta = 0, where the estimate is exactly 0.
     """
     if beta == 0.0:
         return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, kind)
-    times, F = ensemble.matrix(t)
-    z = beta**2 * np.trapezoid(F, times, axis=1)
-    z = z[_finite_paths(z, "exponents")]
+    z = _exponents(ensemble, t, beta)
     zmax = float(np.max(z))
     w = np.exp(z - zmax)
     m = float(np.mean(w))
     se = float(np.std(w, ddof=1) / (m * math.sqrt(len(z)))) if len(z) > 1 else 0.0
     return MomentEstimate(t, zmax + math.log(m), se, n_paths, beta, model, cfg.seed,
                           kind, max_z=zmax, n_excluded=n_paths - len(z))
+
+
+def _exponents(ensemble, t, beta):
+    """z = beta^2 q over the paths of horizon t whose z is finite.
+
+    Non-finite exponents (a non-finite profile value or an overflowing
+    beta^2) are dropped, up to 1e-3 of the paths; n_paths - len(z) counts them.
+    """
+    z = beta**2 * ensemble.integrals(t)
+    return z[_finite_paths(z, "profile integrals")]
 
 
 def _finite_paths(values, what):
@@ -170,6 +175,11 @@ class PairEnsemble:
         # a contiguous copy keeps every later reduction's summation order
         return stored * dt, np.ascontiguousarray(F[:, np.searchsorted(union, stored)])
 
+    def integrals(self, t):
+        """q = integral_0^t f(B_s, B_s~) ds per path: the trapezoid of matrix(t)."""
+        times, F = self.matrix(t)
+        return np.trapezoid(F, times, axis=1)
+
     def _simulate(self, dt):
         group = [h for h, (dt_h, _) in self._plan.items() if dt_h == dt]
         union = np.unique(np.concatenate([self._plan[h][1] for h in group]))
@@ -216,7 +226,7 @@ def fk_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
 
 
 def jensen_lower(x, t, beta, model, n_paths, cfg, ensemble=None):
-    """Jensen lower-bound estimator: average the integrand first, then exponentiate.
+    """Jensen lower-bound estimator: mean(z) = beta^2 times the mean of q.
 
     Requires a nonnegative profile, which every CovarianceModel kind is
     (their amplitudes are checked positive).  On a shared ensemble this is a
@@ -226,50 +236,35 @@ def jensen_lower(x, t, beta, model, n_paths, cfg, ensemble=None):
     _check_common(t, beta, n_paths)
     if beta == 0.0:
         return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, "jensen")
-    times, F = _own_ensemble(ensemble, x, t, model, n_paths, cfg).matrix(t)
-    q = np.trapezoid(F, times, axis=1)
-    finite = _finite_paths(q, "profile integrals")
-    q = q[finite]
-    integral = float(np.trapezoid(F[finite].mean(axis=0), times))
-    se_int = float(np.std(q, ddof=1) / math.sqrt(len(q))) if len(q) > 1 else 0.0
-    return MomentEstimate(t, beta**2 * integral, beta**2 * se_int, n_paths, beta,
-                          model, cfg.seed, "jensen",
-                          max_z=float(beta**2 * np.max(q)), n_excluded=n_paths - len(q))
+    z = _exponents(_own_ensemble(ensemble, x, t, model, n_paths, cfg), t, beta)
+    se = float(np.std(z, ddof=1) / math.sqrt(len(z))) if len(z) > 1 else 0.0
+    return MomentEstimate(t, float(np.mean(z)), se, n_paths, beta, model, cfg.seed,
+                          "jensen", max_z=float(np.max(z)), n_excluded=n_paths - len(z))
 
 
 def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     """Partial sum of the beta^2-expansion up to order ``n_terms``.
 
-    Each iterated time integral is estimated on the same path ensemble by
-    Monte Carlo over uniform time tuples in [0, t]^n (linear interpolation of
-    the stored integrand).  The result carries a truncation flag when the last
-    term exceeds 1% of the partial sum.
+    Each path contributes sum_n z^n / n! for its exponent z = beta^2 q, so the
+    series is exact in q: the error is path noise plus truncation.  The
+    result carries a truncation flag when the last term exceeds 1% of the
+    partial sum.
     """
     _check_common(t, beta, n_paths)
     if not 0 <= n_terms <= 8:
         raise ValueError("n_terms must lie in [0, 8]")
-    times, F = PairEnsemble(x, model, cfg, n_paths, (t,)).matrix(t)
-    finite = _finite_paths(F, "profile values")
-    est = np.ones((n_paths, n_terms + 1))
-    for p in np.flatnonzero(finite):
-        gen = path_stream(cfg.seed, p, brownian.TAG_TUPLES)
-        row = F[p]
-        for n in range(1, n_terms + 1):
-            u = gen.uniform(0.0, t, size=(_DYSON_TUPLES, n))
-            vals = np.interp(u.ravel(), times, row).reshape(_DYSON_TUPLES, n)
-            est[p, n] = t**n * float(np.mean(np.prod(vals, axis=1)))
-    coef = np.array([beta ** (2 * n) / math.factorial(n)
-                     for n in range(n_terms + 1)])
-    est = est[finite]
-    per_path = est @ coef
+    z = _exponents(PairEnsemble(x, model, cfg, n_paths, (t,)), t, beta)
+    coef = np.array([1.0 / math.factorial(n) for n in range(n_terms + 1)])
+    powers = z[:, None] ** np.arange(n_terms + 1)
+    per_path = powers @ coef
     total = float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1) / (total * math.sqrt(len(est)))) \
-        if len(est) > 1 else 0.0
-    term_means = coef * est.mean(axis=0)
+    se = float(np.std(per_path, ddof=1) / (total * math.sqrt(len(z)))) \
+        if len(z) > 1 else 0.0
+    term_means = coef * powers.mean(axis=0)
     truncated = bool(n_terms >= 1 and term_means[-1] > 0.01 * np.sum(term_means))
     return MomentEstimate(t, math.log(total), se, n_paths, beta, model, cfg.seed,
-                          "dyson", max_z=float(np.max(per_path)),
-                          n_excluded=n_paths - len(est), terms=term_means,
+                          "dyson", max_z=float(np.max(z)),
+                          n_excluded=n_paths - len(z), terms=term_means,
                           truncation_flag=truncated)
 
 

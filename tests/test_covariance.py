@@ -92,6 +92,19 @@ def test_gamma_rejects_bad_arguments():
         lower_incomplete_gamma(1.0, -0.5)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf], ids=["nan", "inf"])
+def test_gamma_rejects_nonfinite_a(a):
+    with pytest.raises(ValueError, match="a must be positive and finite"):
+        lower_incomplete_gamma(a, 1.0)
+
+
+def test_gamma_propagates_nan_x():
+    # phi_alpha reports NaN at a NaN distance through this
+    assert math.isnan(lower_incomplete_gamma(1.0, math.nan))
+    out = lower_incomplete_gamma(0.5, np.array([1.0, math.nan]))
+    assert math.isnan(out[1]) and out[0] > 0
+
+
 def test_phi_alpha_at_zero_and_alpha_one():
     assert phi_alpha(0.0, 0.7) == 1.0
     p = psi(1.0)

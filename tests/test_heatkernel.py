@@ -245,6 +245,14 @@ def test_exit_tail_estimate():
         exit_tail_estimate(1.0, [0.5, 0.25], 10, cfg)
 
 
+@pytest.mark.parametrize("t_grid", [[0.5, math.nan, 1.0], [], [0.5, math.inf]],
+                         ids=["inner-nan", "empty", "inf"])
+def test_exit_tail_rejects_nonfinite_or_empty_grid(t_grid):
+    cfg = brownian.SamplerConfig(dim=3, step=1e-2, seed=SEED)
+    with pytest.raises(ValueError, match="t_grid"):
+        exit_tail_estimate(2.0, t_grid, 10, cfg)
+
+
 _T_OR_R_ENTRY_POINTS = {
     "log_hk_exact_d3": lambda v: log_hk_exact_d3(v, 1.0),
     "log_radial_density_d3": lambda v: log_radial_density_d3(v, 1.0),
