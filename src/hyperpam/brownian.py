@@ -74,8 +74,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 2):
+            raise ValueError("dim must be an integer >= 2")
         if not 0 < self.step <= 0.1:
             raise ValueError("step must lie in (0, 0.1]")
         if self.scheme not in _SCHEMES:
@@ -353,6 +353,8 @@ def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
 
     Exits are detected on the simulation grid (every step).
     """
+    if not 0 < r < np.inf:  # also rejects NaN
+        raise ValueError(f"r must be positive and finite, got {r}")
     coords = _coords(x0)
     cosh_r = np.cosh(r)
     n_steps, dt, _, _ = _schedule(t_max, cfg.step)

@@ -59,8 +59,8 @@ def phi_alpha(rho, alpha):
     Equals the average of exp(-u^{1/alpha} * Psi) over u uniform in [0, 1];
     continuous at rho = 0 with value 1, 0 at rho = inf, NaN at rho = NaN.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # also rejects NaN
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     p = np.asarray(psi(rho), dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)

@@ -345,6 +345,6 @@ def random_directions(n, d, rng):
 
 
 def random_points(n, d, rng, max_radius=30.0):
-    """Points with uniform radius in (0, max_radius] and uniform direction; (n, d+1)."""
+    """Points with uniform radius in [0, max_radius) and uniform direction; (n, d+1)."""
     rho = rng.uniform(0.0, max_radius, n)
     return points_from_polar(rho, random_directions(n, d, rng))

@@ -11,8 +11,9 @@ plus a max-exponent diagnostic that flags ensemble undersampling.
 
 Estimators
 ----------
-Each pair estimator reduces z = beta^2 q, with q = integral_0^t f ds the
-profile integral of one path, and reports max_z = max(z) as its diagnostic.
+Each pair estimator is one reduction of z = beta^2 q, with q = integral_0^t
+f ds the profile integral of one path, inside one shell, ``_estimate``, which
+also reports max_z = max(z) as the diagnostic (z = 0 at beta = 0).
 
 * ``fk_second_moment``       log-mean-exp of z (direct Monte Carlo).
 * ``jensen_lower``           mean(z); a low-variance guaranteed lower bound
@@ -93,32 +94,6 @@ class PhaseRow:
     def __post_init__(self):
         if not 0 < self.t < math.inf:  # also rejects NaN
             raise ValueError(f"t must be finite and positive, got {self.t}")
-
-
-def _direct(kind, t, beta, model, n_paths, cfg, ensemble):
-    """log mean exp(z) over the exponents z = beta^2 q, with delta-method SE.
-
-    The ensemble is not read at beta = 0, where the estimate is exactly 0.
-    """
-    if beta == 0.0:
-        return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, kind)
-    z = _exponents(ensemble, t, beta)
-    zmax = float(np.max(z))
-    w = np.exp(z - zmax)
-    m = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / (m * math.sqrt(len(z)))) if len(z) > 1 else 0.0
-    return MomentEstimate(t, zmax + math.log(m), se, n_paths, beta, model, cfg.seed,
-                          kind, max_z=zmax, n_excluded=n_paths - len(z))
-
-
-def _exponents(ensemble, t, beta):
-    """z = beta^2 q over the paths of horizon t whose z is finite.
-
-    Non-finite exponents (a non-finite profile value or an overflowing
-    beta^2) are dropped, up to 1e-3 of the paths; n_paths - len(z) counts them.
-    """
-    z = beta**2 * ensemble.integrals(t)
-    return z[_finite_paths(z, "profile integrals")]
 
 
 def _finite_paths(values, what):
@@ -218,11 +193,54 @@ def _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat=False):
     return ensemble
 
 
+def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, flat=False):
+    """The one pair-estimator shell around ``reduce``.
+
+    Checks t, beta, n_paths and (``flat``) the euclidean-mode setting, takes
+    the ensemble from :func:`_own_ensemble`, forms z = beta^2 q (zero on
+    every path at beta = 0, where nothing is simulated) and keeps the paths
+    whose z is finite: a non-finite profile value or an overflowing beta^2,
+    up to 1e-3 of the paths.  ``reduce(z)`` returns (log_m2, stderr_log,
+    extra MomentEstimate fields).
+    """
+    if not 0 < t < math.inf:  # also rejects NaN
+        raise ValueError(f"t must be finite and positive, got {t}")
+    if not 0 <= beta < math.inf:  # also rejects NaN
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if flat and (problem := _euclidean_problem(model, cfg.dim)):
+        raise EstimatorError(problem[1])
+    ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat)
+    z = beta**2 * ensemble.integrals(t) if beta else np.zeros(ensemble.n_paths)
+    z = z[_finite_paths(z, "profile integrals")]
+    log_m2, se, extra = reduce(z)
+    # beta or 0.0: a beta of -0.0 is recorded, and written to rows.csv, as 0.0
+    return MomentEstimate(t, log_m2, se, n_paths, beta or 0.0, model, cfg.seed, kind,
+                          max_z=float(np.max(z)), n_excluded=n_paths - len(z), **extra)
+
+
+def _stderr(values, scale=1.0):
+    """std(values, ddof=1) / (scale sqrt(n)); 0 for a single value."""
+    n = len(values)
+    return float(np.std(values, ddof=1) / (scale * math.sqrt(n))) if n > 1 else 0.0
+
+
+def _log_mean(w, shift=0.0):
+    """(shift + log mean(w), delta-method SE of the log) for positive w."""
+    m = float(np.mean(w))
+    return shift + math.log(m), _stderr(w, m)
+
+
+def _log_mean_exp(z):
+    """log mean exp(z), shifted by max(z) so the largest weight is 1."""
+    zmax = float(np.max(z))
+    return (*_log_mean(np.exp(z - zmax), zmax), {})
+
+
 def fk_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
-    """Direct Monte Carlo estimate of log E[u(t, x)^2] over pair ensembles."""
-    _check_common(t, beta, n_paths)
-    return _direct("fk", t, beta, model, n_paths, cfg,
-                   _own_ensemble(ensemble, x, t, model, n_paths, cfg))
+    """Direct Monte Carlo estimate of log E[u(t, x)^2]: log mean exp(z)."""
+    return _estimate("fk", x, t, beta, model, n_paths, cfg, ensemble, _log_mean_exp)
 
 
 def jensen_lower(x, t, beta, model, n_paths, cfg, ensemble=None):
@@ -233,13 +251,8 @@ def jensen_lower(x, t, beta, model, n_paths, cfg, ensemble=None):
     pathwise lower bound for :func:`fk_second_moment` (arithmetic-geometric
     mean).
     """
-    _check_common(t, beta, n_paths)
-    if beta == 0.0:
-        return MomentEstimate(t, 0.0, 0.0, n_paths, 0.0, model, cfg.seed, "jensen")
-    z = _exponents(_own_ensemble(ensemble, x, t, model, n_paths, cfg), t, beta)
-    se = float(np.std(z, ddof=1) / math.sqrt(len(z))) if len(z) > 1 else 0.0
-    return MomentEstimate(t, float(np.mean(z)), se, n_paths, beta, model, cfg.seed,
-                          "jensen", max_z=float(np.max(z)), n_excluded=n_paths - len(z))
+    return _estimate("jensen", x, t, beta, model, n_paths, cfg, ensemble,
+                     lambda z: (float(np.mean(z)), _stderr(z), {}))
 
 
 def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
@@ -250,22 +263,17 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     result carries a truncation flag when the last term exceeds 1% of the
     partial sum.
     """
-    _check_common(t, beta, n_paths)
     if not 0 <= n_terms <= 8:
         raise ValueError("n_terms must lie in [0, 8]")
-    z = _exponents(PairEnsemble(x, model, cfg, n_paths, (t,)), t, beta)
     coef = np.array([1.0 / math.factorial(n) for n in range(n_terms + 1)])
-    powers = z[:, None] ** np.arange(n_terms + 1)
-    per_path = powers @ coef
-    total = float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1) / (total * math.sqrt(len(z)))) \
-        if len(z) > 1 else 0.0
-    term_means = coef * powers.mean(axis=0)
-    truncated = bool(n_terms >= 1 and term_means[-1] > 0.01 * np.sum(term_means))
-    return MomentEstimate(t, math.log(total), se, n_paths, beta, model, cfg.seed,
-                          "dyson", max_z=float(np.max(z)),
-                          n_excluded=n_paths - len(z), terms=term_means,
-                          truncation_flag=truncated)
+
+    def reduce(z):
+        powers = z[:, None] ** np.arange(n_terms + 1)
+        terms = coef * powers.mean(axis=0)
+        truncated = bool(n_terms >= 1 and terms[-1] > 0.01 * np.sum(terms))
+        return (*_log_mean(powers @ coef), {"terms": terms, "truncation_flag": truncated})
+
+    return _estimate("dyson", x, t, beta, model, n_paths, cfg, None, reduce)
 
 
 def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
@@ -325,12 +333,8 @@ def euclidean_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
     Requires d >= 3 (transience) and a truncated-power or constant profile;
     translation invariance makes the starting point immaterial.
     """
-    _check_common(t, beta, n_paths)
-    problem = _euclidean_problem(model, cfg.dim)
-    if problem:
-        raise EstimatorError(problem[1])
-    return _direct("fk-euclidean", t, beta, model, n_paths, cfg,
-                   _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat=True))
+    return _estimate("fk-euclidean", x, t, beta, model, n_paths, cfg, ensemble,
+                     _log_mean_exp, flat=True)
 
 
 def _euclidean_problem(model, dim):
@@ -340,15 +344,6 @@ def _euclidean_problem(model, dim):
     if model.kind not in ("truncated-power", "constant"):
         return "kind", "euclidean mode expects a truncated-power or constant profile"
     return None
-
-
-def _check_common(t, beta, n_paths):
-    if not 0 < t < math.inf:  # also rejects NaN
-        raise ValueError(f"t must be finite and positive, got {t}")
-    if not 0 <= beta < math.inf:  # also rejects NaN
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
 
 
 def m_f(model, r):

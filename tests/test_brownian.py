@@ -21,6 +21,9 @@ def test_config_validation():
         SamplerConfig(dim=3, step=0.2)
     with pytest.raises(ValueError):
         SamplerConfig(dim=1)
+    for dim in (3.5, 3.0):
+        with pytest.raises(ValueError, match="dim must be an integer >= 2"):
+            SamplerConfig(dim=dim)
     with pytest.raises(ValueError):
         SamplerConfig(scheme="leapfrog")
 

@@ -154,6 +154,14 @@ def test_phi_alpha_propagates_nan():
     assert vals[3] == 0.0 == phi_alpha(math.inf, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_phi_alpha_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        phi_alpha(1.0, alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        phi_alpha(0.0, alpha)
+
+
 def test_phi_alpha_power_envelopes():
     """Fitted-constant upper/lower power bounds hold on rho in [5, 100]."""
     grid = np.linspace(5.0, 100.0, 400)

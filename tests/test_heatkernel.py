@@ -253,6 +253,13 @@ def test_exit_tail_rejects_nonfinite_or_empty_grid(t_grid):
         exit_tail_estimate(2.0, t_grid, 10, cfg)
 
 
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_exit_tail_rejects_fewer_than_one_path(n_paths):
+    cfg = brownian.SamplerConfig(dim=3, step=1e-2, seed=SEED)
+    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+        exit_tail_estimate(2.0, [0.5], n_paths, cfg)
+
+
 _T_OR_R_ENTRY_POINTS = {
     "log_hk_exact_d3": lambda v: log_hk_exact_d3(v, 1.0),
     "log_radial_density_d3": lambda v: log_radial_density_d3(v, 1.0),
@@ -262,10 +269,12 @@ _T_OR_R_ENTRY_POINTS = {
         v, np.random.default_rng(SEED)),
     "exit_tail_estimate": lambda v: exit_tail_estimate(
         v, [0.5], 10, brownian.SamplerConfig(dim=3, step=1e-2, seed=SEED)),
+    "exit_times": lambda v: brownian.exit_times(
+        geometry.origin(3), v, 0.5, brownian.SamplerConfig(dim=3, step=1e-2, seed=SEED), 4),
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
 @pytest.mark.parametrize("entry", sorted(_T_OR_R_ENTRY_POINTS))
 def test_rejects_nonfinite_time_or_radius(entry, bad):
     with pytest.raises(ValueError, match="must be positive and finite"):

@@ -26,13 +26,18 @@ def _cfg(seed=SEED, step=1e-2):
 
 
 def test_beta_zero_is_exact():
+    # beta = 0 simulates nothing: also at t = 1e9, far over the step budget;
+    # a beta of -0.0 is recorded as 0.0
     model = CovarianceModel("truncated-power", alpha=2.0)
-    for fn in (fk_second_moment, jensen_lower):
-        est = fn(O3, 3.0, 0.0, model, 16, _cfg())
-        assert est.log_m2 == 0.0
-        assert est.stderr_log == 0.0
-    est = euclidean_second_moment(np.zeros(3), 3.0, 0.0, model, 16, _cfg())
-    assert est.log_m2 == 0.0 and est.stderr_log == 0.0
+    for t, beta in ((3.0, 0.0), (1e9, 0.0), (3.0, -0.0)):
+        for fn in (fk_second_moment, jensen_lower, euclidean_second_moment):
+            est = fn(O3, t, beta, model, 16, _cfg())
+            assert (est.log_m2, est.stderr_log, est.max_z) == (0.0, 0.0, 0.0)
+            assert est.n_excluded == 0 and str(est.beta) == "0.0"
+        est = dyson_partial(O3, t, beta, model, 3, 16, _cfg())
+        assert (est.log_m2, est.stderr_log, est.max_z) == (0.0, 0.0, 0.0)
+        assert est.terms.tolist() == [1.0, 0.0, 0.0, 0.0] and str(est.beta) == "0.0"
+        assert not est.truncation_flag
 
 
 def test_constant_model_analytic_oracle():
@@ -160,8 +165,10 @@ def test_estimator_rejects_another_runs_ensemble(flat, change):
         est = estimator(run["x"], 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ens)
         assert est.log_m2 == own.log_m2
         return
-    with pytest.raises(ValueError, match="differs from the estimator's"):
-        estimator(run["x"], 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ens)
+    # also at beta = 0, where the estimate needs no path
+    for fn, beta in ((estimator, 0.5), (estimator if flat else jensen_lower, 0.0)):
+        with pytest.raises(ValueError, match="differs from the estimator's"):
+            fn(run["x"], 1.0, beta, run["model"], 4, run["cfg"], ensemble=ens)
 
 
 def test_dyson_validates_n_terms():
