@@ -23,8 +23,8 @@ Driver
 ------
 Every ensemble runs through one loop, :func:`_drive`: it steps a (d+1, N)
 struct-of-arrays state in place, one coordinate per row and one path per
-column, column i on its own stream, and hands the state to a recorder at the
-stored step indices only.  Both schemes move every column along a transported
+column, column i on its own stream, and calls a recorder at the stored step
+indices only.  Both schemes move every column along a transported
 tangent direction in one step function, :func:`_step`, whose d-term dot
 products are in-order multiply-adds over the leading axis.  A pair ensemble
 is the P columns of B followed by the P columns of B~, stepped together.
@@ -35,7 +35,12 @@ buffer, in draw order, so the buffer is at most 4096 x 2048 doubles (64 MiB)
 and shrinks with the batch; the loop reads it through a small transposed
 block, so a step's noise is contiguous too.  The Euclidean comparison walk
 uses the same loop with an internal flat kernel, x += sqrt(2 dt) g, on a
-(d, N) state; it is not a sampler scheme.
+(d, N) state; it is not a sampler scheme.  One pass steps several states on
+one noise block when their kernels draw the same normals per step: flat pairs
+requested with hyperbolic pairs under ``embedded-sde`` (d normals each) are
+stepped in the hyperbolic pass and read exactly the normals a flat walk alone
+would draw, so every normal is generated once; under ``geodesic-walk``
+(d + 1 normals) the flat walk keeps a pass of its own.
 
 Reproducibility
 ---------------
@@ -210,12 +215,19 @@ def _batches(cfg, n_paths, first_index, tags):
                        for i in range(first_index + lo, first_index + hi)]
 
 
-def _drive(x, gens, t, cfg, stored=(), record=None, kernel=None):
-    """Step the (d+1, N) state x in place to horizon t; column i draws from gens[i].
+def _noise_width(kernel, d):
+    """Normals one state column draws per step under ``kernel``."""
+    return d + 1 if kernel == "geodesic-walk" else d
 
-    ``kernel`` is ``cfg.scheme`` unless given; "flat" steps Euclidean columns
-    (x is then (d, N)).  ``stored`` is a sorted sequence of step indices in
-    [0, n_steps]; ``record(slot, x)`` is called with the state at the
+
+def _drive(states, gens, t, cfg, stored=(), record=None):
+    """Step every state in place to horizon t on one noise; column i draws from gens[i].
+
+    ``states`` maps a kernel -- ``cfg.scheme`` or "flat" -- to its state, a
+    (d+1, N) array for a scheme and (d, N) Euclidean columns for "flat"; all
+    of its kernels must draw the same normals per step, which each of them
+    reads unchanged.  ``stored`` is a sorted sequence of step indices in
+    [0, n_steps]; ``record(slot)`` is called once the states have reached the
     slot-th of them (k = 0 is the start) and at no other step.
 
     Stream i fills its own (chunk, ncols) slab of the (N, chunk, ncols) noise
@@ -228,17 +240,23 @@ def _drive(x, gens, t, cfg, stored=(), record=None, kernel=None):
     """
     n_steps, dt, _, _ = _schedule(t, cfg.step)
     d = cfg.dim
-    kernel = kernel or cfg.scheme
     n = len(gens)
     root2dt = np.sqrt(2.0 * dt)
     geo_scale = np.sqrt(2.0 * d * dt)
     s, tmp = np.empty(n), np.empty((d, n))
-    step = {
-        "embedded-sde": lambda g: _step(x, g, root2dt, 1.0 + d * dt, d, s, tmp),
-        "geodesic-walk": lambda g: _step_geodesic(x, g[:d], g[d], d, geo_scale, s, tmp),
-        "flat": lambda g: np.add(x, root2dt * g, out=x),  # generator Delta, as above
-    }[kernel]
-    ncols = d + 1 if kernel == "geodesic-walk" else d
+
+    def stepper(kernel, x):
+        return {
+            "embedded-sde": lambda g: _step(x, g, root2dt, 1.0 + d * dt, d, s, tmp),
+            "geodesic-walk": lambda g: _step_geodesic(x, g[:d], g[d], d, geo_scale, s, tmp),
+            "flat": lambda g: np.add(x, root2dt * g, out=x),  # generator Delta, as above
+        }[kernel]
+
+    steps = [stepper(kernel, x) for kernel, x in states.items()]
+    widths = {_noise_width(kernel, d) for kernel in states}
+    if len(widths) != 1:
+        raise ValueError(f"kernels {sorted(states)} draw different normals per step")
+    ncols = widths.pop()
     chunk = _chunk_size(ncols, n_steps)
     buf = np.empty((n, chunk, ncols))
     b = max(1, min(chunk, _BLOCK_DOUBLES // (ncols * n)))
@@ -246,7 +264,7 @@ def _drive(x, gens, t, cfg, stored=(), record=None, kernel=None):
     marks = enumerate(stored)
     slot, due = next(marks, (None, None))
     while due == 0:
-        record(slot, x)
+        record(slot)
         slot, due = next(marks, (None, None))
     for pos in range(0, n_steps, chunk):
         noise = buf[:, :min(chunk, n_steps - pos)]
@@ -259,9 +277,10 @@ def _drive(x, gens, t, cfg, stored=(), record=None, kernel=None):
             blk = block[:nb]
             blk.reshape(nb * ncols, n)[...] = rows.T
             for k, g in enumerate(blk, pos + j0 + 1):
-                step(g)
+                for step in steps:
+                    step(g)
                 while k == due:
-                    record(slot, x)
+                    record(slot)
                     slot, due = next(marks, (None, None))
 
 
@@ -271,11 +290,13 @@ def _sample(x0, t, cfg, path_index, tags):
     coords = _coords(x0)
     points = np.empty((len(tags), len(stored), coords.shape[0]))
 
-    def record(slot, x):
+    x = np.tile(coords[:, None], len(tags))
+
+    def record(slot):
         points[:, slot] = x.T
 
     gens = [path_stream(cfg.seed, path_index, tag) for tag in tags]
-    _drive(np.tile(coords[:, None], len(tags)), gens, t, cfg, stored, record)
+    _drive({cfg.scheme: x}, gens, t, cfg, stored, record)
     return [BrownianPath(times, p, cfg.seed) for p in points]
 
 
@@ -299,7 +320,7 @@ def endpoints(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0, starts=None):
         else np.array(starts[:n_paths], dtype=float)
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
         state = out[lo:hi].T.copy()
-        _drive(state, gens, t, cfg)
+        _drive({cfg.scheme: state}, gens, t, cfg)
         out[lo:hi] = state.T
     return out
 
@@ -310,41 +331,58 @@ def endpoint_radii(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
     return geometry.distance(np.asarray(_coords(x0)), pts)
 
 
-def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0, stored=None):
+def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0, stored=None,
+                        flat=False):
     """f(B_s, B_s~) at stored steps of n_paths independent pairs driven to t.
 
     Returns (times (m,), F (n_paths, m)) where F[i, j] = profile(rho) for the
     i-th pair at the j-th stored step.  B starts at x0, B~ at y0.  ``stored``
     is a sorted array of step indices in [0, n_steps]; by default it is
     horizon t's own storage grid from :func:`_schedule`.
+
+    ``flat`` also observes flat pairs from a common start on the same streams
+    and returns (times, F, F_flat); F_flat is the flat walk's own matrix, in
+    one pass with the hyperbolic pairs when the scheme draws d normals per step.
     """
-    return _pair_profile(np.stack([_coords(x0), _coords(y0)]), t, cfg, n_paths,
-                         profile, first_index, stored=stored)
+    starts = {cfg.scheme: np.stack([_coords(x0), _coords(y0)])}
+    if flat:
+        starts["flat"] = np.zeros((2, cfg.dim))
+    times, F = _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored)
+    return (times, F[cfg.scheme], F["flat"]) if flat else (times, F[cfg.scheme])
 
 
-def _pair_profile(starts, t, cfg, n_paths, profile, first_index, kernel=None,
-                  stored=None):
-    """:func:`pair_profile_matrix` from starts = (B_0, B~_0), stepped by ``kernel``.
+def _pair_distance(kernel, x, y):
+    """Column-wise distance between the (d+1, P) or, for "flat", (d, P) states x and y."""
+    if kernel == "flat":
+        return np.linalg.norm(x - y, axis=0)
+    # radii summing past ~711 make this inf - inf = NaN; estimators refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        minus_ip = x[-1] * y[-1] - _dot(x[:-1], y[:-1])
+    return np.arccosh(np.maximum(minus_ip, 1.0))
 
-    With the "flat" kernel the rows are Euclidean and rho is their distance.
+
+def _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored=None):
+    """(times, {kernel: F}) of :func:`pair_profile_matrix` for starts = {kernel: (B_0, B~_0)}.
+
+    Kernels that draw the same normals per step share one pass; a kernel
+    with another width gets a pass of its own on fresh streams.
     """
     _, dt, own, _ = _schedule(t, cfg.step)
     stored = own if stored is None else stored
-    F = np.empty((n_paths, len(stored)))
-    for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
-        P = hi - lo
+    F = {kernel: np.empty((n_paths, len(stored))) for kernel in starts}
+    passes = {}
+    for kernel in starts:
+        passes.setdefault(_noise_width(kernel, cfg.dim), []).append(kernel)
+    for kernels in passes.values():
+        for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
+            P = hi - lo
+            states = {k: np.repeat(starts[k].T, P, axis=1) for k in kernels}
 
-        def record(slot, z, rows=F[lo:hi]):
-            x, y = z[:, :P], z[:, P:]
-            if kernel == "flat":
-                rho = np.linalg.norm(x - y, axis=0)
-            else:  # radii summing past ~711 make this inf - inf = NaN; estimators refuse it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    minus_ip = x[-1] * y[-1] - _dot(x[:-1], y[:-1])
-                rho = np.arccosh(np.maximum(minus_ip, 1.0))
-            rows[:, slot] = profile(rho)
+            def record(slot):
+                for k, z in states.items():
+                    F[k][lo:hi, slot] = profile(_pair_distance(k, z[:, :P], z[:, P:]))
 
-        _drive(np.repeat(starts.T, P, axis=1), gens, t, cfg, stored, record, kernel)
+            _drive(states, gens, t, cfg, stored, record)
     return stored * dt, F
 
 
@@ -361,12 +399,13 @@ def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
     out = np.full(n_paths, np.inf)
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
 
-        def record(slot, x, block=out[lo:hi]):  # slot i is step i + 1; the start never exits
+        x = np.tile(coords[:, None], hi - lo)
+
+        def record(slot, block=out[lo:hi]):  # slot i is step i + 1; the start never exits
             minus_ip = x[-1] * coords[-1] - coords[:-1] @ x[:-1]
             block[(minus_ip > cosh_r) & ~np.isfinite(block)] = (slot + 1) * dt
 
-        _drive(np.tile(coords[:, None], hi - lo), gens, t_max, cfg,
-               range(1, n_steps + 1), record)
+        _drive({cfg.scheme: x}, gens, t_max, cfg, range(1, n_steps + 1), record)
     return out
 
 

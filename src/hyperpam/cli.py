@@ -277,13 +277,12 @@ def cmd_phase_sweep(args):
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 \
             else contextlib.nullcontext() as pool:
         pmap = pool.map if pool else map
-        ensembles = {flat: moments.PairEnsemble(geometry.origin(sampler.dim), model,
-                                                sampler, n_paths, ts, flat=flat,
-                                                pmap=pmap, shards=workers)
-                     for flat in (False, True)}
+        kernels = {"flat" if kind == "fk-euclidean" else "hyperbolic" for kind in estimators}
+        ensemble = moments.PairEnsemble(geometry.origin(sampler.dim), model, sampler,
+                                        n_paths, ts, kernels=kernels, pmap=pmap,
+                                        shards=workers)
         # simulation starts lazily, inside the first cell that needs it
-        results = [_run_cell((kind, beta, t, model, n_paths, sampler,
-                              ensembles[kind == "fk-euclidean"]))
+        results = [_run_cell((kind, beta, t, model, n_paths, sampler, ensemble))
                    for kind in estimators for beta in betas for t in ts]
     results.sort(key=lambda r: (r[0], r[1], r[2]))
 

@@ -28,10 +28,13 @@ also reports max_z = max(z) as the diagnostic (z = 0 at beta = 0).
 Ensembles
 ---------
 Every estimator reads its paths from a :class:`PairEnsemble`, the pair
-estimators through its q per path, :meth:`PairEnsemble.integrals`.  A sweep
-builds one per kernel (hyperbolic, flat) and passes it to every cell:
-beta never enters the paths, the estimators share the streams, and a path to
-a shorter horizon with the same dt is a prefix of the path to the longest.
+estimators through their kernel's q per path, :meth:`PairEnsemble.integrals`.
+A sweep builds one ensemble that drives exactly the kernels (hyperbolic,
+flat) its estimators need and passes it to every cell: beta never enters the
+paths, the estimators share the streams, and a path to a shorter horizon with
+the same dt is a prefix of the path to the longest.  The flat pairs of
+``fk-euclidean`` read the same streams as the hyperbolic pairs; under
+``embedded-sde`` both kernels step in one pass on one draw of the noise.
 The ensemble is the one owner of the storage plan: it schedules each horizon
 once, simulates each dt group once, to its largest horizon, and hands the
 driver the union of the group's stored step indices as ``stored``.  Called
@@ -94,6 +97,9 @@ class PhaseRow:
     def __post_init__(self):
         if not 0 < self.t < math.inf:  # also rejects NaN
             raise ValueError(f"t must be finite and positive, got {self.t}")
+        for name in ("log_m2", "stderr_log"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _finite_paths(values, what):
@@ -120,14 +126,20 @@ class PairEnsemble:
     horizon that cannot be scheduled joins no group, and :meth:`matrix`
     raises its scheduling error.
 
-    B starts at x and B~ at y (default x); path i uses the streams of path
-    first_index + i.  ``flat`` drives Euclidean pairs from a common start.
+    ``kernels`` names what is driven: "hyperbolic" pairs, B from x and B~
+    from y (default x), and "flat" Euclidean pairs from a common start.  Path
+    i of either kernel uses the streams of path first_index + i, and one
+    simulation of a dt group steps all the kernels, in one pass per shard
+    when the scheme lets them share the noise.
     """
 
-    def __init__(self, x, model, cfg, n_paths, horizons, flat=False, pmap=map,
+    def __init__(self, x, model, cfg, n_paths, horizons, kernels=("hyperbolic",), pmap=map,
                  shards=1, y=None, first_index=0):
+        self.kernels = frozenset(kernels)
+        if not self.kernels or not self.kernels <= {"hyperbolic", "flat"}:
+            raise ValueError(f"kernels must be hyperbolic and/or flat, got {sorted(kernels)}")
         self.x, self.y = x, x if y is None else y
-        self.model, self.cfg, self.flat, self.pmap = model, cfg, flat, pmap
+        self.model, self.cfg, self.pmap = model, cfg, pmap
         self.n_paths, self.first_index = int(n_paths), int(first_index)
         self.shards = max(1, min(int(shards), self.n_paths))
         self._plan = {}  # horizon -> (dt, stored step indices)
@@ -136,10 +148,18 @@ class PairEnsemble:
                 self._plan[h] = brownian._schedule(h, cfg.step)[1:3]
             except ValueError:
                 continue
-        self._simulated = {}  # dt -> (stored union, F)
+        self._simulated = {}  # dt -> (stored union, {kernel: F})
 
-    def matrix(self, t):
-        """(times, F) for horizon t: the grid and profile values of a simulation to t."""
+    def matrix(self, t, kernel=None):
+        """(times, F) for horizon t: the grid and profile values of a simulation to t.
+
+        ``kernel`` picks one of the ensemble's kernels; it may be omitted when
+        the ensemble drives only one.
+        """
+        if kernel is None and len(self.kernels) == 1:
+            (kernel,) = self.kernels
+        if kernel not in self.kernels:
+            raise ValueError(f"kernel {kernel!r} is not one of {sorted(self.kernels)}")
         if t not in self._plan:
             brownian._schedule(t, self.cfg.step)  # raises if t cannot be scheduled
             raise ValueError(f"t = {t} is not a horizon of this ensemble")
@@ -148,11 +168,11 @@ class PairEnsemble:
             self._simulated[dt] = self._simulate(dt)
         union, F = self._simulated[dt]
         # a contiguous copy keeps every later reduction's summation order
-        return stored * dt, np.ascontiguousarray(F[:, np.searchsorted(union, stored)])
+        return stored * dt, np.ascontiguousarray(F[kernel][:, np.searchsorted(union, stored)])
 
-    def integrals(self, t):
-        """q = integral_0^t f(B_s, B_s~) ds per path: the trapezoid of matrix(t)."""
-        times, F = self.matrix(t)
+    def integrals(self, t, kernel=None):
+        """q = integral_0^t f(B_s, B_s~) ds per path: the trapezoid of matrix(t, kernel)."""
+        times, F = self.matrix(t, kernel)
         return np.trapezoid(F, times, axis=1)
 
     def _simulate(self, dt):
@@ -160,43 +180,49 @@ class PairEnsemble:
         union = np.unique(np.concatenate([self._plan[h][1] for h in group]))
         lo, n, k = self.first_index, self.n_paths, self.shards
         bounds = [lo + n * i // k for i in range(k + 1)]
-        jobs = [(self.x, self.y, self.model, self.cfg, self.flat, a, b, max(group), union)
+        jobs = [(self.x, self.y, self.model, self.cfg, self.kernels, a, b, max(group), union)
                 for a, b in zip(bounds, bounds[1:])]
-        return union, np.concatenate([F for _, F in self.pmap(_simulate_shard, jobs)])
+        shards = list(self.pmap(_simulate_shard, jobs))
+        # popping frees each kernel's shard matrices once they are joined
+        return union, {k: np.concatenate([F.pop(k) for F in shards]) for k in self.kernels}
 
 
 def _simulate_shard(job):
-    """(times, F) of the pairs [lo, hi) of one dt group; a process pool can run it."""
-    x, y, model, cfg, flat, lo, hi, t, stored = job
-    if flat:
-        return _euclidean_pair_profile_matrix(t, cfg, hi - lo, model.profile,
-                                              first_index=lo, stored=stored)
-    return brownian.pair_profile_matrix(x, y, t, cfg, hi - lo, model.profile,
-                                        first_index=lo, stored=stored)
+    """{kernel: F} of the pairs [lo, hi) of one dt group; a process pool can run it."""
+    x, y, model, cfg, kernels, lo, hi, t, stored = job
+    if "flat" not in kernels:
+        return {"hyperbolic": brownian.pair_profile_matrix(
+            x, y, t, cfg, hi - lo, model.profile, first_index=lo, stored=stored)[1]}
+    hyperbolic = (x, y) if "hyperbolic" in kernels else None
+    _, *F = _euclidean_pair_profile_matrix(t, cfg, hi - lo, model.profile, first_index=lo,
+                                           stored=stored, hyperbolic=hyperbolic)
+    return dict(zip(("flat", "hyperbolic"), F))
 
 
-def _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat=False):
+def _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel):
     """``ensemble``, or a one-horizon ensemble to t when it is None.
 
-    A given ensemble must be the one the estimator would build: same paths,
-    kernel, model and sampler config, and (hyperbolic kernel) both walkers
-    started at x; the flat kernel is translation invariant.
+    A given ensemble must be one the estimator would build: same paths,
+    model and sampler config, driving the estimator's kernel, and (hyperbolic
+    kernel) both walkers started at x; the flat kernel is translation
+    invariant.
     """
     if ensemble is None:
-        return PairEnsemble(x, model, cfg, n_paths, (t,), flat=flat)
-    same_start = flat or all(np.array_equal(geometry._coords(p), geometry._coords(x))
-                             for p in (ensemble.x, ensemble.y))
-    if not same_start or (ensemble.n_paths, ensemble.flat, ensemble.model,
-                          ensemble.cfg) != (n_paths, flat, model, cfg):
+        return PairEnsemble(x, model, cfg, n_paths, (t,), kernels=(kernel,))
+    same_start = kernel == "flat" or all(
+        np.array_equal(geometry._coords(p), geometry._coords(x))
+        for p in (ensemble.x, ensemble.y))
+    if not same_start or kernel not in ensemble.kernels \
+            or (ensemble.n_paths, ensemble.model, ensemble.cfg) != (n_paths, model, cfg):
         raise ValueError("the ensemble's n_paths, kernel, model, sampler config or "
                          "start point differs from the estimator's")
     return ensemble
 
 
-def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, flat=False):
+def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="hyperbolic"):
     """The one pair-estimator shell around ``reduce``.
 
-    Checks t, beta, n_paths and (``flat``) the euclidean-mode setting, takes
+    Checks t, beta, n_paths and (flat ``kernel``) the euclidean-mode setting, takes
     the ensemble from :func:`_own_ensemble`, forms z = beta^2 q (zero on
     every path at beta = 0, where nothing is simulated) and keeps the paths
     whose z is finite: a non-finite profile value or an overflowing beta^2,
@@ -209,10 +235,10 @@ def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, flat=Fals
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    if flat and (problem := _euclidean_problem(model, cfg.dim)):
+    if kernel == "flat" and (problem := _euclidean_problem(model, cfg.dim)):
         raise EstimatorError(problem[1])
-    ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, flat)
-    z = beta**2 * ensemble.integrals(t) if beta else np.zeros(ensemble.n_paths)
+    ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel)
+    z = beta**2 * ensemble.integrals(t, kernel) if beta else np.zeros(ensemble.n_paths)
     z = z[_finite_paths(z, "profile integrals")]
     log_m2, se, extra = reduce(z)
     # beta or 0.0: a beta of -0.0 is recorded, and written to rows.csv, as 0.0
@@ -295,6 +321,9 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
         raise ValueError("T_max must be at least 50")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
+    start_pairs = list(start_pairs)
+    if not start_pairs:
+        raise ValueError("start_pairs must hold at least one (x, y) pair")
     pairs_out = []
     for k, (x, y) in enumerate(start_pairs):
         times, F = PairEnsemble(x, model, cfg, n_paths, (T_max,), y=y,
@@ -321,10 +350,21 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
             "T_max": T_max, "n_paths": n_paths, "seed": cfg.seed}
 
 
-def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0, stored=None):
-    """f(|B_s - B_s~|) at stored steps for flat pairs (variance 2t per coord)."""
-    return brownian._pair_profile(np.zeros((2, cfg.dim)), t, cfg, n_paths, profile,
-                                  first_index, kernel="flat", stored=stored)
+def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0, stored=None,
+                                   hyperbolic=None):
+    """f(|B_s - B_s~|) at stored steps for flat pairs (variance 2t per coord).
+
+    ``hyperbolic`` = (x0, y0) also observes hyperbolic pairs from x0 and y0 on
+    the same streams, through :func:`brownian.pair_profile_matrix` (one pass
+    under embedded-sde), and returns (times, F_flat, F_hyperbolic).
+    """
+    if hyperbolic is None:
+        times, F = brownian._pair_profile({"flat": np.zeros((2, cfg.dim))}, t, cfg, n_paths,
+                                          profile, first_index, stored)
+        return times, F["flat"]
+    times, F, F_flat = brownian.pair_profile_matrix(*hyperbolic, t, cfg, n_paths, profile,
+                                                    first_index, stored, flat=True)
+    return times, F_flat, F
 
 
 def euclidean_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
@@ -334,7 +374,7 @@ def euclidean_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
     translation invariance makes the starting point immaterial.
     """
     return _estimate("fk-euclidean", x, t, beta, model, n_paths, cfg, ensemble,
-                     _log_mean_exp, flat=True)
+                     _log_mean_exp, kernel="flat")
 
 
 def _euclidean_problem(model, dim):
@@ -352,6 +392,8 @@ def m_f(model, r):
     For a radial profile this is the minimum of F over distances [0, r]
     (computed on a dense grid rather than assuming monotonicity).
     """
+    if not 0 <= r < math.inf:  # also rejects NaN
+        raise ValueError(f"r must be finite and nonnegative, got {r}")
     grid = np.linspace(0.0, r, _M_F_GRID)
     return float(np.min(model.profile(grid)))
 

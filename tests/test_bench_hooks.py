@@ -66,9 +66,11 @@ def test_traced_sweep_counts_every_path_step(tmp_path):
     assert proc.returncode == 0, proc.stderr
     tracing = _tracing()
     metrics = tracing.layer_metrics(*tracing.load(str(trace)))
-    # one dt group: 8 pairs x 2 paths x 400 steps to t = 4, once per kernel
+    # one dt group: 8 pairs x 2 paths x 400 steps to t = 4, once per kernel,
+    # with both kernels on one draw of 3 normals per path step
     assert metrics["brownian.path_steps.embedded-sde"][0] == 6400
     assert metrics["moments.path_steps.flat"][0] == 6400
+    assert metrics["brownian.rng_normals"][0] == 19_200
     assert metrics["moments.cells"][0] == 2 * 3
 
 

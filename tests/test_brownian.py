@@ -12,6 +12,7 @@ from hyperpam.brownian import (
     BrownianPath, SamplerConfig, dump_paths_csv, event_indicators,
     radial_statistics, sample_pair, sample_path,
 )
+from hyperpam.covariance import CovarianceModel
 
 SEED = 20260809
 
@@ -267,29 +268,71 @@ def _driver_outputs(d, scheme):
     ]
 
 
-@pytest.mark.parametrize("d", [3, 4])
-@pytest.mark.parametrize("scheme", ["embedded-sde", "geodesic-walk"])
-@pytest.mark.parametrize("chunk,block_doubles,max_columns", [
+_DRIVER_PATCHES = pytest.mark.parametrize("chunk,block_doubles,max_columns", [
     pytest.param(7, None, None, id="7-None"),
     pytest.param(None, 64, None, id="None-64"),
     pytest.param(7, 64, None, id="7-64"),
     pytest.param(None, None, 3, id="cols3"),
     pytest.param(None, None, 4, id="cols4"),
 ])
-def test_driver_bytes_independent_of_chunk_and_block(monkeypatch, d, scheme, chunk,
-                                                     block_doubles, max_columns):
-    # 50 steps: chunks of 7 and noise blocks of 1-4 steps leave partial chunks
-    # and blocks, which must not shift the noise against the steps; column caps
-    # of 3 and 4 split the 5 walkers and 5 pairs into uneven batches
-    expect = _driver_outputs(d, scheme)
+
+
+def _patch_driver(monkeypatch, chunk, block_doubles, max_columns):
     if chunk is not None:
         monkeypatch.setattr(brownian, "_chunk_size", lambda ncols, n_steps: chunk)
     if block_doubles is not None:
         monkeypatch.setattr(brownian, "_BLOCK_DOUBLES", block_doubles)
     if max_columns is not None:
         monkeypatch.setattr(brownian, "_MAX_COLUMNS", max_columns)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("scheme", ["embedded-sde", "geodesic-walk"])
+@_DRIVER_PATCHES
+def test_driver_bytes_independent_of_chunk_and_block(monkeypatch, d, scheme, chunk,
+                                                     block_doubles, max_columns):
+    # 50 steps: chunks of 7 and noise blocks of 1-4 steps leave partial chunks
+    # and blocks, which must not shift the noise against the steps; column caps
+    # of 3 and 4 split the 5 walkers and 5 pairs into uneven batches
+    expect = _driver_outputs(d, scheme)
+    _patch_driver(monkeypatch, chunk, block_doubles, max_columns)
     for got, want in zip(_driver_outputs(d, scheme), expect):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("scheme", ["embedded-sde", "geodesic-walk"])
+@_DRIVER_PATCHES
+def test_mixed_ensemble_matrices_equal_each_kernel_alone(monkeypatch, d, scheme, chunk,
+                                                         block_doubles, max_columns):
+    # flat pairs stepped in the hyperbolic pass (embedded-sde) or in their own
+    # (geodesic-walk) give each kernel's matrix of a run alone, bit for bit,
+    # through 3 shards, two horizons of one dt group and the patched driver
+    o = geometry.origin(d)
+    y = geometry.exp_map(o, geometry.TangentVec(o, np.eye(d + 1)[1]), 0.7)
+    cfg = SamplerConfig(d, 1e-2, scheme, SEED)
+    model = CovarianceModel("truncated-power", alpha=0.5)
+    horizons = (0.3, 0.5)
+    alone = {t: {"hyperbolic": brownian.pair_profile_matrix(o, y, t, cfg, 5, model.profile),
+                 "flat": moments._euclidean_pair_profile_matrix(t, cfg, 5, model.profile)}
+             for t in horizons}
+    _patch_driver(monkeypatch, chunk, block_doubles, max_columns)
+    ens = moments.PairEnsemble(o, model, cfg, 5, horizons, kernels=("hyperbolic", "flat"),
+                               shards=3, y=y)
+    for t in horizons:
+        for kernel, (times, want) in alone[t].items():
+            got_times, got = ens.matrix(t, kernel)
+            assert got_times.tobytes() == times.tobytes()
+            assert got.tobytes() == want.tobytes()
+
+
+def test_driver_refuses_kernels_of_different_noise_widths():
+    cfg = SamplerConfig(3, 1e-2, "geodesic-walk", SEED)
+    states = {"geodesic-walk": np.tile(geometry.origin(3).coords[:, None], 2),
+              "flat": np.zeros((3, 2))}
+    gens = [brownian.path_stream(SEED, i) for i in range(2)]
+    with pytest.raises(ValueError, match="different normals per step"):
+        brownian._drive(states, gens, 0.1, cfg)
 
 
 @pytest.mark.parametrize("max_columns", [1, 3, 4, 4096])

@@ -53,7 +53,8 @@ def test_ensemble_columns_equal_one_horizon_simulations(flat):
     model = CovarianceModel("truncated-power", alpha=0.5)
     cfg = SamplerConfig(3, 1e-2, "embedded-sde", 92)
     horizons = (0.3, 2.0, 0.75, 1.001)
-    ens = moments.PairEnsemble(x, model, cfg, 7, horizons, flat=flat, shards=3)
+    ens = moments.PairEnsemble(x, model, cfg, 7, horizons, shards=3,
+                               kernels=("flat",) if flat else ("hyperbolic",))
     for t in horizons:
         if flat:
             want = moments._euclidean_pair_profile_matrix(t, cfg, 7, model.profile)
@@ -75,3 +76,33 @@ def test_ensemble_rejects_foreign_and_unschedulable_horizons():
         ens.matrix(1e9)
     assert ens.matrix(1.0)[1].shape == (2, 101)
     assert np.all(np.isfinite(ens.matrix(1.0)[1]))
+
+
+@pytest.mark.parametrize("scheme,passes", [("embedded-sde", 1), ("geodesic-walk", 2)])
+def test_mixed_sweep_opens_each_pair_stream_once_per_pass(tmp_path, monkeypatch, scheme,
+                                                          passes):
+    # under embedded-sde the flat pairs step in the hyperbolic pass, on the
+    # same 2 x n_paths streams; geodesic-walk draws d + 1 normals per step,
+    # so there the flat walk opens its own
+    opened = []
+    original = brownian.path_stream
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(brownian, "path_stream", counting)
+    text = SWEEP.replace("estimators = fk, jensen",
+                         f"estimators = fk, fk-euclidean\nscheme = {scheme}")
+    rows = {}
+    for estimators in ("fk, fk-euclidean", "fk", "fk-euclidean"):
+        cfg = tmp_path / f"{estimators}.cfg"
+        cfg.write_text(text.replace("fk, fk-euclidean", estimators))
+        out = tmp_path / estimators
+        opened.clear()
+        assert main(["phase-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows[estimators] = json.loads((out / "rows.json").read_text())["rows"]
+        if estimators == "fk, fk-euclidean":
+            assert len(opened) == passes * 2 * 8
+    # the mixed sweep's cells are those of the one-kernel sweeps, to the bit
+    assert rows["fk, fk-euclidean"] == rows["fk"] + rows["fk-euclidean"]

@@ -158,7 +158,8 @@ def test_estimator_rejects_another_runs_ensemble(flat, change):
     estimator = euclidean_second_moment if flat else fk_second_moment
     run = {"model": CovarianceModel("truncated-power", alpha=2.0), "cfg": _cfg(seed=2),
            "x": O3}
-    ens = moments.PairEnsemble(run["x"], run["model"], run["cfg"], 4, (1.0,), flat=flat)
+    ens = moments.PairEnsemble(run["x"], run["model"], run["cfg"], 4, (1.0,),
+                               kernels=("flat",) if flat else ("hyperbolic",))
     own = estimator(run["x"], 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ens)
     run[change] = _OTHER_RUN[change]
     if flat and change == "x":  # flat pairs are translation invariant
@@ -169,6 +170,25 @@ def test_estimator_rejects_another_runs_ensemble(flat, change):
     for fn, beta in ((estimator, 0.5), (estimator if flat else jensen_lower, 0.0)):
         with pytest.raises(ValueError, match="differs from the estimator's"):
             fn(run["x"], 1.0, beta, run["model"], 4, run["cfg"], ensemble=ens)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_estimator_needs_its_kernel_in_the_ensemble(beta):
+    model, cfg = CovarianceModel("truncated-power", alpha=2.0), _cfg(seed=2)
+    lacking = [(("hyperbolic",), euclidean_second_moment), (("flat",), fk_second_moment),
+               (("flat",), jensen_lower)]
+    for kernels, estimator in lacking:
+        ens = moments.PairEnsemble(O3, model, cfg, 4, (1.0,), kernels=kernels)
+        with pytest.raises(ValueError, match="differs from the estimator's"):
+            estimator(O3, 1.0, beta, model, 4, cfg, ensemble=ens)
+    both = moments.PairEnsemble(O3, model, cfg, 4, (1.0,), kernels=("hyperbolic", "flat"))
+    for estimator in (fk_second_moment, jensen_lower, euclidean_second_moment):
+        alone = estimator(O3, 1.0, beta, model, 4, cfg)
+        assert estimator(O3, 1.0, beta, model, 4, cfg, ensemble=both) == alone
+    with pytest.raises(ValueError, match="not one of"):
+        both.matrix(1.0)
+    with pytest.raises(ValueError, match="kernels must be"):
+        moments.PairEnsemble(O3, model, cfg, 4, (1.0,), kernels=("geodesic-walk",))
 
 
 def test_dyson_validates_n_terms():
@@ -186,6 +206,11 @@ def test_lambda_constant_refuses_slow_decay():
     with pytest.raises(ValueError):
         lambda_constant(CovarianceModel("truncated-power", alpha=2.0),
                         [(O3, O3)], 10.0, 8, _cfg())
+
+
+def test_lambda_constant_needs_a_start_pair():
+    with pytest.raises(ValueError, match="start_pairs"):
+        lambda_constant(CovarianceModel("truncated-power", alpha=2.0), [], 50.0, 8, _cfg())
 
 
 def test_lambda_constant_decay_and_stability():
@@ -224,6 +249,13 @@ def test_m_f_and_critical_beta():
     beta1, lam = critical_beta_exponential(tp, 1.0, 3)
     assert lam == pytest.approx(1.0 + (math.pi / 0.5) ** 2, rel=1e-6)
     assert beta1 == pytest.approx(math.sqrt(2.0 * lam / 0.25), rel=1e-6)
+    assert m_f(tp, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+def test_m_f_rejects_radius_outside_zero_to_infinity(r):
+    with pytest.raises(ValueError, match="r must be finite and nonnegative"):
+        m_f(CovarianceModel("truncated-power", alpha=2.0), r)
 
 
 def test_growth_fit_exact_linear():
@@ -271,6 +303,14 @@ def test_growth_fit_validation():
     with pytest.raises(ValueError):
         growth_fit(rows + [PhaseRow(2.0, 1.0, 4.0, 4.0, 0.01, 10, "fk", 1)],
                    "exponential")
+
+
+@pytest.mark.parametrize("field", ["log_m2", "stderr_log"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_growth_fit_input_rejects_non_finite_values(field, value):
+    rows = [PhaseRow(2.0, 1.0, t, 3.0 * t, 0.01, 100, "fk", 1) for t in (1.0, 2.0, 4.0, 8.0)]
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        growth_fit([dataclasses.replace(r, **{field: value}) for r in rows], "linear-in-t")
 
 
 def test_row_io_roundtrip():
@@ -324,7 +364,8 @@ def test_ensemble_union_of_strides_matches_one_horizon_runs(flat):
     cfg = _cfg(seed=SEED + 11)
     horizons = (2.56, 5.12, 10.0)
     assert {brownian._schedule(t, cfg.step)[1] for t in horizons} == {0.01}
-    ens = moments.PairEnsemble(O3, model, cfg, 5, horizons, flat=flat, shards=3)
+    ens = moments.PairEnsemble(O3, model, cfg, 5, horizons, shards=3,
+                               kernels=("flat",) if flat else ("hyperbolic",))
     for t in horizons:
         if flat:
             want = moments._euclidean_pair_profile_matrix(t, cfg, 5, model.profile)
