@@ -15,9 +15,11 @@ Two step schemes are provided:
   Gaussian at the origin, parallel-transported to X), followed by projection
   back onto the hyperboloid.  The drift term cancels the mean constraint
   violation, leaving the projection O(dt^2).
-* ``geodesic-walk``  X <- exp_X(R * U) with U a uniform unit tangent direction
-  and R = sqrt(2 d dt) * |N(0,1)|, matching the second moment of the tangent
-  Gaussian increment.  Exactly on-manifold by construction.
+* ``geodesic-walk``  X <- exp_X(sqrt(2 dt) V) on the same tangent Gaussian V:
+  direction V/|V| and length sqrt(2 dt) |V|, so E|step|^2 = 2 d dt.  Exactly
+  on-manifold by construction.
+
+Both schemes draw the d normals of V per step and per path.
 
 Driver
 ------
@@ -35,12 +37,11 @@ buffer, in draw order, so the buffer is at most 4096 x 2048 doubles (64 MiB)
 and shrinks with the batch; the loop reads it through a small transposed
 block, so a step's noise is contiguous too.  The Euclidean comparison walk
 uses the same loop with an internal flat kernel, x += sqrt(2 dt) g, on a
-(d, N) state; it is not a sampler scheme.  One pass steps several states on
-one noise block when their kernels draw the same normals per step: flat pairs
-requested with hyperbolic pairs under ``embedded-sde`` (d normals each) are
-stepped in the hyperbolic pass and read exactly the normals a flat walk alone
-would draw, so every normal is generated once; under ``geodesic-walk``
-(d + 1 normals) the flat walk keeps a pass of its own.
+(d, N) state; it is not a sampler scheme.  Every kernel draws d normals per
+step, so one pass steps any set of states on one noise block: flat pairs
+requested with hyperbolic pairs are stepped in the hyperbolic pass and read
+exactly the normals a flat walk alone would draw, so every normal is
+generated once, under either scheme.
 
 Reproducibility
 ---------------
@@ -139,15 +140,15 @@ def _schedule(t, step):
     return n_steps, dt, stored, stored * dt
 
 
-def _chunk_size(ncols, n_steps):
-    """Steps per noise refill: about _REFILL_NORMALS draws per stream.
+def _chunk_size(d, n_steps):
+    """Steps per noise refill: about _REFILL_NORMALS draws per stream, d per step.
 
-    ``ncols`` is the normals one stream draws per step.  A refill is one
-    ``standard_normal`` call per stream, whose fixed cost (about 1 us) is then
-    a few percent of the draws; the (N, chunk, ncols) buffer is at most
-    _MAX_COLUMNS x _REFILL_NORMALS doubles (64 MiB), less for narrower batches.
+    A refill is one ``standard_normal`` call per stream, whose fixed cost
+    (about 1 us) is then a few percent of the draws; the (N, chunk, d) buffer
+    is at most _MAX_COLUMNS x _REFILL_NORMALS doubles (64 MiB), less for
+    narrower batches.
     """
-    return int(np.clip(_REFILL_NORMALS // ncols, 16, n_steps))
+    return int(np.clip(_REFILL_NORMALS // d, 16, n_steps))
 
 
 def _dot(a, b, out=None):
@@ -161,9 +162,10 @@ def _dot(a, b, out=None):
 def _step(x, v, a, b, d, s, tmp):
     """x[:d] <- b x[:d] + a T_x(v) in every column, then x[d] from the constraint.
 
-    v (d, N) is tangent at o and T_x parallel-transports it to x.  The Euler
-    step is (v, a, b) = (g, sqrt(2 dt), 1 + d dt), noise plus the constraint
-    drift; the geodesic step is (g/|g|, sinh r, cosh r).
+    v (d, N) is tangent at o and T_x parallel-transports it to x; a and b are
+    scalars or per-column (N,) arrays.  The Euler step is (v, a, b) =
+    (g, sqrt(2 dt), 1 + d dt), noise plus the constraint drift; the geodesic
+    step is (g, sinh(r)/|g|, cosh r) with r = sqrt(2 dt) |g|.
     """
     xs = x[:d]
     _dot(v, xs, s)
@@ -176,11 +178,11 @@ def _step(x, v, a, b, d, s, tmp):
     _reproject(x, d)
 
 
-def _step_geodesic(x, g, mag, d, scale, s, tmp):
-    """One geodesic step: uniform direction from g (d, N), length scale*|mag|."""
-    norm = np.maximum(np.sqrt(_dot(g, g)), 1e-300)
-    r = scale * np.abs(mag)
-    _step(x, g / norm, np.sinh(r), np.cosh(r), d, s, tmp)
+def _step_geodesic(x, g, d, root2dt, s, tmp):
+    """One geodesic step along g (d, N): direction g/|g|, length sqrt(2 dt) |g|."""
+    norm = np.sqrt(_dot(g, g))
+    r = root2dt * norm
+    _step(x, g, np.sinh(r) / np.maximum(norm, 1e-300), np.cosh(r), d, s, tmp)
 
 
 def _reproject(x, d):
@@ -215,55 +217,50 @@ def _batches(cfg, n_paths, first_index, tags):
                        for i in range(first_index + lo, first_index + hi)]
 
 
-def _noise_width(kernel, d):
-    """Normals one state column draws per step under ``kernel``."""
-    return d + 1 if kernel == "geodesic-walk" else d
-
-
 def _drive(states, gens, t, cfg, stored=(), record=None):
     """Step every state in place to horizon t on one noise; column i draws from gens[i].
 
     ``states`` maps a kernel -- ``cfg.scheme`` or "flat" -- to its state, a
-    (d+1, N) array for a scheme and (d, N) Euclidean columns for "flat"; all
-    of its kernels must draw the same normals per step, which each of them
-    reads unchanged.  ``stored`` is a sorted sequence of step indices in
-    [0, n_steps]; ``record(slot)`` is called once the states have reached the
-    slot-th of them (k = 0 is the start) and at no other step.
+    (d+1, N) array for a scheme and (d, N) Euclidean columns for "flat";
+    every kernel reads the same d normals per step and column, unchanged.
+    ``stored`` is a strictly increasing sequence of step indices in
+    [0, n_steps], else a ValueError; ``record(slot)`` is called once the
+    states have reached the slot-th of them (k = 0 is the start) and at no
+    other step.
 
-    Stream i fills its own (chunk, ncols) slab of the (N, chunk, ncols) noise
-    buffer, in draw order.  The steps read that buffer through a (b, ncols, N)
-    block of about 1 MB: every b steps, each stream's next b*ncols draws are
-    gathered, one contiguous run per stream, into an (N, b*ncols) staging
-    block, which one in-cache transposing copy turns into the step block.
+    Stream i fills its own (chunk, d) slab of the (N, chunk, d) noise buffer,
+    in draw order.  The steps read that buffer through a (b, d, N) block of
+    about 1 MB: every b steps, each stream's next b*d draws are gathered, one
+    contiguous run per stream, into an (N, b*d) staging block, which one
+    in-cache transposing copy turns into the step block.
     Reading noise[:, j] directly would touch a different page for every path
     at every step.
     """
     n_steps, dt, _, _ = _schedule(t, cfg.step)
+    due_steps = np.asarray(stored)
+    if len(due_steps) and (due_steps[0] < 0 or due_steps[-1] > n_steps
+                           or np.any(np.diff(due_steps) <= 0)):
+        raise ValueError(f"stored must be strictly increasing step indices in [0, {n_steps}]")
     d = cfg.dim
     n = len(gens)
     root2dt = np.sqrt(2.0 * dt)
-    geo_scale = np.sqrt(2.0 * d * dt)
     s, tmp = np.empty(n), np.empty((d, n))
 
     def stepper(kernel, x):
         return {
             "embedded-sde": lambda g: _step(x, g, root2dt, 1.0 + d * dt, d, s, tmp),
-            "geodesic-walk": lambda g: _step_geodesic(x, g[:d], g[d], d, geo_scale, s, tmp),
+            "geodesic-walk": lambda g: _step_geodesic(x, g, d, root2dt, s, tmp),
             "flat": lambda g: np.add(x, root2dt * g, out=x),  # generator Delta, as above
         }[kernel]
 
     steps = [stepper(kernel, x) for kernel, x in states.items()]
-    widths = {_noise_width(kernel, d) for kernel in states}
-    if len(widths) != 1:
-        raise ValueError(f"kernels {sorted(states)} draw different normals per step")
-    ncols = widths.pop()
-    chunk = _chunk_size(ncols, n_steps)
-    buf = np.empty((n, chunk, ncols))
-    b = max(1, min(chunk, _BLOCK_DOUBLES // (ncols * n)))
-    staged, block = np.empty((n, b * ncols)), np.empty((b, ncols, n))
-    marks = enumerate(stored)
+    chunk = _chunk_size(d, n_steps)
+    buf = np.empty((n, chunk, d))
+    b = max(1, min(chunk, _BLOCK_DOUBLES // (d * n)))
+    staged, block = np.empty((n, b * d)), np.empty((b, d, n))
+    marks = enumerate(due_steps.tolist())
     slot, due = next(marks, (None, None))
-    while due == 0:
+    if due == 0:
         record(slot)
         slot, due = next(marks, (None, None))
     for pos in range(0, n_steps, chunk):
@@ -272,14 +269,14 @@ def _drive(states, gens, t, cfg, stored=(), record=None):
             gen.standard_normal(out=noise[i])
         for j0 in range(0, noise.shape[1], b):
             nb = min(b, noise.shape[1] - j0)
-            rows = staged[:, :nb * ncols]
-            rows[...] = noise[:, j0:j0 + nb].reshape(n, nb * ncols)
+            rows = staged[:, :nb * d]
+            rows[...] = noise[:, j0:j0 + nb].reshape(n, nb * d)
             blk = block[:nb]
-            blk.reshape(nb * ncols, n)[...] = rows.T
+            blk.reshape(nb * d, n)[...] = rows.T
             for k, g in enumerate(blk, pos + j0 + 1):
                 for step in steps:
                     step(g)
-                while k == due:
+                if k == due:
                     record(slot)
                     slot, due = next(marks, (None, None))
 
@@ -341,8 +338,8 @@ def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0, stored=
     horizon t's own storage grid from :func:`_schedule`.
 
     ``flat`` also observes flat pairs from a common start on the same streams
-    and returns (times, F, F_flat); F_flat is the flat walk's own matrix, in
-    one pass with the hyperbolic pairs when the scheme draws d normals per step.
+    and returns (times, F, F_flat); F_flat is the flat walk's own matrix,
+    stepped in one pass with the hyperbolic pairs.
     """
     starts = {cfg.scheme: np.stack([_coords(x0), _coords(y0)])}
     if flat:
@@ -364,25 +361,20 @@ def _pair_distance(kernel, x, y):
 def _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored=None):
     """(times, {kernel: F}) of :func:`pair_profile_matrix` for starts = {kernel: (B_0, B~_0)}.
 
-    Kernels that draw the same normals per step share one pass; a kernel
-    with another width gets a pass of its own on fresh streams.
+    Every kernel steps in one pass per batch, on the batch's pair streams.
     """
     _, dt, own, _ = _schedule(t, cfg.step)
-    stored = own if stored is None else stored
+    stored = own if stored is None else np.asarray(stored)
     F = {kernel: np.empty((n_paths, len(stored))) for kernel in starts}
-    passes = {}
-    for kernel in starts:
-        passes.setdefault(_noise_width(kernel, cfg.dim), []).append(kernel)
-    for kernels in passes.values():
-        for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
-            P = hi - lo
-            states = {k: np.repeat(starts[k].T, P, axis=1) for k in kernels}
+    for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
+        P = hi - lo
+        states = {k: np.repeat(z.T, P, axis=1) for k, z in starts.items()}
 
-            def record(slot):
-                for k, z in states.items():
-                    F[k][lo:hi, slot] = profile(_pair_distance(k, z[:, :P], z[:, P:]))
+        def record(slot):
+            for k, z in states.items():
+                F[k][lo:hi, slot] = profile(_pair_distance(k, z[:, :P], z[:, P:]))
 
-            _drive(states, gens, t, cfg, stored, record)
+        _drive(states, gens, t, cfg, stored, record)
     return stored * dt, F
 
 

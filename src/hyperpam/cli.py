@@ -254,6 +254,10 @@ def cmd_phase_sweep(args):
     model = cfg.model()
     sampler = cfg.sampler(args.seed)
     betas = cfg.floats("sweep", "beta")
+    labels = [f"{beta:g}" for beta in betas]  # summary.json keys
+    if len(set(labels)) < len(labels):
+        cfg._fail("sweep", "beta", "values that agree to 6 significant digits share the "
+                  f"summary key beta={next(k for k in labels if labels.count(k) > 1)}")
     ts = cfg.floats("sweep", "t", positive=True)
     n_paths = cfg.count("run", "n_paths", 1024)
     estimators = cfg.distinct("run", "estimators", str, default=["fk"])

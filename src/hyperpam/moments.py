@@ -33,8 +33,8 @@ A sweep builds one ensemble that drives exactly the kernels (hyperbolic,
 flat) its estimators need and passes it to every cell: beta never enters the
 paths, the estimators share the streams, and a path to a shorter horizon with
 the same dt is a prefix of the path to the longest.  The flat pairs of
-``fk-euclidean`` read the same streams as the hyperbolic pairs; under
-``embedded-sde`` both kernels step in one pass on one draw of the noise.
+``fk-euclidean`` read the same streams as the hyperbolic pairs, and both
+kernels step in one pass on one draw of the noise, under either scheme.
 The ensemble is the one owner of the storage plan: it schedules each horizon
 once, simulates each dt group once, to its largest horizon, and hands the
 driver the union of the group's stored step indices as ``stored``.  Called
@@ -129,8 +129,8 @@ class PairEnsemble:
     ``kernels`` names what is driven: "hyperbolic" pairs, B from x and B~
     from y (default x), and "flat" Euclidean pairs from a common start.  Path
     i of either kernel uses the streams of path first_index + i, and one
-    simulation of a dt group steps all the kernels, in one pass per shard
-    when the scheme lets them share the noise.
+    simulation of a dt group steps all the kernels in one pass per shard, on
+    one draw of the noise.
     """
 
     def __init__(self, x, model, cfg, n_paths, horizons, kernels=("hyperbolic",), pmap=map,
@@ -202,20 +202,21 @@ def _simulate_shard(job):
 def _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel):
     """``ensemble``, or a one-horizon ensemble to t when it is None.
 
-    A given ensemble must be one the estimator would build: same paths,
-    model and sampler config, driving the estimator's kernel, and (hyperbolic
-    kernel) both walkers started at x; the flat kernel is translation
-    invariant.
+    A given ensemble must be one the estimator would build: same paths
+    (n_paths from path index 0), model and sampler config, driving the
+    estimator's kernel, and (hyperbolic kernel) both walkers started at x;
+    the flat kernel is translation invariant.
     """
     if ensemble is None:
         return PairEnsemble(x, model, cfg, n_paths, (t,), kernels=(kernel,))
     same_start = kernel == "flat" or all(
         np.array_equal(geometry._coords(p), geometry._coords(x))
         for p in (ensemble.x, ensemble.y))
-    if not same_start or kernel not in ensemble.kernels \
-            or (ensemble.n_paths, ensemble.model, ensemble.cfg) != (n_paths, model, cfg):
-        raise ValueError("the ensemble's n_paths, kernel, model, sampler config or "
-                         "start point differs from the estimator's")
+    if not same_start or kernel not in ensemble.kernels or (
+            ensemble.n_paths, ensemble.first_index, ensemble.model, ensemble.cfg) \
+            != (n_paths, 0, model, cfg):
+        raise ValueError("the ensemble's n_paths, first path index, kernel, model, sampler "
+                         "config or start point differs from the estimator's")
     return ensemble
 
 
@@ -355,8 +356,8 @@ def _euclidean_pair_profile_matrix(t, cfg, n_paths, profile, first_index=0, stor
     """f(|B_s - B_s~|) at stored steps for flat pairs (variance 2t per coord).
 
     ``hyperbolic`` = (x0, y0) also observes hyperbolic pairs from x0 and y0 on
-    the same streams, through :func:`brownian.pair_profile_matrix` (one pass
-    under embedded-sde), and returns (times, F_flat, F_hyperbolic).
+    the same streams, in one pass through :func:`brownian.pair_profile_matrix`,
+    and returns (times, F_flat, F_hyperbolic).
     """
     if hyperbolic is None:
         times, F = brownian._pair_profile({"flat": np.zeros((2, cfg.dim))}, t, cfg, n_paths,

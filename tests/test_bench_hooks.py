@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -32,14 +34,15 @@ t = 1, 2, 4
 """
 
 
-def _probe(tmp_path, *opts, command=None):
-    """Run ``command`` (default: a --workers 1 sweep) through perfbench/probe.py.
+def _probe(tmp_path, *opts, command=None, scheme="embedded-sde"):
+    """Run ``command`` (default: a --workers 1 sweep under ``scheme``) through
+    perfbench/probe.py.
 
     Returns (process, events file).
     """
     if command is None:
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP)
+        cfg.write_text(SWEEP.replace("[run]\n", f"[run]\nscheme = {scheme}\n"))
         command = ["phase-sweep", "--config", str(cfg), "--workers", "1",
                    "--out", str(tmp_path / "out")]
     events = tmp_path / "events"
@@ -59,18 +62,20 @@ def _tracing():
     return module
 
 
-def test_traced_sweep_counts_every_path_step(tmp_path):
+@pytest.mark.parametrize("scheme", ["embedded-sde", "geodesic-walk"])
+def test_traced_sweep_counts_every_path_step(tmp_path, scheme):
     trace = tmp_path / "trace"
     trace.mkdir()
-    proc, _ = _probe(tmp_path, "--trace", str(trace))
+    proc, _ = _probe(tmp_path, "--trace", str(trace), scheme=scheme)
     assert proc.returncode == 0, proc.stderr
     tracing = _tracing()
     metrics = tracing.layer_metrics(*tracing.load(str(trace)))
     # one dt group: 8 pairs x 2 paths x 400 steps to t = 4, once per kernel,
-    # with both kernels on one draw of 3 normals per path step
-    assert metrics["brownian.path_steps.embedded-sde"][0] == 6400
+    # with both kernels on one draw of 3 normals per path step from 16 streams
+    assert metrics["brownian.path_steps." + scheme][0] == 6400
     assert metrics["moments.path_steps.flat"][0] == 6400
     assert metrics["brownian.rng_normals"][0] == 19_200
+    assert metrics["brownian.streams"][0] == 16
     assert metrics["moments.cells"][0] == 2 * 3
 
 

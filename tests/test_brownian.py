@@ -72,8 +72,9 @@ def test_radial_speed_and_fluctuation():
     assert np.mean(xi <= -1.0 * math.sqrt(t)) <= 0.02
 
 
-def test_endpoint_law_matches_exact_sampler():
-    cfg = SamplerConfig(dim=3, step=1e-3, seed=SEED + 1)
+@pytest.mark.parametrize("scheme", brownian._SCHEMES)
+def test_endpoint_law_matches_exact_sampler(scheme):
+    cfg = SamplerConfig(dim=3, step=1e-3, scheme=scheme, seed=SEED + 1)
     o = geometry.origin(3)
     radii = brownian.endpoint_radii(o, 1.0, cfg, 8000)
     ks = st.kstest(radii, heatkernel.RadialLaw(1.0).cdf).statistic
@@ -326,13 +327,15 @@ def test_mixed_ensemble_matrices_equal_each_kernel_alone(monkeypatch, d, scheme,
             assert got.tobytes() == want.tobytes()
 
 
-def test_driver_refuses_kernels_of_different_noise_widths():
-    cfg = SamplerConfig(3, 1e-2, "geodesic-walk", SEED)
-    states = {"geodesic-walk": np.tile(geometry.origin(3).coords[:, None], 2),
-              "flat": np.zeros((3, 2))}
-    gens = [brownian.path_stream(SEED, i) for i in range(2)]
-    with pytest.raises(ValueError, match="different normals per step"):
-        brownian._drive(states, gens, 0.1, cfg)
+@pytest.mark.parametrize("stored", [[0, 10, 5], [0, 10, 10], [0, 10, 80], [-1, 10]])
+def test_driver_refuses_stored_steps_it_would_not_record(stored):
+    # unsorted, repeated, past the horizon (n_steps = 50) or before the start:
+    # a slot left unrecorded would return uninitialised profile values
+    o = geometry.origin(3)
+    cfg = SamplerConfig(3, 1e-2, seed=SEED)
+    with pytest.raises(ValueError, match="stored"):
+        brownian.pair_profile_matrix(o, o, 0.5, cfg, 3, lambda rho: rho,
+                                     stored=np.array(stored))
 
 
 @pytest.mark.parametrize("max_columns", [1, 3, 4, 4096])

@@ -528,6 +528,8 @@ def test_repeated_estimator_rejected(tmp_path, capsys):
     ("sweep", "beta", "beta = 0.5", "beta: -1"),
     ("model", "c", "c = 1.0", "c: -1"),
     ("sweep", "beta", "beta = 0.5", "beta = 0.5, 0.5"),
+    # both would write the summary.json key fk:beta=0.1
+    ("sweep", "beta", "beta = 0.5", "beta = 0.1, 0.1000001"),
     ("sweep", "t", "t = 1, 2, 3, 4", "t = 1, 1, 2, 3, 4"),
     ("sweep", "t", "t = 1, 2, 3, 4", "t = 1, 2, 3, 4, 2.0"),
 ])

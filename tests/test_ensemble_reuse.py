@@ -78,12 +78,11 @@ def test_ensemble_rejects_foreign_and_unschedulable_horizons():
     assert np.all(np.isfinite(ens.matrix(1.0)[1]))
 
 
-@pytest.mark.parametrize("scheme,passes", [("embedded-sde", 1), ("geodesic-walk", 2)])
+@pytest.mark.parametrize("scheme,passes", [("embedded-sde", 1), ("geodesic-walk", 1)])
 def test_mixed_sweep_opens_each_pair_stream_once_per_pass(tmp_path, monkeypatch, scheme,
                                                           passes):
-    # under embedded-sde the flat pairs step in the hyperbolic pass, on the
-    # same 2 x n_paths streams; geodesic-walk draws d + 1 normals per step,
-    # so there the flat walk opens its own
+    # under either scheme the flat pairs step in the hyperbolic pass, on the
+    # same 2 x n_paths streams: every kernel draws d normals per step
     opened = []
     original = brownian.path_stream
 

@@ -149,7 +149,8 @@ def test_phi_alpha_overflowed_pair_distance_is_an_error(estimator):
 
 
 _OTHER_RUN = {"model": CovarianceModel("truncated-power", alpha=1.5), "cfg": _cfg(seed=3),
-              "x": geometry.HPoint(np.array([1.0, 0.0, 0.0, math.sqrt(2.0)]), 3)}
+              "x": geometry.HPoint(np.array([1.0, 0.0, 0.0, math.sqrt(2.0)]), 3),
+              "first_index": 100}
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -157,19 +158,23 @@ _OTHER_RUN = {"model": CovarianceModel("truncated-power", alpha=1.5), "cfg": _cf
 def test_estimator_rejects_another_runs_ensemble(flat, change):
     estimator = euclidean_second_moment if flat else fk_second_moment
     run = {"model": CovarianceModel("truncated-power", alpha=2.0), "cfg": _cfg(seed=2),
-           "x": O3}
-    ens = moments.PairEnsemble(run["x"], run["model"], run["cfg"], 4, (1.0,),
-                               kernels=("flat",) if flat else ("hyperbolic",))
-    own = estimator(run["x"], 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ens)
-    run[change] = _OTHER_RUN[change]
+           "x": O3, "first_index": 0}
+
+    def ensemble(r):
+        return moments.PairEnsemble(r["x"], r["model"], r["cfg"], 4, (1.0,),
+                                    kernels=("flat",) if flat else ("hyperbolic",),
+                                    first_index=r["first_index"])
+
+    own = estimator(O3, 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ensemble(run))
+    other = ensemble(dict(run, **{change: _OTHER_RUN[change]}))
     if flat and change == "x":  # flat pairs are translation invariant
-        est = estimator(run["x"], 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ens)
+        est = estimator(O3, 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=other)
         assert est.log_m2 == own.log_m2
         return
     # also at beta = 0, where the estimate needs no path
     for fn, beta in ((estimator, 0.5), (estimator if flat else jensen_lower, 0.0)):
         with pytest.raises(ValueError, match="differs from the estimator's"):
-            fn(run["x"], 1.0, beta, run["model"], 4, run["cfg"], ensemble=ens)
+            fn(O3, 1.0, beta, run["model"], 4, run["cfg"], ensemble=other)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
