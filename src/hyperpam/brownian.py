@@ -423,8 +423,8 @@ def event_indicators(pair, x0, delta, s, y0=None):
     start the two events coincide (the first angle degenerates).  Angle
     degeneracies make the event fail (conservative).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:  # also rejects NaN
+        raise ValueError(f"delta must be positive, got {delta}")
     pb, pbt = pair
     if not 0 < s <= pb.times[-1] + 1e-12:
         raise ValueError("s must lie in (0, horizon]")

@@ -9,13 +9,13 @@ Sizes here are trimmed for a fast default run; the pytest suite carries the
 full-size versions of the same properties.
 
 The checks do not use ``scipy.stats``, which costs about half a second and
-45 MB to import for three numbers: the chi-square bound is an inverse
-incomplete gamma, and the Kolmogorov-Smirnov distances are the helpers
-:func:`_ks_distance` and :func:`_ks_2samp_distance` (the pytest suite holds
-them equal to ``scipy.stats``).  Nor do they use ``scipy.integrate``: the
-quadrature check integrates with a Gauss-Jacobi rule from ``scipy.special``
-(the pytest suite holds it equal to ``quad``).  Importing this module loads
-no scipy module; ``scipy.special`` loads inside the checks that call it.
+45 MB to import for a few numbers: the chi-square bound is an inverse
+incomplete gamma, and the Kolmogorov-Smirnov distances come from the helper
+:func:`_ks_distance` (the pytest suite holds it equal to ``scipy.stats``).
+Nor do they use ``scipy.integrate``: the quadrature check integrates with a
+Gauss-Jacobi rule from ``scipy.special`` (the pytest suite holds it equal to
+``quad``).  Importing this module loads no scipy module; ``scipy.special``
+loads inside the checks that call it.
 """
 
 import math
@@ -43,19 +43,6 @@ def _ks_distance(x, cdf):
     n = len(x)
     f = cdf(np.sort(x))
     return max((np.arange(1.0, n + 1) / n - f).max(), (f - np.arange(0.0, n) / n).max())
-
-
-def _ks_2samp_distance(a, b):
-    """Two-sample Kolmogorov-Smirnov D: the largest gap between the two ECDFs.
-
-    The gap is counted in integers over the common denominator len(a)*len(b)
-    and divided once, so D is the correctly rounded fraction.
-    """
-    a, b = np.sort(a), np.sort(b)
-    both = np.concatenate([a, b])
-    gap = (np.searchsorted(a, both, side="right") * len(b)
-           - np.searchsorted(b, both, side="right") * len(a))
-    return np.abs(gap).max() / (len(a) * len(b))
 
 
 # ---------------------------------------------------------------- geometry
@@ -228,21 +215,14 @@ def _check_radial_speed(scale, seed):
 
 
 def _check_radial_law(scale, seed):
-    cfg = brownian.SamplerConfig(dim=3, step=1e-3, seed=seed)
     o = geometry.origin(3)
-    radii = brownian.endpoint_radii(o, 1.0, cfg, 6000)
-    law = heatkernel.RadialLaw(1.0)
-    ks = _ks_distance(radii, law.cdf)
-    return _record("radial-law-vs-exact", ks, 0.02, scale)
-
-
-def _check_scheme_agreement(scale, seed):
-    o = geometry.origin(3)
-    r1 = brownian.endpoint_radii(
-        o, 5.0, brownian.SamplerConfig(3, 1e-3, "embedded-sde", seed), 5000)
-    r2 = brownian.endpoint_radii(
-        o, 5.0, brownian.SamplerConfig(3, 1e-3, "geodesic-walk", seed), 5000)
-    return _record("scheme-agreement", _ks_2samp_distance(r1, r2), 0.03, scale)
+    cdf = heatkernel.RadialLaw(1.0).cdf
+    ks = {}
+    for scheme in brownian._SCHEMES:
+        cfg = brownian.SamplerConfig(dim=3, step=1e-3, scheme=scheme, seed=seed)
+        ks[scheme] = _ks_distance(brownian.endpoint_radii(o, 1.0, cfg, 6000), cdf)
+    return _record("radial-law-vs-exact", max(ks.values()), 0.02, scale,
+                   detail=" ".join(f"{s}={d:.4g}" for s, d in ks.items()))
 
 
 def _check_determinism(scale, seed):
@@ -336,7 +316,6 @@ SUITES = {
     "brownian": [
         _check_radial_speed,
         _check_radial_law,
-        _check_scheme_agreement,
         _check_determinism,
         _check_pair_independence,
     ],

@@ -234,8 +234,8 @@ def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="h
         raise ValueError(f"t must be finite and positive, got {t}")
     if not 0 <= beta < math.inf:  # also rejects NaN
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
     if kernel == "flat" and (problem := _euclidean_problem(model, cfg.dim)):
         raise EstimatorError(problem[1])
     ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel)
@@ -290,8 +290,8 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     result carries a truncation flag when the last term exceeds 1% of the
     partial sum.
     """
-    if not 0 <= n_terms <= 8:
-        raise ValueError("n_terms must lie in [0, 8]")
+    if not (isinstance(n_terms, (int, np.integer)) and 0 <= n_terms <= 8):
+        raise ValueError(f"n_terms must be an integer in [0, 8], got {n_terms!r}")
     coef = np.array([1.0 / math.factorial(n) for n in range(n_terms + 1)])
 
     def reduce(z):
@@ -320,8 +320,8 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
             "(alpha > 1); the tail integral diverges otherwise")
     if T_max < 50:
         raise ValueError("T_max must be at least 50")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
     start_pairs = list(start_pairs)
     if not start_pairs:
         raise ValueError("start_pairs must hold at least one (x, y) pair")

@@ -72,12 +72,16 @@ def test_radial_speed_and_fluctuation():
     assert np.mean(xi <= -1.0 * math.sqrt(t)) <= 0.02
 
 
-@pytest.mark.parametrize("scheme", brownian._SCHEMES)
-def test_endpoint_law_matches_exact_sampler(scheme):
+@pytest.mark.parametrize("scheme, t", [
+    pytest.param("embedded-sde", 1.0, id="embedded-sde"),
+    pytest.param("geodesic-walk", 1.0, id="geodesic-walk"),
+    pytest.param("geodesic-walk", 5.0, id="geodesic-walk-t5"),
+])
+def test_endpoint_law_matches_exact_sampler(scheme, t):
     cfg = SamplerConfig(dim=3, step=1e-3, scheme=scheme, seed=SEED + 1)
     o = geometry.origin(3)
-    radii = brownian.endpoint_radii(o, 1.0, cfg, 8000)
-    ks = st.kstest(radii, heatkernel.RadialLaw(1.0).cdf).statistic
+    radii = brownian.endpoint_radii(o, t, cfg, 8000)
+    ks = st.kstest(radii, heatkernel.RadialLaw(t).cdf).statistic
     assert ks <= 0.02
 
 
@@ -90,15 +94,6 @@ def test_small_time_chi_limit():
     radii = brownian.endpoint_radii(o, t, cfg, 20000)
     ks = st.kstest(radii / math.sqrt(t), st.chi(3, scale=math.sqrt(2.0)).cdf).statistic
     assert ks <= 0.03
-
-
-def test_scheme_agreement():
-    o = geometry.origin(3)
-    r1 = brownian.endpoint_radii(o, 5.0,
-                                 SamplerConfig(3, 1e-3, "embedded-sde", SEED), 10000)
-    r2 = brownian.endpoint_radii(o, 5.0,
-                                 SamplerConfig(3, 1e-3, "geodesic-walk", SEED), 10000)
-    assert st.ks_2samp(r1, r2).statistic <= 0.03
 
 
 def test_markov_chaining():
@@ -196,6 +191,8 @@ def test_event_indicators():
     assert out["A_s"] and out["M_s"]
     with pytest.raises(ValueError):
         event_indicators(pair, o, delta=-1.0, s=1.0)
+    with pytest.raises(ValueError, match="delta"):
+        event_indicators(pair, o, delta=math.nan, s=1.0)
     with pytest.raises(ValueError):
         event_indicators(pair, o, delta=1.0, s=5.0)
 

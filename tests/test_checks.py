@@ -21,17 +21,6 @@ def test_ks_distance_equals_scipy(x):
     assert checks._ks_distance(x, st.norm.cdf) == st.kstest(x, st.norm.cdf).statistic
 
 
-@pytest.mark.parametrize("a,b", [
-    (_NORMAL, _NORMAL[::-1] + 0.1),
-    (_TIES[:150], _TIES[150:]),
-    (_TIES, np.round(_NORMAL, 1)),
-    (_NORMAL[:7], _NORMAL[7:]),
-    (_NORMAL, _NORMAL),
-], ids=["shifted", "ties", "ties-across", "unequal-sizes", "identical"])
-def test_ks_2samp_distance_equals_scipy(a, b):
-    assert checks._ks_2samp_distance(a, b) == st.ks_2samp(a, b).statistic
-
-
 def test_sphere_direction_chi2_limit_is_the_chi2_quantile():
     rec = checks._check_sphere_direction_chi2(1.0, 20260809)
     assert rec["limit"] == st.chi2.ppf(0.99, 19)

@@ -268,8 +268,9 @@ t = 4, 8, 16, 32
 @pytest.mark.parametrize("suite,some_checks", [
     ("geometry", {"hyperboloid-constraint", "triangle-inequality"}),
     ("heatkernel", {"radial-density-normalization", "dirichlet-hyperbolic-limits"}),
+    ("brownian", {"radial-law-vs-exact", "pair-independence"}),
     ("covariance", {"decay-limit", "positive-type", "quadrature-consistency"}),
-], ids=["geometry", "heatkernel", "covariance"])
+], ids=["geometry", "heatkernel", "brownian", "covariance"])
 def test_validate_suite_passes_and_self_test(tmp_path, capsys, suite, some_checks):
     report_path = tmp_path / "report.json"
     rc = main(["validate", "--suite", suite, "--out", str(report_path)])

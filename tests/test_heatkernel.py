@@ -260,6 +260,12 @@ def test_exit_tail_rejects_fewer_than_one_path(n_paths):
         exit_tail_estimate(2.0, [0.5], n_paths, cfg)
 
 
+def test_exit_tail_rejects_non_integer_path_count():
+    cfg = brownian.SamplerConfig(dim=3, step=1e-2, seed=SEED)
+    with pytest.raises(ValueError, match="n_paths"):
+        exit_tail_estimate(1.0, [0.1, 0.2], 2.5, cfg)
+
+
 _T_OR_R_ENTRY_POINTS = {
     "log_hk_exact_d3": lambda v: log_hk_exact_d3(v, 1.0),
     "log_radial_density_d3": lambda v: log_radial_density_d3(v, 1.0),

@@ -200,6 +200,8 @@ def test_dyson_validates_n_terms():
     model = CovarianceModel("constant")
     with pytest.raises(ValueError):
         dyson_partial(O3, 1.0, 0.1, model, 9, 8, _cfg())
+    with pytest.raises(ValueError, match="n_terms"):
+        dyson_partial(O3, 1.0, 0.1, model, 2.5, 8, _cfg())
 
 
 def test_lambda_constant_refuses_slow_decay():
@@ -216,6 +218,12 @@ def test_lambda_constant_refuses_slow_decay():
 def test_lambda_constant_needs_a_start_pair():
     with pytest.raises(ValueError, match="start_pairs"):
         lambda_constant(CovarianceModel("truncated-power", alpha=2.0), [], 50.0, 8, _cfg())
+
+
+def test_lambda_constant_rejects_non_integer_path_count():
+    with pytest.raises(ValueError, match="n_paths"):
+        lambda_constant(CovarianceModel("truncated-power", alpha=2.0),
+                        [(O3, O3)], 50.0, 2.5, _cfg())
 
 
 def test_lambda_constant_decay_and_stability():
@@ -352,6 +360,8 @@ def test_validation_of_common_arguments():
                 estimator(O3, 1.0, beta, model, 8, _cfg())
     with pytest.raises(ValueError):
         fk_second_moment(O3, 1.0, 0.1, model, 0, _cfg())
+    with pytest.raises(ValueError, match="n_paths"):
+        fk_second_moment(O3, 1.0, 0.5, model, 2.5, _cfg())
     # beta = 0 returns before any path is scheduled: t is checked first
     for t in (math.nan, math.inf):
         for estimator in (fk_second_moment, jensen_lower):

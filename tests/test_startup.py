@@ -55,7 +55,7 @@ def test_statistical_checks_leave_scipy_stats_unloaded():
             "assert checks._check_sphere_direction_chi2(1.0, 5)['passed']\n"
             "x = np.random.default_rng(5).uniform(size=200)\n"
             "checks._ks_distance(x, lambda v: v)\n"
-            "checks._ks_2samp_distance(x[:80], x[80:])\n")
+            "checks._check_radial_law(1.0, 5)\n")
     assert "scipy.stats" not in _scipy_loaded_after(code)
 
 
