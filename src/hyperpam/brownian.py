@@ -105,6 +105,11 @@ class BrownianPath:
         return self.points.shape[1] - 1
 
 
+def _is_integer(n):
+    """Whether n is an int or a numpy integer; a bool is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def path_stream(seed, path_index, tag=TAG_PRIMARY):
     """Independent stream for one path, keyed by (master seed, path index, role tag).
 

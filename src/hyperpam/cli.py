@@ -325,7 +325,8 @@ def cmd_phase_sweep(args):
 
 
 def cmd_validate(args):
-    # 0 is allowed: it turns every check red (the harness self-test)
+    # 0 is allowed and turns the run red (the harness self-test); a check whose
+    # observed value is <= 0 still passes
     if not 0 <= args.tolerance_scale < math.inf:  # also rejects NaN
         raise ConfigError(
             f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale}")

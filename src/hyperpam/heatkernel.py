@@ -238,7 +238,7 @@ def exit_tail_estimate(r, t_grid, n_paths, cfg):
     t_grid = np.asarray(t_grid, dtype=float)
     if not (t_grid.size and np.all(np.isfinite(t_grid)) and np.all(np.diff(t_grid) > 0)):
         raise ValueError("t_grid must be a nonempty increasing grid of finite times")
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+    if not (brownian._is_integer(n_paths) and n_paths >= 1):
         raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
     times = brownian.exit_times(origin(cfg.dim), r, float(t_grid[-1]), cfg, n_paths)
 

@@ -27,12 +27,12 @@ also reports max_z = max(z) as the diagnostic (z = 0 at beta = 0).
 
 Ensembles
 ---------
-Every estimator reads its paths from a :class:`PairEnsemble`, the pair
-estimators through their kernel's q per path, :meth:`PairEnsemble.integrals`.
-A sweep builds one ensemble that drives exactly the kernels (hyperbolic,
-flat) its estimators need and passes it to every cell: beta never enters the
-paths, the estimators share the streams, and a path to a shorter horizon with
-the same dt is a prefix of the path to the longest.  The flat pairs of
+Every pair estimator reads its kernel's q per path from a :class:`PairEnsemble`
+through :meth:`PairEnsemble.integrals`, the ensemble's one read.  A sweep
+builds one ensemble that drives exactly the kernels (hyperbolic, flat) its
+estimators need and passes it to every cell: beta never enters the paths,
+the estimators share the streams, and a path to a shorter horizon with the
+same dt is a prefix of the path to the longest.  The flat pairs of
 ``fk-euclidean`` read the same streams as the hyperbolic pairs, and both
 kernels step in one pass on one draw of the noise, under either scheme.
 The ensemble is the one owner of the storage plan: it schedules each horizon
@@ -113,34 +113,32 @@ def _finite_paths(values, what):
 
 
 class PairEnsemble:
-    """n_paths pairs (B, B~) observed through model.profile, for several horizons.
+    """n_paths pairs (B, B~) from x observed through model.profile, for several horizons.
 
     The ensemble owns the storage plan: on construction it schedules each
     horizon once (``brownian._schedule``: dt and stored step indices), and
-    horizons with one dt form a group.  The first :meth:`matrix` call for a
-    horizon simulates its group once, to its largest horizon, storing the
+    horizons with one dt form a group.  The first :meth:`integrals` call for
+    a horizon simulates its group once, to its largest horizon, storing the
     union of the group's step indices; each horizon reads its own columns.
     The paths are split into ``shards`` contiguous index ranges, simulated
     through ``pmap`` (``map`` or a process pool's ``map``) and joined; every
     path draws from its own streams, so the split does not change a bit.  A
-    horizon that cannot be scheduled joins no group, and :meth:`matrix`
+    horizon that cannot be scheduled joins no group, and :meth:`integrals`
     raises its scheduling error.
 
-    ``kernels`` names what is driven: "hyperbolic" pairs, B from x and B~
-    from y (default x), and "flat" Euclidean pairs from a common start.  Path
-    i of either kernel uses the streams of path first_index + i, and one
-    simulation of a dt group steps all the kernels in one pass per shard, on
-    one draw of the noise.
+    ``kernels`` names what is driven: "hyperbolic" pairs, both walkers from
+    x, and "flat" Euclidean pairs from a common start.  Path i of either
+    kernel uses the streams of path i, and one simulation of a dt group
+    steps all the kernels in one pass per shard, on one draw of the noise.
     """
 
     def __init__(self, x, model, cfg, n_paths, horizons, kernels=("hyperbolic",), pmap=map,
-                 shards=1, y=None, first_index=0):
+                 shards=1):
         self.kernels = frozenset(kernels)
         if not self.kernels or not self.kernels <= {"hyperbolic", "flat"}:
             raise ValueError(f"kernels must be hyperbolic and/or flat, got {sorted(kernels)}")
-        self.x, self.y = x, x if y is None else y
-        self.model, self.cfg, self.pmap = model, cfg, pmap
-        self.n_paths, self.first_index = int(n_paths), int(first_index)
+        self.x, self.model, self.cfg, self.pmap = x, model, cfg, pmap
+        self.n_paths = int(n_paths)
         self.shards = max(1, min(int(shards), self.n_paths))
         self._plan = {}  # horizon -> (dt, stored step indices)
         for h in horizons:
@@ -150,14 +148,9 @@ class PairEnsemble:
                 continue
         self._simulated = {}  # dt -> (stored union, {kernel: F})
 
-    def matrix(self, t, kernel=None):
-        """(times, F) for horizon t: the grid and profile values of a simulation to t.
-
-        ``kernel`` picks one of the ensemble's kernels; it may be omitted when
-        the ensemble drives only one.
-        """
-        if kernel is None and len(self.kernels) == 1:
-            (kernel,) = self.kernels
+    def integrals(self, t, kernel):
+        """q = integral_0^t f(B_s, B_s~) ds per path of ``kernel``: the trapezoid of
+        the profile values a simulation to t alone would store, on its grid."""
         if kernel not in self.kernels:
             raise ValueError(f"kernel {kernel!r} is not one of {sorted(self.kernels)}")
         if t not in self._plan:
@@ -167,20 +160,16 @@ class PairEnsemble:
         if dt not in self._simulated:
             self._simulated[dt] = self._simulate(dt)
         union, F = self._simulated[dt]
-        # a contiguous copy keeps every later reduction's summation order
-        return stored * dt, np.ascontiguousarray(F[kernel][:, np.searchsorted(union, stored)])
-
-    def integrals(self, t, kernel=None):
-        """q = integral_0^t f(B_s, B_s~) ds per path: the trapezoid of matrix(t, kernel)."""
-        times, F = self.matrix(t, kernel)
-        return np.trapezoid(F, times, axis=1)
+        # a contiguous copy keeps the summation order of a run to t alone
+        F = np.ascontiguousarray(F[kernel][:, np.searchsorted(union, stored)])
+        return np.trapezoid(F, stored * dt, axis=1)
 
     def _simulate(self, dt):
         group = [h for h, (dt_h, _) in self._plan.items() if dt_h == dt]
         union = np.unique(np.concatenate([self._plan[h][1] for h in group]))
-        lo, n, k = self.first_index, self.n_paths, self.shards
-        bounds = [lo + n * i // k for i in range(k + 1)]
-        jobs = [(self.x, self.y, self.model, self.cfg, self.kernels, a, b, max(group), union)
+        n, k = self.n_paths, self.shards
+        bounds = [n * i // k for i in range(k + 1)]
+        jobs = [(self.x, self.model, self.cfg, self.kernels, a, b, max(group), union)
                 for a, b in zip(bounds, bounds[1:])]
         shards = list(self.pmap(_simulate_shard, jobs))
         # popping frees each kernel's shard matrices once they are joined
@@ -189,11 +178,11 @@ class PairEnsemble:
 
 def _simulate_shard(job):
     """{kernel: F} of the pairs [lo, hi) of one dt group; a process pool can run it."""
-    x, y, model, cfg, kernels, lo, hi, t, stored = job
+    x, model, cfg, kernels, lo, hi, t, stored = job
     if "flat" not in kernels:
         return {"hyperbolic": brownian.pair_profile_matrix(
-            x, y, t, cfg, hi - lo, model.profile, first_index=lo, stored=stored)[1]}
-    hyperbolic = (x, y) if "hyperbolic" in kernels else None
+            x, x, t, cfg, hi - lo, model.profile, first_index=lo, stored=stored)[1]}
+    hyperbolic = (x, x) if "hyperbolic" in kernels else None
     _, *F = _euclidean_pair_profile_matrix(t, cfg, hi - lo, model.profile, first_index=lo,
                                            stored=stored, hyperbolic=hyperbolic)
     return dict(zip(("flat", "hyperbolic"), F))
@@ -202,21 +191,18 @@ def _simulate_shard(job):
 def _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel):
     """``ensemble``, or a one-horizon ensemble to t when it is None.
 
-    A given ensemble must be one the estimator would build: same paths
-    (n_paths from path index 0), model and sampler config, driving the
-    estimator's kernel, and (hyperbolic kernel) both walkers started at x;
-    the flat kernel is translation invariant.
+    A given ensemble must be one the estimator would build: same n_paths,
+    model and sampler config, driving the estimator's kernel, and (hyperbolic
+    kernel) started at x; the flat kernel is translation invariant.
     """
     if ensemble is None:
         return PairEnsemble(x, model, cfg, n_paths, (t,), kernels=(kernel,))
-    same_start = kernel == "flat" or all(
-        np.array_equal(geometry._coords(p), geometry._coords(x))
-        for p in (ensemble.x, ensemble.y))
+    same_start = kernel == "flat" or np.array_equal(geometry._coords(ensemble.x),
+                                                    geometry._coords(x))
     if not same_start or kernel not in ensemble.kernels or (
-            ensemble.n_paths, ensemble.first_index, ensemble.model, ensemble.cfg) \
-            != (n_paths, 0, model, cfg):
-        raise ValueError("the ensemble's n_paths, first path index, kernel, model, sampler "
-                         "config or start point differs from the estimator's")
+            ensemble.n_paths, ensemble.model, ensemble.cfg) != (n_paths, model, cfg):
+        raise ValueError("the ensemble's n_paths, kernel, model, sampler config or start "
+                         "point differs from the estimator's")
     return ensemble
 
 
@@ -234,7 +220,7 @@ def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="h
         raise ValueError(f"t must be finite and positive, got {t}")
     if not 0 <= beta < math.inf:  # also rejects NaN
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+    if not (brownian._is_integer(n_paths) and n_paths >= 1):
         raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
     if kernel == "flat" and (problem := _euclidean_problem(model, cfg.dim)):
         raise EstimatorError(problem[1])
@@ -290,7 +276,7 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     result carries a truncation flag when the last term exceeds 1% of the
     partial sum.
     """
-    if not (isinstance(n_terms, (int, np.integer)) and 0 <= n_terms <= 8):
+    if not (brownian._is_integer(n_terms) and 0 <= n_terms <= 8):
         raise ValueError(f"n_terms must be an integer in [0, 8], got {n_terms!r}")
     coef = np.array([1.0 / math.factorial(n) for n in range(n_terms + 1)])
 
@@ -306,8 +292,9 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
 def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
     """Estimate the uniform bound on integral_0^inf E f(B_t, B_t~) dt.
 
-    For each start pair the time-truncated integral over [0, T_max] is
-    computed from ensemble slice means, extended by a power-law tail
+    For the k-th start pair (x, y) the integral over [0, T_max] is computed
+    from the slice means of ``brownian.pair_profile_matrix`` from x and y on
+    paths [k n_paths, (k + 1) n_paths), extended by a power-law tail
     correction fitted to the integrand's late-time decay.  Returns the max
     over pairs as ``lambda_hat`` and ``beta0_hat = 1/sqrt(lambda_hat)``.
 
@@ -318,17 +305,17 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
         raise EstimatorError(
             "lambda_constant requires a profile decaying faster than 1/rho "
             "(alpha > 1); the tail integral diverges otherwise")
-    if T_max < 50:
-        raise ValueError("T_max must be at least 50")
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+    if not 50 <= T_max < math.inf:  # also rejects NaN
+        raise ValueError(f"T_max must be finite and at least 50, got {T_max}")
+    if not (brownian._is_integer(n_paths) and n_paths >= 1):
         raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
     start_pairs = list(start_pairs)
     if not start_pairs:
         raise ValueError("start_pairs must hold at least one (x, y) pair")
     pairs_out = []
     for k, (x, y) in enumerate(start_pairs):
-        times, F = PairEnsemble(x, model, cfg, n_paths, (T_max,), y=y,
-                                first_index=k * n_paths).matrix(T_max)
+        times, F = brownian.pair_profile_matrix(x, y, T_max, cfg, n_paths, model.profile,
+                                                first_index=k * n_paths)
         means = F[_finite_paths(F, "profile values")].mean(axis=0)
         integral = float(np.trapezoid(means, times))
         late = times >= T_max / 4.0

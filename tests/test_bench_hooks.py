@@ -94,6 +94,25 @@ def test_traced_validate_counts_the_exit_time_walkers(tmp_path):
     assert metrics["heatkernel.eigen_calls"][0] == 6
 
 
+def test_traced_lambda_counts_every_path_step(tmp_path):
+    cfg = tmp_path / "lambda.cfg"
+    cfg.write_text("[model]\nkind = truncated-power\nalpha = 2\n\n"
+                   "[run]\ndim = 3\nstep = 0.1\nn_paths = 2\nseed = 5\n\n"
+                   "[lambda]\nseparations = 0, 5, 10\n")
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    proc, _ = _probe(tmp_path, "--trace", str(trace),
+                     command=["lambda", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    tracing = _tracing()
+    metrics = tracing.layer_metrics(*tracing.load(str(trace)))
+    # 3 start pairs x 2 pairs x 2 walkers x 500 steps to T_max = 50, each
+    # walker on its own stream, 3 normals per step
+    assert metrics["brownian.path_steps.embedded-sde"][0] == 6000
+    assert metrics["brownian.rng_normals"][0] == 18_000
+    assert metrics["brownian.streams"][0] == 12
+
+
 def test_setup_only_probe_marks_one_start(tmp_path):
     proc, events = _probe(tmp_path, "--setup-only")
     assert proc.returncode == 0, proc.stderr

@@ -303,9 +303,10 @@ def test_driver_bytes_independent_of_chunk_and_block(monkeypatch, d, scheme, chu
 @_DRIVER_PATCHES
 def test_mixed_ensemble_matrices_equal_each_kernel_alone(monkeypatch, d, scheme, chunk,
                                                          block_doubles, max_columns):
-    # flat pairs stepped in the hyperbolic pass (embedded-sde) or in their own
-    # (geodesic-walk) give each kernel's matrix of a run alone, bit for bit,
-    # through 3 shards, two horizons of one dt group and the patched driver
+    # under either scheme the flat pairs step in the hyperbolic pass; from
+    # distinct starts each kernel's columns are its matrix of a run alone, bit
+    # for bit, through 3 path ranges, two horizons of one dt group stored as
+    # their union, and the patched driver
     o = geometry.origin(d)
     y = geometry.exp_map(o, geometry.TangentVec(o, np.eye(d + 1)[1]), 0.7)
     cfg = SamplerConfig(d, 1e-2, scheme, SEED)
@@ -314,14 +315,19 @@ def test_mixed_ensemble_matrices_equal_each_kernel_alone(monkeypatch, d, scheme,
     alone = {t: {"hyperbolic": brownian.pair_profile_matrix(o, y, t, cfg, 5, model.profile),
                  "flat": moments._euclidean_pair_profile_matrix(t, cfg, 5, model.profile)}
              for t in horizons}
+    own = {t: brownian._schedule(t, cfg.step)[2] for t in horizons}
+    union = np.unique(np.concatenate(list(own.values())))
     _patch_driver(monkeypatch, chunk, block_doubles, max_columns)
-    ens = moments.PairEnsemble(o, model, cfg, 5, horizons, kernels=("hyperbolic", "flat"),
-                               shards=3, y=y)
+    runs = [brownian.pair_profile_matrix(o, y, 0.5, cfg, hi - lo, model.profile,
+                                         first_index=lo, stored=union, flat=True)
+            for lo, hi in ((0, 1), (1, 3), (3, 5))]
+    mixed = {"hyperbolic": np.concatenate([r[1] for r in runs]),
+             "flat": np.concatenate([r[2] for r in runs])}
     for t in horizons:
+        cols = np.searchsorted(union, own[t])
         for kernel, (times, want) in alone[t].items():
-            got_times, got = ens.matrix(t, kernel)
-            assert got_times.tobytes() == times.tobytes()
-            assert got.tobytes() == want.tobytes()
+            assert runs[0][0][cols].tobytes() == times.tobytes()
+            assert mixed[kernel][:, cols].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("stored", [[0, 10, 5], [0, 10, 10], [0, 10, 80], [-1, 10]])

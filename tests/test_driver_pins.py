@@ -13,6 +13,7 @@ import pytest
 
 from hyperpam import brownian, geometry, moments
 from hyperpam.brownian import SamplerConfig
+from hyperpam.covariance import CovarianceModel
 
 RTOL = 1e-12
 
@@ -77,6 +78,20 @@ def test_flat_pair_matrix_pinned():
         0.17261985612814734, 2.5730750715212465, 0.18671851535311362,
         3.7766213506828077, 0.3098868798169966, 2.1977589656818743,
     ], rtol=RTOL)
+
+
+def test_lambda_constant_pinned():
+    # per start pair (separation 0, then 5): integral, decay_slope and total
+    o = geometry.origin(3)
+    ys = geometry.points_from_polar(np.array([0.0, 5.0]), np.eye(3)[0])
+    out = moments.lambda_constant(CovarianceModel("truncated-power", alpha=2.0),
+                                  [(o, geometry.HPoint(y, 3)) for y in ys], 50.0, 4,
+                                  SamplerConfig(3, 1e-1, "embedded-sde", 36))
+    np.testing.assert_allclose(
+        [[p[k] for k in ("integral", "decay_slope", "total")] for p in out["pairs"]], [
+            [0.2437517905034997, -1.9431413780275293, 0.24513745961608546],
+            [0.043021375569602296, -1.9536578120130257, 0.04460509525177682],
+        ], rtol=RTOL)
 
 
 def test_exit_times_start_never_counts():

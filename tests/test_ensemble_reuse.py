@@ -53,29 +53,44 @@ def test_ensemble_columns_equal_one_horizon_simulations(flat):
     model = CovarianceModel("truncated-power", alpha=0.5)
     cfg = SamplerConfig(3, 1e-2, "embedded-sde", 92)
     horizons = (0.3, 2.0, 0.75, 1.001)
-    ens = moments.PairEnsemble(x, model, cfg, 7, horizons, shards=3,
-                               kernels=("flat",) if flat else ("hyperbolic",))
-    for t in horizons:
+    kernel = "flat" if flat else "hyperbolic"
+    ens = moments.PairEnsemble(x, model, cfg, 7, horizons, shards=3, kernels=(kernel,))
+
+    def run(t, stored=None):
         if flat:
-            want = moments._euclidean_pair_profile_matrix(t, cfg, 7, model.profile)
-        else:
-            want = brownian.pair_profile_matrix(x, x, t, cfg, 7, model.profile)
-        times, F = ens.matrix(t)
-        assert F.flags.c_contiguous
-        assert times.tobytes() == want[0].tobytes()
-        assert F.tobytes() == want[1].tobytes()
+            return moments._euclidean_pair_profile_matrix(t, cfg, 7, model.profile,
+                                                          stored=stored)
+        return brownian.pair_profile_matrix(x, x, t, cfg, 7, model.profile, stored=stored)
+
+    plan = {t: brownian._schedule(t, cfg.step)[1:3] for t in horizons}
+    for t in horizons:
+        times, F = run(t)
+        # a run to t's dt group's last horizon, storing the group's union of
+        # steps, holds the run to t alone in t's columns ...
+        group = [h for h in horizons if plan[h][0] == plan[t][0]]
+        union = np.unique(np.concatenate([plan[h][1] for h in group]))
+        union_times, union_F = run(max(group), union)
+        cols = np.searchsorted(union, plan[t][1])
+        assert union_times[cols].tobytes() == times.tobytes()
+        assert union_F[:, cols].tobytes() == F.tobytes()
+        # ... and the ensemble's q is the trapezoid of the run alone, to the bit
+        assert ens.integrals(t, kernel).tobytes() == np.trapezoid(F, times, axis=1).tobytes()
 
 
 def test_ensemble_rejects_foreign_and_unschedulable_horizons():
     x = geometry.origin(3)
     model = CovarianceModel("truncated-power", alpha=0.5)
-    ens = moments.PairEnsemble(x, model, SamplerConfig(3, 1e-2, seed=93), 2, (1.0, 1e9))
+    cfg = SamplerConfig(3, 1e-2, seed=93)
+    ens = moments.PairEnsemble(x, model, cfg, 2, (1.0, 1e9))
     with pytest.raises(ValueError, match="not a horizon"):
-        ens.matrix(2.0)
+        ens.integrals(2.0, "hyperbolic")
     with pytest.raises(ValueError, match="step budget"):
-        ens.matrix(1e9)
-    assert ens.matrix(1.0)[1].shape == (2, 101)
-    assert np.all(np.isfinite(ens.matrix(1.0)[1]))
+        ens.integrals(1e9, "hyperbolic")
+    times, F = brownian.pair_profile_matrix(x, x, 1.0, cfg, 2, model.profile)
+    assert F.shape == (2, 101)
+    q = ens.integrals(1.0, "hyperbolic")
+    assert np.all(np.isfinite(q))
+    assert q.tobytes() == np.trapezoid(F, times, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("scheme,passes", [("embedded-sde", 1), ("geodesic-walk", 1)])

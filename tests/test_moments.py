@@ -11,6 +11,7 @@ import pytest
 from hyperpam import brownian, geometry, moments
 from hyperpam.brownian import SamplerConfig
 from hyperpam.covariance import CovarianceModel
+from hyperpam.heatkernel import exit_tail_estimate
 from hyperpam.moments import (
     EstimatorError, PhaseRow, critical_beta_exponential, dyson_partial,
     euclidean_second_moment, fk_second_moment, growth_fit, jensen_lower,
@@ -149,8 +150,7 @@ def test_phi_alpha_overflowed_pair_distance_is_an_error(estimator):
 
 
 _OTHER_RUN = {"model": CovarianceModel("truncated-power", alpha=1.5), "cfg": _cfg(seed=3),
-              "x": geometry.HPoint(np.array([1.0, 0.0, 0.0, math.sqrt(2.0)]), 3),
-              "first_index": 100}
+              "x": geometry.HPoint(np.array([1.0, 0.0, 0.0, math.sqrt(2.0)]), 3)}
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -158,12 +158,11 @@ _OTHER_RUN = {"model": CovarianceModel("truncated-power", alpha=1.5), "cfg": _cf
 def test_estimator_rejects_another_runs_ensemble(flat, change):
     estimator = euclidean_second_moment if flat else fk_second_moment
     run = {"model": CovarianceModel("truncated-power", alpha=2.0), "cfg": _cfg(seed=2),
-           "x": O3, "first_index": 0}
+           "x": O3}
 
     def ensemble(r):
         return moments.PairEnsemble(r["x"], r["model"], r["cfg"], 4, (1.0,),
-                                    kernels=("flat",) if flat else ("hyperbolic",),
-                                    first_index=r["first_index"])
+                                    kernels=("flat",) if flat else ("hyperbolic",))
 
     own = estimator(O3, 1.0, 0.5, run["model"], 4, run["cfg"], ensemble=ensemble(run))
     other = ensemble(dict(run, **{change: _OTHER_RUN[change]}))
@@ -191,7 +190,7 @@ def test_estimator_needs_its_kernel_in_the_ensemble(beta):
         alone = estimator(O3, 1.0, beta, model, 4, cfg)
         assert estimator(O3, 1.0, beta, model, 4, cfg, ensemble=both) == alone
     with pytest.raises(ValueError, match="not one of"):
-        both.matrix(1.0)
+        both.integrals(1.0, "geodesic-walk")
     with pytest.raises(ValueError, match="kernels must be"):
         moments.PairEnsemble(O3, model, cfg, 4, (1.0,), kernels=("geodesic-walk",))
 
@@ -224,6 +223,30 @@ def test_lambda_constant_rejects_non_integer_path_count():
     with pytest.raises(ValueError, match="n_paths"):
         lambda_constant(CovarianceModel("truncated-power", alpha=2.0),
                         [(O3, O3)], 50.0, 2.5, _cfg())
+
+
+@pytest.mark.parametrize("T_max", [math.nan, math.inf])
+def test_lambda_constant_names_a_non_finite_horizon(T_max):
+    with pytest.raises(ValueError, match="T_max must be finite"):
+        lambda_constant(CovarianceModel("truncated-power", alpha=2.0),
+                        [(O3, O3)], T_max, 8, _cfg())
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_counts_refuse_a_bool(flag):
+    # True == 1 and isinstance(True, int): a flag would otherwise run as one
+    # path or one term, and be reported as the count
+    model = CovarianceModel("truncated-power", alpha=2.0)
+    calls = {"n_paths": [lambda: fk_second_moment(O3, 1.0, 0.5, model, flag, _cfg()),
+                         lambda: jensen_lower(O3, 1.0, 0.0, model, flag, _cfg()),
+                         lambda: dyson_partial(O3, 1.0, 0.5, model, 2, flag, _cfg()),
+                         lambda: lambda_constant(model, [(O3, O3)], 50.0, flag, _cfg()),
+                         lambda: exit_tail_estimate(1.0, [0.5], flag, _cfg())],
+             "n_terms": [lambda: dyson_partial(O3, 1.0, 0.5, model, flag, 4, _cfg())]}
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=name):
+                fn()
 
 
 def test_lambda_constant_decay_and_stability():
@@ -379,13 +402,21 @@ def test_ensemble_union_of_strides_matches_one_horizon_runs(flat):
     cfg = _cfg(seed=SEED + 11)
     horizons = (2.56, 5.12, 10.0)
     assert {brownian._schedule(t, cfg.step)[1] for t in horizons} == {0.01}
-    ens = moments.PairEnsemble(O3, model, cfg, 5, horizons, shards=3,
-                               kernels=("flat",) if flat else ("hyperbolic",))
-    for t in horizons:
+    kernel = "flat" if flat else "hyperbolic"
+    ens = moments.PairEnsemble(O3, model, cfg, 5, horizons, shards=3, kernels=(kernel,))
+
+    def run(t, stored=None):
         if flat:
-            want = moments._euclidean_pair_profile_matrix(t, cfg, 5, model.profile)
-        else:
-            want = brownian.pair_profile_matrix(O3, O3, t, cfg, 5, model.profile)
-        times, F = ens.matrix(t)
-        assert times.tobytes() == want[0].tobytes()
-        assert F.tobytes() == want[1].tobytes()
+            return moments._euclidean_pair_profile_matrix(t, cfg, 5, model.profile,
+                                                          stored=stored)
+        return brownian.pair_profile_matrix(O3, O3, t, cfg, 5, model.profile, stored=stored)
+
+    own = {t: brownian._schedule(t, cfg.step)[2] for t in horizons}
+    union = np.unique(np.concatenate(list(own.values())))
+    union_times, union_F = run(10.0, union)
+    for t in horizons:
+        times, F = run(t)
+        cols = np.searchsorted(union, own[t])
+        assert union_times[cols].tobytes() == times.tobytes()
+        assert union_F[:, cols].tobytes() == F.tobytes()
+        assert ens.integrals(t, kernel).tobytes() == np.trapezoid(F, times, axis=1).tobytes()
