@@ -86,6 +86,8 @@ class SamplerConfig:
             raise ValueError("step must lie in (0, 0.1]")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not _is_integer(self.seed):  # a float seed would draw int(seed)'s streams
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -108,6 +110,30 @@ class BrownianPath:
 def _is_integer(n):
     """Whether n is an int or a numpy integer; a bool is not a count."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _check_n_paths(n_paths):
+    """Refuse a path count that is not an integer >= 1."""
+    if not (_is_integer(n_paths) and n_paths >= 1):
+        raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
+
+
+def _start(x, cfg, name, n_rows=None):
+    """The coordinates of x, exactly as given, once checked to be a point of
+    H^cfg.dim (with ``n_rows``: an (n_rows, d+1) array of such points); else a
+    ValueError naming ``name``.  An unchecked start of another dimension, or
+    off the hyperboloid, runs on and gives wrong numbers."""
+    shape = (cfg.dim + 1,) if n_rows is None else (n_rows, cfg.dim + 1)
+    coords = _coords(x)
+    try:
+        if coords.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {coords.shape}")
+        geometry._check_on_sheet(coords)
+    except ValueError as exc:
+        what = "a point" if n_rows is None else f"{n_rows} points"
+        raise ValueError(f"{name} must be {what} of H^d for cfg.dim = {cfg.dim}: "
+                         f"{exc}") from None
+    return coords
 
 
 def path_stream(seed, path_index, tag=TAG_PRIMARY):
@@ -289,7 +315,7 @@ def _drive(states, gens, t, cfg, stored=(), record=None):
 def _sample(x0, t, cfg, path_index, tags):
     """One stored path per tag from x0, all driven on the streams of path_index."""
     _, _, stored, times = _schedule(t, cfg.step)
-    coords = _coords(x0)
+    coords = _start(x0, cfg, "x0")
     points = np.empty((len(tags), len(stored), coords.shape[0]))
 
     x = np.tile(coords[:, None], len(tags))
@@ -315,11 +341,13 @@ def sample_pair(x0, t, cfg, path_index=0):
 def endpoints(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0, starts=None):
     """Terminal points of n_paths independent paths; (n_paths, d+1).
 
-    ``starts`` optionally gives a per-path initial condition array (used for
-    chained/restarted ensembles); otherwise every path starts at x0.
+    ``starts`` optionally gives a per-path initial condition array, whose
+    first n_paths rows are used (chained/restarted ensembles); otherwise every
+    path starts at x0.
     """
-    out = np.tile(_coords(x0), (n_paths, 1)) if starts is None \
-        else np.array(starts[:n_paths], dtype=float)
+    _check_n_paths(n_paths)
+    out = np.tile(_start(x0, cfg, "x0"), (n_paths, 1)) if starts is None \
+        else _start(np.array(starts[:n_paths], dtype=float), cfg, "starts", n_paths)
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
         state = out[lo:hi].T.copy()
         _drive({cfg.scheme: state}, gens, t, cfg)
@@ -346,7 +374,7 @@ def pair_profile_matrix(x0, y0, t, cfg, n_paths, profile, first_index=0, stored=
     and returns (times, F, F_flat); F_flat is the flat walk's own matrix,
     stepped in one pass with the hyperbolic pairs.
     """
-    starts = {cfg.scheme: np.stack([_coords(x0), _coords(y0)])}
+    starts = {cfg.scheme: np.stack([_start(x0, cfg, "x0"), _start(y0, cfg, "y0")])}
     if flat:
         starts["flat"] = np.zeros((2, cfg.dim))
     times, F = _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored)
@@ -368,6 +396,7 @@ def _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored=None):
 
     Every kernel steps in one pass per batch, on the batch's pair streams.
     """
+    _check_n_paths(n_paths)
     _, dt, own, _ = _schedule(t, cfg.step)
     stored = own if stored is None else np.asarray(stored)
     F = {kernel: np.empty((n_paths, len(stored))) for kernel in starts}
@@ -390,7 +419,8 @@ def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
     """
     if not 0 < r < np.inf:  # also rejects NaN
         raise ValueError(f"r must be positive and finite, got {r}")
-    coords = _coords(x0)
+    _check_n_paths(n_paths)
+    coords = _start(x0, cfg, "x0")
     cosh_r = np.cosh(r)
     n_steps, dt, _, _ = _schedule(t_max, cfg.step)
     out = np.full(n_paths, np.inf)

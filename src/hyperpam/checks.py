@@ -1,9 +1,9 @@
 """Property-check registry behind the ``validate`` CLI subcommand.
 
-Each check is a callable returning a record with an observed value and an
-effective limit; a check passes when ``observed <= limit * tolerance_scale``.
-``tolerance_scale`` exists so the harness can verify that an injected
-impossible tolerance really turns the exit status red.
+Each check ``_check_*(seed)`` only measures: it returns its name, observed
+value, limit and detail.  :func:`run_suite` judges them all by one rule,
+``tolerance_scale > 0 and observed <= limit * tolerance_scale``, so at scale 0
+(the harness self-test) every check fails.
 
 Sizes here are trimmed for a fast default run; the pytest suite carries the
 full-size versions of the same properties.
@@ -20,22 +20,15 @@ loads inside the checks that call it.
 
 import math
 import time
+from collections import namedtuple
 
 import numpy as np
 
 from . import brownian, covariance, geometry, heatkernel
 
 
-def _record(name, observed, limit, scale, detail=""):
-    eff = limit * scale
-    return {
-        "name": name,
-        "observed": float(observed),
-        "limit": float(limit),
-        "effective_limit": float(eff),
-        "passed": bool(observed <= eff),
-        "detail": detail,
-    }
+# what one check measured; run_suite scales the limit and judges it
+_Measured = namedtuple("_Measured", "name observed limit detail", defaults=("",))
 
 
 def _ks_distance(x, cdf):
@@ -47,25 +40,25 @@ def _ks_distance(x, cdf):
 
 # ---------------------------------------------------------------- geometry
 
-def _check_hyperboloid_constraint(scale, seed):
+def _check_hyperboloid_constraint(seed):
     rng = np.random.default_rng(seed)
     pts = geometry.random_points(20000, 3, rng, max_radius=30.0)
     q = geometry.minkowski_product(pts, pts)
     # <z,z>+1 carries representation noise ~eps cosh^2(rho), so normalize
     worst = float(np.max(np.abs(q + 1.0) / np.maximum(1.0, pts[:, -1] ** 2)))
-    return _record("hyperboloid-constraint", worst, 1e-8, scale)
+    return _Measured("hyperboloid-constraint", worst, 1e-8)
 
 
-def _check_triangle_inequality(scale, seed):
+def _check_triangle_inequality(seed):
     rng = np.random.default_rng(seed)
     a = geometry.random_points(20000, 3, rng, max_radius=10.0)
     b = geometry.random_points(20000, 3, rng, max_radius=10.0)
     c = geometry.random_points(20000, 3, rng, max_radius=10.0)
     excess = geometry.distance(a, c) - geometry.distance(a, b) - geometry.distance(b, c)
-    return _record("triangle-inequality", float(np.max(excess)), 1e-8, scale)
+    return _Measured("triangle-inequality", float(np.max(excess)), 1e-8)
 
 
-def _check_reverse_triangle(scale, seed):
+def _check_reverse_triangle(seed):
     rng = np.random.default_rng(seed)
     n = 20000
     va = geometry.random_points(n, 3, rng, max_radius=8.0)
@@ -75,11 +68,11 @@ def _check_reverse_triangle(scale, seed):
     keep = tri["angle"] >= 1e-3
     deficit = tri["deficit"][keep]
     worst = max(float(np.max(deficit - tri["bound"][keep])), float(np.max(-deficit)))
-    return _record("reverse-triangle-bound", worst, 1e-6, scale,
-                   detail=f"{int(np.sum(keep))} triangles")
+    return _Measured("reverse-triangle-bound", worst, 1e-6,
+                      detail=f"{int(np.sum(keep))} triangles")
 
 
-def _check_cone_localization(scale, seed):
+def _check_cone_localization(seed):
     rng = np.random.default_rng(seed)
     caps = geometry.cone_sets(3)
     n = 5000
@@ -88,10 +81,10 @@ def _check_cone_localization(scale, seed):
     o = geometry.origin(3).coords
     gap = np.maximum(geometry.distance(y, o), geometry.distance(z, o)) \
         - geometry.distance(y, z)
-    return _record("cone-localization", float(np.max(gap)), 1e-9, scale)
+    return _Measured("cone-localization", float(np.max(gap)), 1e-9)
 
 
-def _check_exp_log_roundtrip(scale, seed):
+def _check_exp_log_roundtrip(seed):
     rng = np.random.default_rng(seed)
     o = geometry.origin(3)
     worst = 0.0
@@ -102,10 +95,10 @@ def _check_exp_log_roundtrip(scale, seed):
         u, r = geometry.log_map(o, p)
         worst = max(worst, abs(r - rho),
                     float(np.max(np.abs(u.vec - sig.vec))))
-    return _record("exp-log-roundtrip", worst, 1e-8, scale)
+    return _Measured("exp-log-roundtrip", worst, 1e-8)
 
 
-def _check_law_of_cosines(scale, seed):
+def _check_law_of_cosines(seed):
     rng = np.random.default_rng(seed)
     n = 5000
     # moderate radii keep the e^{b+c-a} conditioning of the identity benign
@@ -118,10 +111,10 @@ def _check_law_of_cosines(scale, seed):
     ang = geometry.angle_at(va, vb, vc)
     resid = np.cosh(a) - (np.cosh(b) * np.cosh(c) - np.sinh(b) * np.sinh(c) * np.cos(ang))
     rel = np.abs(resid) / np.cosh(a)
-    return _record("law-of-cosines", float(np.max(rel)), 1e-8, scale)
+    return _Measured("law-of-cosines", float(np.max(rel)), 1e-8)
 
 
-def _check_sphere_direction_chi2(scale, seed):
+def _check_sphere_direction_chi2(seed):
     rng = np.random.default_rng(seed)
     n = 40000
     dirs = geometry.random_directions(n, 3, rng)
@@ -134,22 +127,21 @@ def _check_sphere_direction_chi2(scale, seed):
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     from scipy.special import gammaincinv
     # the 0.99 quantile of chi-square with k - 1 degrees of freedom
-    return _record("sphere-direction-chi2", chi2,
-                   2.0 * gammaincinv((k - 1) / 2, 0.99), scale)
+    return _Measured("sphere-direction-chi2", chi2, 2.0 * gammaincinv((k - 1) / 2, 0.99))
 
 
 # -------------------------------------------------------------- heatkernel
 
-def _check_radial_normalization(scale, seed):
+def _check_radial_normalization(seed):
     worst = 0.0
     for t in (0.1, 1.0, 10.0):
         grid = np.linspace(1e-9, heatkernel.RadialLaw(t).support_hi(), 40001)
         mass = np.trapezoid(np.exp(heatkernel.log_radial_density_d3(t, grid)), grid)
         worst = max(worst, abs(mass - 1.0))
-    return _record("radial-density-normalization", worst, 1e-6, scale)
+    return _Measured("radial-density-normalization", worst, 1e-6)
 
 
-def _check_envelope_sandwich(scale, seed):
+def _check_envelope_sandwich(seed):
     ts = np.linspace(0.5, 20, 40)
     rhos = np.linspace(0.0, 60, 121)
     ratios = []
@@ -162,97 +154,97 @@ def _check_envelope_sandwich(scale, seed):
     # theory pins the ratio inside [(4 pi)^{-3/2}, 2 (4 pi)^{-3/2}]
     base = (4.0 * math.pi) ** -1.5
     bad = max(base / lo, hi / (2.0 * base))
-    return _record("envelope-sandwich", bad, 1.0 + 1e-9, scale,
-                   detail=f"ratio in [{lo:.5f}, {hi:.5f}]")
+    return _Measured("envelope-sandwich", bad, 1.0 + 1e-9,
+                      detail=f"ratio in [{lo:.5f}, {hi:.5f}]")
 
 
-def _check_radial_sampler_moments(scale, seed):
+def _check_radial_sampler_moments(seed):
     rng = np.random.default_rng(seed)
     t = 25.0
     x = heatkernel.sample_radial_exact_d3(t, rng, size=20000)
     mean_err = abs(x.mean() / t - 2.0)  # exact first moment is 2 + 1/t
     var_bad = max(x.var() / t - 3.0, 1.0 - x.var() / t)
-    return _record("radial-sampler-moments", max(mean_err - 0.05, var_bad, 0.0),
-                   1e-12, scale, detail=f"mean/t={x.mean()/t:.4f} var/t={x.var()/t:.4f}")
+    return _Measured("radial-sampler-moments", max(mean_err - 0.05, var_bad, 0.0),
+                      1e-12, detail=f"mean/t={x.mean()/t:.4f} var/t={x.var()/t:.4f}")
 
 
-def _check_dirichlet_euclidean(scale, seed):
+def _check_dirichlet_euclidean(seed):
     worst = 0.0
     for r in (0.5, 1.0, 2.0):
         lam = heatkernel.dirichlet_eigenvalue(r, 3, "euclidean")
         worst = max(worst, abs(lam * r**2 - math.pi**2) / math.pi**2)
-    return _record("dirichlet-euclidean-scaling", worst, 1e-6, scale)
+    return _Measured("dirichlet-euclidean-scaling", worst, 1e-6)
 
 
-def _check_dirichlet_hyperbolic(scale, seed):
+def _check_dirichlet_hyperbolic(seed):
     lam8 = heatkernel.dirichlet_eigenvalue(8.0, 3, "hyperbolic")
     exact = 1.0 + (math.pi / 8.0) ** 2
     err = abs(lam8 - exact) / exact
     lam30 = heatkernel.dirichlet_eigenvalue(30.0, 3, "hyperbolic")
     lam01 = heatkernel.dirichlet_eigenvalue(0.1, 3, "hyperbolic")
     limit_ok = max(abs(lam30 - 1.0) - 0.02, 0.0) + max(100.0 - lam01, 0.0)
-    return _record("dirichlet-hyperbolic-limits", err + limit_ok, 1e-7, scale,
-                   detail=f"lam8={lam8:.6f} lam30={lam30:.4f} lam0.1={lam01:.1f}")
+    return _Measured("dirichlet-hyperbolic-limits", err + limit_ok, 1e-7,
+                      detail=f"lam8={lam8:.6f} lam30={lam30:.4f} lam0.1={lam01:.1f}")
 
 
-def _check_exit_tail(scale, seed):
+def _check_exit_tail(seed):
     cfg = brownian.SamplerConfig(dim=3, step=2e-3, seed=seed)
     out = heatkernel.exit_tail_estimate(2.0, [0.3, 0.6, 0.9], 3000, cfg)
     lam = 1.0 + (math.pi / 2.0) ** 2
     rel = abs(-out["slope"] - lam) / lam
-    return _record("exit-tail-slope", rel, 0.15, scale,
-                   detail=f"slope={out['slope']:.3f} target={-lam:.3f}")
+    return _Measured("exit-tail-slope", rel, 0.15,
+                      detail=f"slope={out['slope']:.3f} target={-lam:.3f}")
 
 
 # -------------------------------------------------------------- brownian
 
-def _check_radial_speed(scale, seed):
+def _check_radial_speed(seed):
     cfg = brownian.SamplerConfig(dim=3, step=2e-3, seed=seed)
     o = geometry.origin(3)
     radii = brownian.endpoint_radii(o, 25.0, cfg, 3000)
-    return _record("radial-speed", abs(radii.mean() / 25.0 - 2.0), 0.05, scale,
-                   detail=f"mean rho/t = {radii.mean()/25.0:.4f}")
+    return _Measured("radial-speed", abs(radii.mean() / 25.0 - 2.0), 0.05,
+                      detail=f"mean rho/t = {radii.mean()/25.0:.4f}")
 
 
-def _check_radial_law(scale, seed):
+def _check_radial_law(seed):
     o = geometry.origin(3)
     cdf = heatkernel.RadialLaw(1.0).cdf
     ks = {}
     for scheme in brownian._SCHEMES:
         cfg = brownian.SamplerConfig(dim=3, step=1e-3, scheme=scheme, seed=seed)
         ks[scheme] = _ks_distance(brownian.endpoint_radii(o, 1.0, cfg, 6000), cdf)
-    return _record("radial-law-vs-exact", max(ks.values()), 0.02, scale,
-                   detail=" ".join(f"{s}={d:.4g}" for s, d in ks.items()))
+    return _Measured("radial-law-vs-exact", max(ks.values()), 0.02,
+                      detail=" ".join(f"{s}={d:.4g}" for s, d in ks.items()))
 
 
-def _check_determinism(scale, seed):
+def _check_determinism(seed):
     cfg = brownian.SamplerConfig(dim=3, step=1e-2, seed=seed)
     o = geometry.origin(3)
     a1, a2 = brownian.sample_pair(o, 1.0, cfg, path_index=3)
     b1, b2 = brownian.sample_pair(o, 1.0, cfg, path_index=3)
     same = (a1.points.tobytes() == b1.points.tobytes()
             and a2.points.tobytes() == b2.points.tobytes())
-    return _record("determinism", 0.0 if same else 1.0, 0.5, scale)
+    return _Measured("determinism", 0.0 if same else 1.0, 0.5)
 
 
-def _check_pair_independence(scale, seed):
+def _check_pair_independence(seed):
     cfg = brownian.SamplerConfig(dim=3, step=5e-3, seed=seed)
     o = geometry.origin(3)
     r1 = brownian.endpoint_radii(o, 5.0, cfg, 4000, tag=brownian.TAG_PRIMARY)
     r2 = brownian.endpoint_radii(o, 5.0, cfg, 4000, tag=brownian.TAG_SECONDARY)
     corr = float(np.corrcoef(r1, r2)[0, 1])
-    return _record("pair-independence", abs(corr), 0.05, scale)
+    return _Measured("pair-independence", abs(corr), 0.05)
 
 
 # -------------------------------------------------------------- covariance
 
-def _check_decay_limit(scale, seed):
+def _check_decay_limit(seed):
     worst = 0.0
     for alpha in (0.5, 1.0):
         target = alpha * math.gamma(alpha)
         got = 50.0**alpha * covariance.phi_alpha(50.0, alpha)
         worst = max(worst, abs(got - target) / target)
-    return _record("decay-limit", worst, 0.02, scale)
+    return _Measured("decay-limit", worst, 0.02)
 
 
 def _phi_alpha_gauss_jacobi(rho, alpha):
@@ -264,16 +256,16 @@ def _phi_alpha_gauss_jacobi(rho, alpha):
     return alpha * 2.0**-alpha * float(np.dot(w, terms))
 
 
-def _check_quadrature_consistency(scale, seed):
+def _check_quadrature_consistency(seed):
     worst = 0.0
     for alpha in (0.25, 0.5, 1.0, 2.0, 3.0):
         for rho in (0.0, 0.5, 2.0, 10.0, 60.0):
             worst = max(worst, abs(_phi_alpha_gauss_jacobi(rho, alpha)
                                    - covariance.phi_alpha(rho, alpha)))
-    return _record("quadrature-consistency", worst, 1e-8, scale)
+    return _Measured("quadrature-consistency", worst, 1e-8)
 
 
-def _check_positive_type(scale, seed):
+def _check_positive_type(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(30):
@@ -283,16 +275,16 @@ def _check_positive_type(scale, seed):
         out = covariance.psd_check(covariance.CovarianceModel("phi-alpha", alpha=alpha),
                                    pts)
         worst = max(worst, -out["min_eigenvalue"] / out["gram_trace"])
-    return _record("positive-type", worst, 1e-8, scale)
+    return _Measured("positive-type", worst, 1e-8)
 
 
-def _check_monotone_profile(scale, seed):
+def _check_monotone_profile(seed):
     grid = np.linspace(0.0, 80.0, 2001)
     worst = 0.0
     for alpha in (0.25, 0.5, 1.0, 2.0):
         vals = covariance.phi_alpha(grid, alpha)
         worst = max(worst, float(np.max(np.diff(vals))))
-    return _record("profile-monotone", worst, 1e-12, scale)
+    return _Measured("profile-monotone", worst, 1e-12)
 
 
 SUITES = {
@@ -328,21 +320,24 @@ SUITES = {
 }
 
 
-def run_suite(suite, tolerance_scale=1.0, seed=20260809):
-    """Run one named suite (or 'all'); returns the JSON-ready report dict."""
+def run_suite(suite, tolerance_scale=1.0, seed=None):
+    """Run and judge one named suite (or 'all'); the JSON-ready report dict."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
+    seed = 20260809 if seed is None else seed
     checks = []
     t0 = time.time()
     for name in names:
         for fn in SUITES[name]:
             started = time.time()
-            rec = fn(tolerance_scale, seed)
-            rec["suite"] = name
-            rec["elapsed_s"] = round(time.time() - started, 3)
-            checks.append(rec)
+            m = fn(seed)
+            eff = m.limit * tolerance_scale
+            checks.append({"name": m.name, "observed": float(m.observed),
+                           "limit": float(m.limit), "effective_limit": float(eff),
+                           "passed": bool(tolerance_scale > 0 and m.observed <= eff),
+                           "detail": m.detail, "suite": name,
+                           "elapsed_s": round(time.time() - started, 3)})
     return {
         "suite": suite,
         "tolerance_scale": tolerance_scale,

@@ -325,15 +325,13 @@ def cmd_phase_sweep(args):
 
 
 def cmd_validate(args):
-    # 0 is allowed and turns the run red (the harness self-test); a check whose
-    # observed value is <= 0 still passes
+    # 0 is allowed and fails every check (the harness self-test)
     if not 0 <= args.tolerance_scale < math.inf:  # also rejects NaN
         raise ConfigError(
             f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale}")
-    seed = 20260809 if args.seed is None else args.seed
-    if seed < 0:  # the checks seed numpy generators directly
-        raise ConfigError(f"--seed: must be a non-negative integer, got {seed}")
-    report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=seed)
+    if args.seed is not None and args.seed < 0:  # the checks seed numpy generators directly
+        raise ConfigError(f"--seed: must be a non-negative integer, got {args.seed}")
+    report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=args.seed)
     if args.out:
         _write_json(Path(args.out), report)
     for c in report["checks"]:
@@ -418,7 +416,7 @@ def build_parser():
     val.add_argument("--suite", default="all",
                      choices=[*checks.SUITES, "all"])
     val.add_argument("--tolerance-scale", type=float, default=1.0,
-                     help="multiply every limit (harness self-test knob)")
+                     help="multiply every limit; 0 fails every check (harness self-test)")
     val.add_argument("--seed", type=int, default=None)
     val.add_argument("--out", default=None, help="write the JSON report here")
     val.set_defaults(func=cmd_validate)

@@ -98,10 +98,12 @@ class CovarianceModel:
             raise ValueError("amplitudes must be positive and finite")
 
     def profile(self, rho):
-        """F(rho); vectorized over rho."""
+        """F(rho) for rho >= 0 (or NaN, which propagates); vectorized over rho."""
         rho = np.asarray(rho, dtype=float)
         if self.kind == "phi-alpha":
-            return phi_alpha(rho, self.alpha)
+            return phi_alpha(rho, self.alpha)  # psi refuses rho < 0
+        if np.any(rho < 0):
+            raise ValueError("rho must be nonnegative")
         if self.kind == "truncated-power":
             return self.C / (1.0 + rho) ** self.alpha
         return np.broadcast_to(np.float64(self.c), rho.shape).copy() if rho.ndim \

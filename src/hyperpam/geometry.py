@@ -68,6 +68,22 @@ def _coords(x):
     return np.asarray(x, dtype=float)
 
 
+def _check_on_sheet(coords):
+    """Raise a ValueError unless every row of ``coords`` (..., d+1) is a finite
+    point of the upper sheet, within CONSTRAINT_TOL of the hyperboloid."""
+    # NaN fails every comparison below, so it has to be caught here
+    if not np.all(np.isfinite(coords)):
+        raise ValueError(f"coordinates must be finite, got {coords}")
+    if np.any(coords[..., -1] <= 0):
+        raise ValueError("time-like component must be positive (upper sheet)")
+    q = np.asarray(minkowski_product(coords, coords))
+    # <z,z>+1 carries representation noise ~eps * cosh^2(rho), so the
+    # tolerance is relative to the time-like component squared
+    off = np.abs(q + 1.0) > CONSTRAINT_TOL * np.maximum(1.0, coords[..., -1] ** 2)
+    if np.any(off):
+        raise ValueError(f"point is off the hyperboloid: <z,z> = {q[off][0]:.3e}")
+
+
 @dataclass
 class HPoint:
     """A point on the upper sheet of the unit hyperboloid in R^{d+1}."""
@@ -83,16 +99,7 @@ class HPoint:
             raise ValueError(
                 f"expected {self.dim + 1} coordinates, got shape {self.coords.shape}"
             )
-        # NaN fails every comparison below, so it has to be caught here
-        if not np.all(np.isfinite(self.coords)):
-            raise ValueError(f"coordinates must be finite, got {self.coords}")
-        if self.coords[-1] <= 0:
-            raise ValueError("time-like component must be positive (upper sheet)")
-        q = minkowski_product(self.coords, self.coords)
-        # <z,z>+1 carries representation noise ~eps * cosh^2(rho), so the
-        # tolerance is relative to the time-like component squared
-        if abs(q + 1.0) > CONSTRAINT_TOL * max(1.0, self.coords[-1] ** 2):
-            raise ValueError(f"point is off the hyperboloid: <z,z> = {q:.3e}")
+        _check_on_sheet(self.coords)
         # absorb roundoff so downstream products stay consistent
         self.coords = project_to_hyperboloid(self.coords)
 

@@ -216,12 +216,12 @@ def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="h
     up to 1e-3 of the paths.  ``reduce(z)`` returns (log_m2, stderr_log,
     extra MomentEstimate fields).
     """
-    if not 0 < t < math.inf:  # also rejects NaN
+    # chained comparisons also reject NaN; a bool is not a time or a coupling
+    if isinstance(t, (bool, np.bool_)) or not 0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
-    if not 0 <= beta < math.inf:  # also rejects NaN
+    if isinstance(beta, (bool, np.bool_)) or not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    if not (brownian._is_integer(n_paths) and n_paths >= 1):
-        raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
+    brownian._check_n_paths(n_paths)  # here too: beta = 0 simulates nothing
     if kernel == "flat" and (problem := _euclidean_problem(model, cfg.dim)):
         raise EstimatorError(problem[1])
     ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel)
@@ -307,8 +307,6 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
             "(alpha > 1); the tail integral diverges otherwise")
     if not 50 <= T_max < math.inf:  # also rejects NaN
         raise ValueError(f"T_max must be finite and at least 50, got {T_max}")
-    if not (brownian._is_integer(n_paths) and n_paths >= 1):
-        raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
     start_pairs = list(start_pairs)
     if not start_pairs:
         raise ValueError("start_pairs must hold at least one (x, y) pair")

@@ -27,12 +27,82 @@ def test_config_validation():
             SamplerConfig(dim=dim)
     with pytest.raises(ValueError):
         SamplerConfig(scheme="leapfrog")
+    # a float seed drew int(seed)'s streams but was recorded as given
+    for seed in (1.5, 2.0, True, "1"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SamplerConfig(seed=seed)
+    assert SamplerConfig(seed=np.int64(3)).seed == 3
 
 
 def test_step_budget_guard():
     cfg = SamplerConfig(dim=3, step=1e-3, seed=SEED)
     with pytest.raises(ValueError):
         sample_path(geometry.origin(3), 2e5, cfg)
+
+
+_CFG3 = SamplerConfig(dim=3, step=1e-2, seed=1)
+_O3 = geometry.origin(3)
+_PROFILE = CovarianceModel("truncated-power", alpha=0.5).profile
+
+# entry point -> (the argument it names, a call with that start replaced by p)
+_START_ENTRY_POINTS = {
+    "sample_path": ("x0", lambda p: sample_path(p, 0.1, _CFG3)),
+    "sample_pair": ("x0", lambda p: sample_pair(p, 0.1, _CFG3)),
+    "endpoints": ("x0", lambda p: brownian.endpoints(p, 0.1, _CFG3, 2)),
+    "endpoints-starts": ("starts", lambda p: brownian.endpoints(
+        _O3, 0.1, _CFG3, 2, starts=np.stack([geometry._coords(p)] * 2))),
+    "endpoint_radii": ("x0", lambda p: brownian.endpoint_radii(p, 0.1, _CFG3, 2)),
+    "exit_times": ("x0", lambda p: brownian.exit_times(p, 1.0, 0.1, _CFG3, 2)),
+    "pair_profile_matrix-x0": ("x0", lambda p: brownian.pair_profile_matrix(
+        p, _O3, 0.1, _CFG3, 2, _PROFILE)),
+    "pair_profile_matrix-y0": ("y0", lambda p: brownian.pair_profile_matrix(
+        _O3, p, 0.1, _CFG3, 2, _PROFILE, flat=True)),
+    "fk_second_moment": ("x0", lambda p: moments.fk_second_moment(
+        p, 0.1, 0.5, CovarianceModel("truncated-power", alpha=0.5), 2, _CFG3)),
+}
+
+
+@pytest.mark.parametrize("start", [
+    geometry.origin(4), geometry.origin(2), np.array([5.0, 0.0, 0.0, 1.0]),
+    np.array([0.0, 0.0, 0.0, -1.0]), np.array([0.0, 0.0, math.nan, 1.0])],
+    ids=["origin4", "origin2", "off-sheet", "lower-sheet", "nan"])
+@pytest.mark.parametrize("entry", sorted(_START_ENTRY_POINTS))
+def test_path_starts_must_be_points_of_the_sampler_dimension(entry, start):
+    # a start of another dimension read every pair distance as 0 (or raised
+    # an IndexError), and one off the sheet was driven as given
+    name, call = _START_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be .* cfg.dim = 3"):
+        call(start)
+
+
+def test_endpoints_check_every_start_row():
+    good = np.tile(_O3.coords, (3, 1))
+    off = good.copy()
+    off[1] = [5.0, 0.0, 0.0, 1.0]
+    for starts in (off, good[:2]):
+        with pytest.raises(ValueError, match="^starts must be 3 points"):
+            brownian.endpoints(_O3, 0.1, _CFG3, 3, starts=starts)
+    # more rows than paths: the first n_paths are used, as before
+    assert brownian.endpoints(_O3, 0.1, _CFG3, 2, starts=good).shape == (2, 4)
+
+
+_N_PATHS_ENTRY_POINTS = {
+    "endpoints": lambda n: brownian.endpoints(_O3, 0.1, _CFG3, n),
+    "endpoint_radii": lambda n: brownian.endpoint_radii(_O3, 0.1, _CFG3, n),
+    "exit_times": lambda n: brownian.exit_times(_O3, 1.0, 0.1, _CFG3, n),
+    "pair_profile_matrix": lambda n: brownian.pair_profile_matrix(
+        _O3, _O3, 0.1, _CFG3, n, _PROFILE),
+    "euclidean_pair_profile_matrix": lambda n: moments._euclidean_pair_profile_matrix(
+        0.1, _CFG3, n, _PROFILE),
+}
+
+
+@pytest.mark.parametrize("n_paths", [-1, 0, 2.5, True])
+@pytest.mark.parametrize("entry", sorted(_N_PATHS_ENTRY_POINTS))
+def test_path_counts_are_checked_before_anything_is_allocated(entry, n_paths):
+    # -1 failed inside numpy, 2.5 with a TypeError, 0 and True ran on
+    with pytest.raises(ValueError, match="n_paths must be at least 1 and an integer"):
+        _N_PATHS_ENTRY_POINTS[entry](n_paths)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])

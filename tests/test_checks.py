@@ -22,8 +22,8 @@ def test_ks_distance_equals_scipy(x):
 
 
 def test_sphere_direction_chi2_limit_is_the_chi2_quantile():
-    rec = checks._check_sphere_direction_chi2(1.0, 20260809)
-    assert rec["limit"] == st.chi2.ppf(0.99, 19)
+    rec = checks._check_sphere_direction_chi2(20260809)
+    assert rec.limit == st.chi2.ppf(0.99, 19)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.0])
@@ -37,8 +37,10 @@ def test_gauss_jacobi_phi_alpha_equals_quad(alpha):
 
 
 def test_quadrature_check_fails_on_a_perturbed_profile(monkeypatch):
-    assert checks._check_quadrature_consistency(1.0, 0)["passed"]
+    rec = checks._check_quadrature_consistency(0)
+    assert rec.observed <= rec.limit
     phi_alpha = covariance.phi_alpha
     monkeypatch.setattr(covariance, "phi_alpha",
                         lambda rho, alpha: phi_alpha(rho, alpha) * (1.0 + 1e-7))
-    assert not checks._check_quadrature_consistency(1.0, 0)["passed"]
+    rec = checks._check_quadrature_consistency(0)
+    assert not rec.observed <= rec.limit

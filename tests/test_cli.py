@@ -279,9 +279,12 @@ def test_validate_suite_passes_and_self_test(tmp_path, capsys, suite, some_check
     assert report["all_passed"]
     assert some_checks <= {c["name"] for c in report["checks"]}
     capsys.readouterr()
-    # corrupted tolerance: every limit scaled to zero must turn the run red
-    rc = main(["validate", "--suite", suite, "--tolerance-scale", "0.0"])
+    # corrupted tolerance: a zero scale must fail every check, not only turn the run red
+    rc = main(["validate", "--suite", suite, "--tolerance-scale", "0.0",
+               "--out", str(report_path)])
     assert rc == 1
+    report = json.loads(report_path.read_text())
+    assert report["checks"] and not any(c["passed"] for c in report["checks"])
 
 
 def test_lambda_requires_integrable_decay(tmp_path, capsys):

@@ -239,3 +239,19 @@ def test_sup_and_label():
     assert CovarianceModel("truncated-power", alpha=2.0, C=3.0).sup_value() == 3.0
     assert CovarianceModel("constant", c=2.0).sup_value() == 2.0
     assert "phi-alpha" in CovarianceModel("phi-alpha", alpha=0.5).label()
+
+
+@pytest.mark.parametrize("rho", [-2.0, -1.0, [0.5, -1e-3]], ids=["-2", "-1", "array"])
+@pytest.mark.parametrize("model", [
+    CovarianceModel("phi-alpha", alpha=2.0), CovarianceModel("truncated-power", alpha=2.0),
+    CovarianceModel("constant")], ids=["phi-alpha", "truncated-power", "constant"])
+def test_every_profile_kind_refuses_a_negative_distance(model, rho):
+    # truncated-power returned 1.0 at rho = -2 and inf (with a warning) at -1
+    with pytest.raises(ValueError, match="rho must be nonnegative"):
+        model.profile(rho)
+
+
+@pytest.mark.parametrize("kind", ["phi-alpha", "truncated-power"])
+def test_profile_propagates_nan(kind):
+    out = CovarianceModel(kind, alpha=2.0).profile(np.array([math.nan, 1.0]))
+    assert np.isnan(out[0]) and np.isfinite(out[1])

@@ -59,9 +59,9 @@ def test_sample_radial_exact_d3_first_draws_pinned(t, first4, single):
 
 
 def test_reverse_triangle_check_observed_pinned():
-    rec = checks._check_reverse_triangle(1.0, 20260809)
-    assert rec["observed"] == pytest.approx(-1.7296617693673966e-08, rel=RTOL)
-    assert rec["detail"] == "19121 triangles"
+    rec = checks._check_reverse_triangle(20260809)
+    assert rec.observed == pytest.approx(-1.7296617693673966e-08, rel=RTOL)
+    assert rec.detail == "19121 triangles"
 
 
 def test_euclidean_second_moment_pinned():

@@ -249,6 +249,19 @@ def test_counts_refuse_a_bool(flag):
                 fn()
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("arg", ["t", "beta"])
+def test_estimators_refuse_a_bool_time_or_coupling(arg, flag):
+    # t = True ran as t = 1, and beta = True was recorded as the coupling
+    model = CovarianceModel("truncated-power", alpha=2.0)
+    args = {"t": 1.0, "beta": 0.5, arg: flag}
+    for estimator in (fk_second_moment, jensen_lower, euclidean_second_moment):
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            estimator(O3, args["t"], args["beta"], model, 4, _cfg())
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        dyson_partial(O3, args["t"], args["beta"], model, 2, 4, _cfg())
+
+
 def test_lambda_constant_decay_and_stability():
     model = CovarianceModel("truncated-power", alpha=2.0)
     cfg = SamplerConfig(dim=3, step=5e-3, seed=SEED + 5)

@@ -52,16 +52,18 @@ def test_phi_alpha_model_loads_scipy_special_when_built():
 def test_statistical_checks_leave_scipy_stats_unloaded():
     code = ("import numpy as np\n"
             "from hyperpam import checks\n"
-            "assert checks._check_sphere_direction_chi2(1.0, 5)['passed']\n"
+            "rec = checks._check_sphere_direction_chi2(5)\n"
+            "assert rec.observed <= rec.limit\n"
             "x = np.random.default_rng(5).uniform(size=200)\n"
             "checks._ks_distance(x, lambda v: v)\n"
-            "checks._check_radial_law(1.0, 5)\n")
+            "checks._check_radial_law(5)\n")
     assert "scipy.stats" not in _scipy_loaded_after(code)
 
 
 def test_quadrature_check_and_eigen_solver_leave_scipy_integrate_unloaded():
     code = ("from hyperpam import checks, heatkernel\n"
-            "assert checks._check_quadrature_consistency(1.0, 0)['passed']\n"
+            "rec = checks._check_quadrature_consistency(0)\n"
+            "assert rec.observed <= rec.limit\n"
             "heatkernel.dirichlet_eigenvalue(2.0, 3)\n"
             "heatkernel.dirichlet_eigenfunction(2.0, 3, n_grid=50)\n")
     assert "scipy.integrate" not in _scipy_loaded_after(code)
