@@ -412,7 +412,7 @@ def _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored=None):
     return stored * dt, F
 
 
-def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
+def exit_times(x0, r, t_max, cfg, n_paths, first_index=0):
     """First times the distance from x0 exceeds r, censored at t_max (inf if none).
 
     Exits are detected on the simulation grid (every step).
@@ -424,7 +424,7 @@ def exit_times(x0, r, t_max, cfg, n_paths, tag=TAG_PRIMARY, first_index=0):
     cosh_r = np.cosh(r)
     n_steps, dt, _, _ = _schedule(t_max, cfg.step)
     out = np.full(n_paths, np.inf)
-    for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
+    for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY,)):
 
         x = np.tile(coords[:, None], hi - lo)
 

@@ -162,7 +162,7 @@ def _check_radial_sampler_moments(seed):
     rng = np.random.default_rng(seed)
     t = 25.0
     x = heatkernel.sample_radial_exact_d3(t, rng, size=20000)
-    mean_err = abs(x.mean() / t - 2.0)  # exact first moment is 2 + 1/t
+    mean_err = abs(x.mean() / t - (2.0 + 1.0 / t))  # exact d = 3 mean: 2 + 1/t
     var_bad = max(x.var() / t - 3.0, 1.0 - x.var() / t)
     return _Measured("radial-sampler-moments", max(mean_err - 0.05, var_bad, 0.0),
                       1e-12, detail=f"mean/t={x.mean()/t:.4f} var/t={x.var()/t:.4f}")
@@ -202,7 +202,8 @@ def _check_radial_speed(seed):
     cfg = brownian.SamplerConfig(dim=3, step=2e-3, seed=seed)
     o = geometry.origin(3)
     radii = brownian.endpoint_radii(o, 25.0, cfg, 3000)
-    return _Measured("radial-speed", abs(radii.mean() / 25.0 - 2.0), 0.05,
+    # the exact d = 3 mean of rho_t / t is 2 + 1/t
+    return _Measured("radial-speed", abs(radii.mean() / 25.0 - (2.0 + 1.0 / 25.0)), 0.05,
                       detail=f"mean rho/t = {radii.mean()/25.0:.4f}")
 
 

@@ -106,8 +106,8 @@ class CovarianceModel:
             raise ValueError("rho must be nonnegative")
         if self.kind == "truncated-power":
             return self.C / (1.0 + rho) ** self.alpha
-        return np.broadcast_to(np.float64(self.c), rho.shape).copy() if rho.ndim \
-            else float(self.c)
+        f = np.where(np.isnan(rho), np.nan, self.c)
+        return f if rho.ndim else float(f)
 
     def evaluate(self, x, y):
         """f(x, y) for two hyperboloid points (radial, hence symmetric)."""

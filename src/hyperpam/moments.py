@@ -28,21 +28,19 @@ also reports max_z = max(z) as the diagnostic (z = 0 at beta = 0).
 Ensembles
 ---------
 Every pair estimator reads its kernel's q per path from a :class:`PairEnsemble`
-through :meth:`PairEnsemble.integrals`, the ensemble's one read.  A sweep
-builds one ensemble that drives exactly the kernels (hyperbolic, flat) its
-estimators need and passes it to every cell: beta never enters the paths,
-the estimators share the streams, and a path to a shorter horizon with the
-same dt is a prefix of the path to the longest.  The flat pairs of
-``fk-euclidean`` read the same streams as the hyperbolic pairs, and both
-kernels step in one pass on one draw of the noise, under either scheme.
-The ensemble is the one owner of the storage plan: it schedules each horizon
-once, simulates each dt group once, to its largest horizon, and hands the
-driver the union of the group's stored step indices as ``stored``.  Called
-without an ensemble, an estimator builds a one-horizon ensemble of its own.
+through :meth:`PairEnsemble.integrals`, a lookup: the ensemble holds q per
+(kernel, horizon) and no profile matrix.  A sweep builds one ensemble that
+drives exactly the kernels (hyperbolic, flat) its estimators need and passes
+it to every cell: beta never enters the paths, the estimators share the
+streams, and a path to a shorter horizon with the same dt is a prefix of the
+path to the longest.  The ensemble simulates each dt group once, to its
+largest horizon, on the union of the group's stored step indices, and each
+shard of paths returns its q.  Called without an ensemble, an estimator
+builds a one-horizon ensemble of its own.
 
 Time integrals use the trapezoid rule on each horizon's own storage grid
-(spacing min(t/128, 0.05), rounded down to whole steps): a cell reads
-exactly the columns a simulation to its horizon alone would store.  The
+(spacing min(t/128, 0.05), rounded down to whole steps): a horizon's q
+integrates exactly the columns a simulation to it alone would store.  The
 quadrature error is zero for the constant oracle and ~0.02% for phi-alpha,
 but truncated-power has a sqrt(s) cusp at s = 0 that the first panels
 overestimate: +4.0% at t = 5 and +5.6% at t = 10 for alpha = 2.
@@ -115,21 +113,22 @@ def _finite_paths(values, what):
 class PairEnsemble:
     """n_paths pairs (B, B~) from x observed through model.profile, for several horizons.
 
-    The ensemble owns the storage plan: on construction it schedules each
-    horizon once (``brownian._schedule``: dt and stored step indices), and
-    horizons with one dt form a group.  The first :meth:`integrals` call for
-    a horizon simulates its group once, to its largest horizon, storing the
-    union of the group's step indices; each horizon reads its own columns.
-    The paths are split into ``shards`` contiguous index ranges, simulated
-    through ``pmap`` (``map`` or a process pool's ``map``) and joined; every
-    path draws from its own streams, so the split does not change a bit.  A
-    horizon that cannot be scheduled joins no group, and :meth:`integrals`
-    raises its scheduling error.
+    The ensemble holds q per path for each (kernel, horizon) and nothing
+    else.  It schedules each horizon once on construction
+    (``brownian._schedule``: dt and stored step indices); horizons with one
+    dt form a group, which the first :meth:`integrals` call for one of them
+    simulates once, to its largest horizon, keeping the q of all of them.
+    The paths are split into ``shards`` contiguous index ranges, each reduced by
+    :func:`_simulate_shard` through ``pmap`` (``map`` or a process pool's
+    ``map``) and joined; every path draws from its own streams, so the split
+    does not change a bit.  A horizon that cannot be scheduled joins no
+    group, and :meth:`integrals` raises its scheduling error.
 
     ``kernels`` names what is driven: "hyperbolic" pairs, both walkers from
-    x, and "flat" Euclidean pairs from a common start.  Path i of either
-    kernel uses the streams of path i, and one simulation of a dt group
-    steps all the kernels in one pass per shard, on one draw of the noise.
+    x, and "flat" Euclidean pairs from a common start, which needs no x (it
+    may be None or in R^d, too).  Path i of either kernel uses the streams of
+    path i, and one simulation of a dt group steps all the kernels in one
+    pass per shard, on one draw of the noise.
     """
 
     def __init__(self, x, model, cfg, n_paths, horizons, kernels=("hyperbolic",), pmap=map,
@@ -137,16 +136,20 @@ class PairEnsemble:
         self.kernels = frozenset(kernels)
         if not self.kernels or not self.kernels <= {"hyperbolic", "flat"}:
             raise ValueError(f"kernels must be hyperbolic and/or flat, got {sorted(kernels)}")
-        self.x, self.model, self.cfg, self.pmap = x, model, cfg, pmap
-        self.n_paths = int(n_paths)
-        self.shards = max(1, min(int(shards), self.n_paths))
+        brownian._check_n_paths(n_paths)
+        if "hyperbolic" in self.kernels or not (x is None or (
+                not isinstance(x, geometry.HPoint) and np.shape(x) == (cfg.dim,)
+                and np.isfinite(x).all())):
+            brownian._start(x, cfg, "x0")
+        self.x, self.model, self.cfg, self.n_paths, self.pmap = x, model, cfg, n_paths, pmap
+        self.shards = max(1, min(int(shards), n_paths))
         self._plan = {}  # horizon -> (dt, stored step indices)
         for h in horizons:
             try:
                 self._plan[h] = brownian._schedule(h, cfg.step)[1:3]
             except ValueError:
                 continue
-        self._simulated = {}  # dt -> (stored union, {kernel: F})
+        self._q = {}  # (kernel, horizon) -> q per path
 
     def integrals(self, t, kernel):
         """q = integral_0^t f(B_s, B_s~) ds per path of ``kernel``: the trapezoid of
@@ -156,45 +159,42 @@ class PairEnsemble:
         if t not in self._plan:
             brownian._schedule(t, self.cfg.step)  # raises if t cannot be scheduled
             raise ValueError(f"t = {t} is not a horizon of this ensemble")
-        dt, stored = self._plan[t]
-        if dt not in self._simulated:
-            self._simulated[dt] = self._simulate(dt)
-        union, F = self._simulated[dt]
-        # a contiguous copy keeps the summation order of a run to t alone
-        F = np.ascontiguousarray(F[kernel][:, np.searchsorted(union, stored)])
-        return np.trapezoid(F, stored * dt, axis=1)
-
-    def _simulate(self, dt):
-        group = [h for h, (dt_h, _) in self._plan.items() if dt_h == dt]
-        union = np.unique(np.concatenate([self._plan[h][1] for h in group]))
-        n, k = self.n_paths, self.shards
-        bounds = [n * i // k for i in range(k + 1)]
-        jobs = [(self.x, self.model, self.cfg, self.kernels, a, b, max(group), union)
-                for a, b in zip(bounds, bounds[1:])]
-        shards = list(self.pmap(_simulate_shard, jobs))
-        # popping frees each kernel's shard matrices once they are joined
-        return union, {k: np.concatenate([F.pop(k) for F in shards]) for k in self.kernels}
+        if (kernel, t) not in self._q:
+            group = {h: s for h, (dt, s) in self._plan.items() if dt == self._plan[t][0]}
+            bounds = [self.n_paths * i // self.shards for i in range(self.shards + 1)]
+            shards = list(self.pmap(_simulate_shard, [
+                (self.x, self.model, self.cfg, self.kernels, a, b, group)
+                for a, b in zip(bounds, bounds[1:])]))
+            self._q.update({key: np.concatenate([q[key] for q in shards]) for key in shards[0]})
+        return self._q[kernel, t]
 
 
 def _simulate_shard(job):
-    """{kernel: F} of the pairs [lo, hi) of one dt group; a process pool can run it."""
-    x, model, cfg, kernels, lo, hi, t, stored = job
+    """{(kernel, horizon): q} of the pairs [lo, hi) for each horizon of one dt group,
+    the trapezoid of its own columns of one simulation to the group's last
+    horizon storing the union of their step indices; a process pool can run it."""
+    x, model, cfg, kernels, lo, hi, group = job
+    union = np.unique(np.concatenate(list(group.values())))
+    walk = (max(group), cfg, hi - lo, model.profile)
     if "flat" not in kernels:
-        return {"hyperbolic": brownian.pair_profile_matrix(
-            x, x, t, cfg, hi - lo, model.profile, first_index=lo, stored=stored)[1]}
-    hyperbolic = (x, x) if "hyperbolic" in kernels else None
-    _, *F = _euclidean_pair_profile_matrix(t, cfg, hi - lo, model.profile, first_index=lo,
-                                           stored=stored, hyperbolic=hyperbolic)
-    return dict(zip(("flat", "hyperbolic"), F))
+        times, F = brownian.pair_profile_matrix(x, x, *walk, first_index=lo, stored=union)
+        F = {"hyperbolic": F}
+    else:
+        hyperbolic = (x, x) if "hyperbolic" in kernels else None
+        times, *F = _euclidean_pair_profile_matrix(*walk, first_index=lo, stored=union,
+                                                   hyperbolic=hyperbolic)
+        F = dict(zip(("flat", "hyperbolic"), F))
+    cols = {h: np.searchsorted(union, stored) for h, stored in group.items()}
+    # a contiguous copy keeps the summation order of a run to h alone
+    return {(k, h): np.trapezoid(np.ascontiguousarray(F[k][:, c]), times[c], axis=1)
+            for k in F for h, c in cols.items()}
 
 
 def _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel):
-    """``ensemble``, or a one-horizon ensemble to t when it is None.
-
-    A given ensemble must be one the estimator would build: same n_paths,
-    model and sampler config, driving the estimator's kernel, and (hyperbolic
-    kernel) started at x; the flat kernel is translation invariant.
-    """
+    """``ensemble``, or a one-horizon ensemble to t when it is None.  A given
+    ensemble must be one the estimator would build: same n_paths, model and
+    sampler config, driving the estimator's kernel, and (hyperbolic kernel)
+    started at x; the flat kernel is translation invariant."""
     if ensemble is None:
         return PairEnsemble(x, model, cfg, n_paths, (t,), kernels=(kernel,))
     same_start = kernel == "flat" or np.array_equal(geometry._coords(ensemble.x),
@@ -221,7 +221,7 @@ def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="h
         raise ValueError(f"t must be finite and positive, got {t}")
     if isinstance(beta, (bool, np.bool_)) or not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    brownian._check_n_paths(n_paths)  # here too: beta = 0 simulates nothing
+    brownian._check_n_paths(n_paths)  # True and 1.0 would pass for a given ensemble's 1
     if kernel == "flat" and (problem := _euclidean_problem(model, cfg.dim)):
         raise EstimatorError(problem[1])
     ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel)
@@ -357,7 +357,7 @@ def euclidean_second_moment(x, t, beta, model, n_paths, cfg, ensemble=None):
     """The direct estimator driven by flat Brownian motion (comparison mode).
 
     Requires d >= 3 (transience) and a truncated-power or constant profile;
-    translation invariance makes the starting point immaterial.
+    translation invariance makes x immaterial: None, or a point of R^d or H^d.
     """
     return _estimate("fk-euclidean", x, t, beta, model, n_paths, cfg, ensemble,
                      _log_mean_exp, kernel="flat")

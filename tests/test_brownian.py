@@ -59,6 +59,11 @@ _START_ENTRY_POINTS = {
         _O3, p, 0.1, _CFG3, 2, _PROFILE, flat=True)),
     "fk_second_moment": ("x0", lambda p: moments.fk_second_moment(
         p, 0.1, 0.5, CovarianceModel("truncated-power", alpha=0.5), 2, _CFG3)),
+    # beta = 0 simulates nothing, but its ensemble still checks the start
+    "fk_second_moment-beta0": ("x0", lambda p: moments.fk_second_moment(
+        p, 0.1, 0.0, CovarianceModel("truncated-power", alpha=0.5), 2, _CFG3)),
+    "euclidean_second_moment": ("x0", lambda p: moments.euclidean_second_moment(
+        p, 0.1, 0.5, CovarianceModel("truncated-power", alpha=0.5), 2, _CFG3)),
 }
 
 
@@ -94,6 +99,8 @@ _N_PATHS_ENTRY_POINTS = {
         _O3, _O3, 0.1, _CFG3, n, _PROFILE),
     "euclidean_pair_profile_matrix": lambda n: moments._euclidean_pair_profile_matrix(
         0.1, _CFG3, n, _PROFILE),
+    "PairEnsemble": lambda n: moments.PairEnsemble(
+        _O3, CovarianceModel("truncated-power", alpha=0.5), _CFG3, n, (0.1,)),
 }
 
 
@@ -134,7 +141,7 @@ def test_radial_speed_and_fluctuation():
     o = geometry.origin(3)
     t = 25.0
     radii = brownian.endpoint_radii(o, t, cfg, 4000)
-    assert radii.mean() / t == pytest.approx(2.0, abs=0.05)
+    assert radii.mean() / t == pytest.approx(2.0 + 1.0 / t, abs=0.05)  # E rho_t = 2t + 1
     xi = (radii - 2.0 * t) / math.sqrt(t)
     # sub-gaussian fluctuation scale (variance ~2): |xi| > 4 is ~0.5% events
     assert np.mean(np.abs(xi) > 4.0) <= 0.01

@@ -8,7 +8,7 @@ import pytest
 import scipy.stats as st
 from scipy.integrate import quad
 
-from hyperpam import checks, covariance
+from hyperpam import brownian, checks, covariance
 
 _RNG = np.random.default_rng(7)
 _NORMAL = _RNG.standard_normal(300)
@@ -44,3 +44,9 @@ def test_quadrature_check_fails_on_a_perturbed_profile(monkeypatch):
                         lambda rho, alpha: phi_alpha(rho, alpha) * (1.0 + 1e-7))
     rec = checks._check_quadrature_consistency(0)
     assert not rec.observed <= rec.limit
+
+
+def test_radial_speed_aims_at_the_exact_mean(monkeypatch):
+    # E rho_25 = 2 * 25 + 1 = 51 in d = 3: a target of 2.0 observed 0.04 here
+    monkeypatch.setattr(brownian, "endpoint_radii", lambda *args: np.full(3000, 51.0))
+    assert checks._check_radial_speed(0).observed == 0.0

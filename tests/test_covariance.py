@@ -251,7 +251,8 @@ def test_every_profile_kind_refuses_a_negative_distance(model, rho):
         model.profile(rho)
 
 
-@pytest.mark.parametrize("kind", ["phi-alpha", "truncated-power"])
+@pytest.mark.parametrize("kind", ["phi-alpha", "truncated-power", "constant"])
 def test_profile_propagates_nan(kind):
+    # an overflowed pair distance must be excluded, not counted as f = c
     out = CovarianceModel(kind, alpha=2.0).profile(np.array([math.nan, 1.0]))
     assert np.isnan(out[0]) and np.isfinite(out[1])

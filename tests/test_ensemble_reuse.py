@@ -77,6 +77,35 @@ def test_ensemble_columns_equal_one_horizon_simulations(flat):
         assert ens.integrals(t, kernel).tobytes() == np.trapezoid(F, times, axis=1).tobytes()
 
 
+def test_shards_return_q_per_kernel_and_horizon_of_their_dt_group():
+    x = geometry.origin(3)
+    model = CovarianceModel("truncated-power", alpha=0.5)
+    cfg = SamplerConfig(3, 1e-2, "embedded-sde", 94)
+    horizons, kernels = (1.0, 2.0), ("hyperbolic", "flat")  # one dt group
+    calls = []
+
+    def spying_pmap(fn, jobs):
+        calls.append(list(map(fn, jobs)))
+        return calls[-1]
+
+    ens = moments.PairEnsemble(x, model, cfg, 7, horizons, kernels=kernels,
+                               pmap=spying_pmap, shards=3)
+    q = {(k, t): ens.integrals(t, k) for t in horizons for k in kernels}
+    # the first read simulated the group; the second horizon's reads are lookups
+    assert len(calls) == 1
+    keys = {(k, t) for k in kernels for t in horizons}
+    for shard, n in zip(calls[0], (2, 2, 3), strict=True):
+        assert set(shard) == keys
+        for v in shard.values():
+            assert isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
+    # the ensemble keeps one q vector per (kernel, horizon) and no profile matrix
+    assert {key: v.shape for key, v in ens._q.items()} == dict.fromkeys(keys, (7,))
+    for (k, t), v in q.items():
+        times, F = moments._euclidean_pair_profile_matrix(t, cfg, 7, model.profile) \
+            if k == "flat" else brownian.pair_profile_matrix(x, x, t, cfg, 7, model.profile)
+        assert v.tobytes() == np.trapezoid(F, times, axis=1).tobytes()
+
+
 def test_ensemble_rejects_foreign_and_unschedulable_horizons():
     x = geometry.origin(3)
     model = CovarianceModel("truncated-power", alpha=0.5)
