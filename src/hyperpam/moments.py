@@ -191,12 +191,13 @@ def _simulate_shard(job):
 
 
 def _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel):
-    """``ensemble``, or a one-horizon ensemble to t when it is None.  A given
-    ensemble must be one the estimator would build: same n_paths, model and
-    sampler config, driving the estimator's kernel, and (hyperbolic kernel)
-    started at x; the flat kernel is translation invariant."""
+    """``ensemble``, else the one-horizon ensemble to t, built either way to check x
+    and n_paths (it simulates nothing until read).  A given ensemble must match
+    it: same n_paths, model and sampler config, driving the estimator's kernel,
+    and (hyperbolic kernel) started at x; the flat kernel is translation invariant."""
+    own = PairEnsemble(x, model, cfg, n_paths, (t,), kernels=(kernel,))
     if ensemble is None:
-        return PairEnsemble(x, model, cfg, n_paths, (t,), kernels=(kernel,))
+        return own
     same_start = kernel == "flat" or np.array_equal(geometry._coords(ensemble.x),
                                                     geometry._coords(x))
     if not same_start or kernel not in ensemble.kernels or (
@@ -209,8 +210,8 @@ def _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel):
 def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="hyperbolic"):
     """The one pair-estimator shell around ``reduce``.
 
-    Checks t, beta, n_paths and (flat ``kernel``) the euclidean-mode setting, takes
-    the ensemble from :func:`_own_ensemble`, forms z = beta^2 q (zero on
+    Checks t, beta and (flat ``kernel``) the euclidean-mode setting, takes the
+    ensemble from :func:`_own_ensemble`, forms z = beta^2 q (zero on
     every path at beta = 0, where nothing is simulated) and keeps the paths
     whose z is finite: a non-finite profile value or an overflowing beta^2,
     up to 1e-3 of the paths.  ``reduce(z)`` returns (log_m2, stderr_log,
@@ -221,7 +222,6 @@ def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="h
         raise ValueError(f"t must be finite and positive, got {t}")
     if isinstance(beta, (bool, np.bool_)) or not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    brownian._check_n_paths(n_paths)  # True and 1.0 would pass for a given ensemble's 1
     if kernel == "flat" and (problem := _euclidean_problem(model, cfg.dim)):
         raise EstimatorError(problem[1])
     ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel)

@@ -42,7 +42,8 @@ def test_step_budget_guard():
 
 _CFG3 = SamplerConfig(dim=3, step=1e-2, seed=1)
 _O3 = geometry.origin(3)
-_PROFILE = CovarianceModel("truncated-power", alpha=0.5).profile
+_TP = CovarianceModel("truncated-power", alpha=0.5)
+_PROFILE = _TP.profile
 
 # entry point -> (the argument it names, a call with that start replaced by p)
 _START_ENTRY_POINTS = {
@@ -61,9 +62,12 @@ _START_ENTRY_POINTS = {
         p, 0.1, 0.5, CovarianceModel("truncated-power", alpha=0.5), 2, _CFG3)),
     # beta = 0 simulates nothing, but its ensemble still checks the start
     "fk_second_moment-beta0": ("x0", lambda p: moments.fk_second_moment(
-        p, 0.1, 0.0, CovarianceModel("truncated-power", alpha=0.5), 2, _CFG3)),
+        p, 0.1, 0.0, _TP, 2, _CFG3)),
     "euclidean_second_moment": ("x0", lambda p: moments.euclidean_second_moment(
-        p, 0.1, 0.5, CovarianceModel("truncated-power", alpha=0.5), 2, _CFG3)),
+        p, 0.1, 0.5, _TP, 2, _CFG3)),
+    "euclidean_second_moment-ensemble": ("x0", lambda p: moments.euclidean_second_moment(
+        p, 0.1, 0.5, _TP, 2, _CFG3, ensemble=moments.PairEnsemble(
+            _O3, _TP, _CFG3, 2, (0.1,), kernels=("flat",)))),
 }
 
 
@@ -99,8 +103,7 @@ _N_PATHS_ENTRY_POINTS = {
         _O3, _O3, 0.1, _CFG3, n, _PROFILE),
     "euclidean_pair_profile_matrix": lambda n: moments._euclidean_pair_profile_matrix(
         0.1, _CFG3, n, _PROFILE),
-    "PairEnsemble": lambda n: moments.PairEnsemble(
-        _O3, CovarianceModel("truncated-power", alpha=0.5), _CFG3, n, (0.1,)),
+    "PairEnsemble": lambda n: moments.PairEnsemble(_O3, _TP, _CFG3, n, (0.1,)),
 }
 
 
