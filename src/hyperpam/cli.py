@@ -391,11 +391,11 @@ def cmd_sample_path(args):
 
 
 def cmd_eigenvalue(args):
-    _record(brownian.SamplerConfig, {"dim": args.dim}, _flag_error)
     try:
         lam = heatkernel.dirichlet_eigenvalue(args.r, args.dim, args.mode)
-    except ValueError as exc:  # --dim is checked and --mode a choice: --r failed
-        raise ConfigError(f"--r: {exc}") from exc
+    except ValueError as exc:  # --mode is a choice, and d is checked before r
+        flag = "--r" if 2 <= args.dim <= heatkernel.MAX_DIM else "--dim"
+        raise ConfigError(f"{flag}: {exc}") from exc
     print(f"lambda({args.mode}, r={args.r:g}, d={args.dim}) = {lam!r}")
     return 0
 

@@ -672,9 +672,10 @@ def test_validate_rejects_bad_tolerance_scale(capsys, scale):
     (["sample-path", "--step", "0"], "--step"),
     (["eigenvalue", "--r", "nan"], "--r"),
     (["eigenvalue", "--r", "1", "--dim", "1"], "--dim"),
+    (["eigenvalue", "--r", "1", "--dim", "100"], "--dim"),
     (["validate", "--seed", "-1"], "--seed"),
 ], ids=["sample-path-dim", "sample-path-step", "eigenvalue-r", "eigenvalue-dim",
-        "validate-seed"])
+        "eigenvalue-dim-above-max", "validate-seed"])
 def test_argument_error_names_flag(tmp_path, capsys, argv, flag):
     out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "eigenvalue" else []
     assert main([*argv, *out]) == 2

@@ -243,6 +243,27 @@ def test_psd_property_random_sets():
         assert out["min_eigenvalue"] >= -1e-8 * out["gram_trace"]
 
 
+def test_psd_check_diagonal_is_the_profile_at_zero():
+    # psd_check built its own -<x_i, x_j>, and the roundoff of far points
+    # reached the diagonal: the point at rho = 28.5 here had F(20.1) = 0.201
+    model = CovarianceModel("phi-alpha", alpha=0.5)
+    pts = geometry.random_points(40, 3, np.random.default_rng(1), 30.0)
+    assert psd_check(model, pts)["gram_trace"] == 40.0
+    # off-sheet points raise, as in evaluate
+    with pytest.raises(ValueError, match="off the hyperboloid"):
+        psd_check(model, [geometry.origin(3).coords, np.array([1.0, 0.0, 0.0, 0.0])])
+
+
+@pytest.mark.parametrize("rho", [10.0, 15.0, 20.0, 30.0])
+def test_evaluate_at_a_far_point_and_itself(rho):
+    # distance(p, p) raised "off the hyperboloid" for most p this far from o
+    rng = np.random.default_rng(SEED)
+    model = CovarianceModel("phi-alpha", alpha=0.5)
+    for u in geometry.random_directions(50, 3, rng):
+        p = geometry.HPoint(geometry.points_from_polar(np.array(rho), u), 3)
+        assert 0.0 < model.evaluate(p, p) <= 1.0
+
+
 def test_psd_check_size_limits():
     model = CovarianceModel("phi-alpha", alpha=1.0)
     with pytest.raises(ValueError):

@@ -335,6 +335,52 @@ def test_exp_map_accepts_a_tangent_direction_at_a_far_base():
     assert distance(origin(3), q) == pytest.approx(30.0 + math.log(math.cosh(1.0)), rel=1e-12)
 
 
+def _far_points(rho, rng, n):
+    """n HPoints at distance rho from o, in uniform directions."""
+    return [HPoint(geometry.points_from_polar(np.array(rho), u), 3)
+            for u in geometry.random_directions(n, 3, rng)]
+
+
+@pytest.mark.parametrize("rho", [10.0, 20.0, 30.0, 60.0])
+def test_uniform_direction_then_exp_map_at_far_bases(rho):
+    # the unit-norm test was absolute and the TangentVec tangency test had no
+    # base_d factor, so both refused valid directions this far from o.  The
+    # coordinates resolve the distance from o, not from the base, so the
+    # landing point is held to the triangle inequality
+    rng = np.random.default_rng(SEED)
+    o = origin(3)
+    for base in _far_points(rho, rng, 25):
+        for b in (base, base.coords):
+            q = exp_map(b, uniform_sphere_direction(b, rng), 1.0)
+            assert isinstance(q, HPoint) == (b is base)
+            geometry._check_on_sheet(geometry._coords(q))
+            assert rho - 1.0 - 1e-9 <= float(distance(o, q)) <= rho + 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("rho", [10.0, 20.0, 30.0, 60.0])
+def test_log_map_then_exp_map_at_far_bases(rho):
+    # exp_map sums cosh(r) base and sinh(r) u, both of size cosh(r) base_d, so
+    # at a far base the round trip holds to the roundoff of that size
+    rng = np.random.default_rng(SEED)
+    for base in _far_points(rho, rng, 10):
+        for p in (origin(3).coords, *geometry.random_points(3, 3, rng, max_radius=rho)):
+            for b, target in ((base, HPoint(p, 3)), (base.coords, p)):
+                u, r = log_map(b, target)
+                q = geometry._coords(exp_map(b, u, r))
+                assert np.max(np.abs(q - p)) <= 1e-12 * math.cosh(r) * base.coords[-1]
+
+
+@pytest.mark.parametrize("rho", [10.0, 15.0, 20.0, 30.0])
+def test_self_distance_at_far_points_is_roundoff(rho):
+    # distance(p, p) raised "off the hyperboloid" for most such p; -<p, p> - 1
+    # is lost below about eps * cosh^2 rho, which bounds what it may read
+    rng = np.random.default_rng(SEED)
+    for p in _far_points(rho, rng, 50):
+        for x in (p, p.coords):
+            dist = float(distance(x, x))
+            assert math.cosh(dist) - 1.0 <= 4.0 * np.finfo(float).eps * math.cosh(rho) ** 2
+
+
 def test_spherical_cap_refuses_bad_parameters():
     e1 = np.array([1.0, 0.0, 0.0])
     for half_angle in (0.0, -0.1, math.pi + 1e-9, math.nan):

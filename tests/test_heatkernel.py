@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 import scipy.stats as st
 from scipy.integrate import quad
 
@@ -184,6 +185,17 @@ def test_eigenvalue_other_dimensions():
         2.404825557695773, rel=1e-7)
     assert math.sqrt(dirichlet_eigenvalue(1.0, 4, "euclidean")) == pytest.approx(
         3.8317059702075125, rel=1e-7)
+
+
+def test_eigenvalue_dimension_range():
+    # the flat closed form j_{(d-2)/2,1}^2 / r^2 holds to 2e-8 up to MAX_DIM;
+    # past it the error grew unseen, to -7.2e20 at d = 100
+    d = heatkernel.MAX_DIM
+    j = sp.jn_zeros((d - 2) // 2, 1)[0]
+    assert dirichlet_eigenvalue(1.0, d, "euclidean") == pytest.approx(j**2, rel=2e-8)
+    for bad in (d + 1, 100):
+        with pytest.raises(ValueError, match=f"d must be an integer in .*, got {bad}"):
+            dirichlet_eigenvalue(1.0, bad)
 
 
 def test_eigenvalue_rayleigh_quotient():
