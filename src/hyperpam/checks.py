@@ -44,8 +44,9 @@ def _check_hyperboloid_constraint(seed):
     rng = np.random.default_rng(seed)
     pts = geometry.random_points(20000, 3, rng, max_radius=30.0)
     q = geometry.minkowski_product(pts, pts)
-    worst = float(np.max(np.abs(q + 1.0) / geometry._roundoff_scale(pts, pts)))
-    return _Measured("hyperboloid-constraint", worst, geometry._REL_TOL)
+    # <z,z>+1 carries representation noise ~eps cosh^2(rho), so normalize
+    worst = float(np.max(np.abs(q + 1.0) / np.maximum(1.0, pts[:, -1] ** 2)))
+    return _Measured("hyperboloid-constraint", worst, 1e-8)
 
 
 def _check_triangle_inequality(seed):

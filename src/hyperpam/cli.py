@@ -393,8 +393,8 @@ def cmd_sample_path(args):
 def cmd_eigenvalue(args):
     try:
         lam = heatkernel.dirichlet_eigenvalue(args.r, args.dim, args.mode)
-    except ValueError as exc:  # --mode is a choice, and d is checked before r
-        flag = "--r" if 2 <= args.dim <= heatkernel.MAX_DIM else "--dim"
+    except ValueError as exc:  # --mode is a choice
+        flag = "--dim" if isinstance(exc, heatkernel.DimensionError) else "--r"
         raise ConfigError(f"{flag}: {exc}") from exc
     print(f"lambda({args.mode}, r={args.r:g}, d={args.dim}) = {lam!r}")
     return 0

@@ -127,16 +127,12 @@ def psd_check(model, points):
     """Gram-matrix positivity probe: min eigenvalue and trace of [f(x_i, x_j)].
 
     ``points``: 1 <= n <= 500 HPoints or coordinate rows (an (n, d+1) array
-    too), counted first, then unwrapped alike; off-sheet points raise as in
-    ``evaluate``.  For the phi-alpha kind the contract is min_eigenvalue >=
-    -1e-8 * trace.
+    too), counted first, then unwrapped alike.  For the phi-alpha kind the
+    contract is min_eigenvalue >= -1e-8 * trace.
     """
     if not 1 <= len(points) <= 500:
         raise ValueError("need between 1 and 500 points")
     coords = np.stack([_coords(p) for p in points])
-    rho = distance(coords[:, None, :], coords[None, :, :])
-    # F(0) on the diagonal: rho(x, x) read from far points is roundoff, not 0
-    np.fill_diagonal(rho, 0.0)
-    gram = np.asarray(model.profile(rho), dtype=float)
+    gram = np.asarray(model.profile(distance(coords[:, None], coords[None])), dtype=float)
     eig = np.linalg.eigvalsh(gram)
     return {"min_eigenvalue": float(eig[0]), "gram_trace": float(np.trace(gram))}

@@ -37,6 +37,10 @@ from .geometry import _logsinh, origin
 MAX_DIM = 10  # largest d dirichlet_eigenvalue was checked at; 6e-4 off at d = 30
 
 
+class DimensionError(ValueError):
+    """A dimension outside the range :func:`dirichlet_eigenvalue` was checked over."""
+
+
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on call; nothing in the package calls it."""
     from scipy.integrate import solve_ivp
@@ -184,14 +188,12 @@ def _fv_eigenvalue(r, d, mode, n):
 def dirichlet_eigenvalue(r, d, mode="hyperbolic"):
     """Principal Dirichlet eigenvalue of -Delta on the geodesic ball of radius r.
 
-    The second-order finite-volume eigenvalue (:func:`_fv_eigenvalue`) of the
-    hyperbolic or flat (euclidean) radial operator at n = 2000 and 4000 cells,
-    Richardson-extrapolated; a finer pair loses digits to rounding.  For d <= MAX_DIM,
-    against closed forms (flat; odd d hyperbolic) and ODE shooting, the relative
-    error is below 2e-8 up to r = 20; at r = 100 it is 4e-9 (d = 3) to 2e-6 (d = 10).
+    :func:`_fv_eigenvalue` (``mode``: hyperbolic or flat) at 2000 and 4000 cells,
+    Richardson-extrapolated (a finer pair loses digits to rounding); for d <= MAX_DIM
+    within 2e-8 relative up to r = 20 and 2e-6 at r = 100 of closed forms and shooting.
     """
     if not (2 <= d <= MAX_DIM and int(d) == d):
-        raise ValueError(f"d must be an integer in [2, {MAX_DIM}], got {d}")
+        raise DimensionError(f"d must be an integer in [2, {MAX_DIM}], got {d}")
     if not 0 < r <= 100:
         raise ValueError("r must lie in (0, 100]")
     if mode not in ("hyperbolic", "euclidean"):

@@ -371,14 +371,42 @@ def test_log_map_then_exp_map_at_far_bases(rho):
 
 
 @pytest.mark.parametrize("rho", [10.0, 15.0, 20.0, 30.0])
-def test_self_distance_at_far_points_is_roundoff(rho):
-    # distance(p, p) raised "off the hyperboloid" for most such p; -<p, p> - 1
-    # is lost below about eps * cosh^2 rho, which bounds what it may read
+def test_self_distance_at_far_points_is_zero(rho):
+    # -<p, p> - 1 is roundoff of order eps cosh^2 rho: distance(p, p) raised
+    # "off the hyperboloid" for most such p, or read up to 2 rho - 36
     rng = np.random.default_rng(SEED)
     for p in _far_points(rho, rng, 50):
         for x in (p, p.coords):
-            dist = float(distance(x, x))
-            assert math.cosh(dist) - 1.0 <= 4.0 * np.finfo(float).eps * math.cosh(rho) ** 2
+            assert distance(x, x) == 0.0
+
+
+def test_distance_resolves_nearby_far_points_and_far_pairs():
+    # arccosh(-<p, q>) was off by up to 2e-4 for points 1e-4 apart at rho = 10;
+    # the chord resolves them, while cosh rho = -<o, p> still serves far pairs
+    rng = np.random.default_rng(SEED)
+    for p in _far_points(10.0, rng, 25):
+        q = exp_map(p, uniform_sphere_direction(p, rng), 1e-4)
+        assert float(distance(p, q)) == pytest.approx(1e-4, abs=1e-6)
+    for p in _far_points(60.0, rng, 5):
+        assert float(distance(origin(3), p)) == pytest.approx(60.0, rel=1e-14)
+
+
+def test_product_checks_refuse_a_base_component_at_a_far_base():
+    # a product test sees a component of size 1 along the base only while
+    # _REL_TOL * (2 cosh^2 rho - 1) < 1: out to rho ~ 12 (only to 9.6 at 1e-8)
+    rng = np.random.default_rng(SEED)
+    for base in _far_points(10.0, rng, 10):
+        radial = base.coords.copy()
+        radial[:-1] *= math.cosh(10.0) / math.sinh(10.0)
+        radial[-1] = math.sinh(10.0)
+        with pytest.raises(ValueError, match="not tangent"):
+            TangentVec(base, base.coords)
+        for b in (base, base.coords):
+            with pytest.raises(ValueError, match="unit Minkowski norm"):
+                exp_map(b, base.coords, 1.0)
+            with pytest.raises(ValueError, match="unit Minkowski norm"):
+                exp_map(b, 2.0 * radial, 1.0)
+            exp_map(b, radial, 1.0)
 
 
 def test_spherical_cap_refuses_bad_parameters():
