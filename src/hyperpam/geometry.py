@@ -18,8 +18,10 @@ code serves both the object API and bulk property checks.
 Curvature is fixed to -1 throughout.  Every test on a Minkowski product allows
 _REL_TOL times _roundoff_scale, the sum of its terms' magnitudes (2 cosh^2 rho
 at rho from o, where paths go: rho = 10-60), so a component of size 1 along the
-base goes unseen past rho ~ 12.  distance(p, p) is 0, and nearby points at rho
-from o are resolved to about eps cosh^2 rho.
+base goes unseen past rho ~ 12.  distance instead takes the radii r and the
+angle theta at o: rho = 2 asinh sqrt(sinh^2((r_a - r_b)/2) + sinh r_a sinh r_b
+sin^2(theta/2)), which resolves nearby points at rho from o to about eps sinh rho
+and pairs far apart to about eps relative.
 """
 
 import math
@@ -39,9 +41,7 @@ def minkowski_product(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]} coordinates"
-        )
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]} coordinates")
     return np.sum(a[..., :-1] * b[..., :-1], axis=-1) - a[..., -1] * b[..., -1]
 
 
@@ -53,14 +53,10 @@ def _roundoff_scale(a, b):
 def project_to_hyperboloid(z):
     """Rescale the time-like component so that <z,z> = -1 exactly.
 
-    Overflow-safe for spatial norms up to ~1e300: hypot avoids squaring the
-    norm, and the norm itself is computed with a max-rescaling.
+    Overflow-safe for any finite spatial part: hypot squares nothing.
     """
     z = np.array(z, dtype=float)
-    spatial = z[..., :-1]
-    scale = np.maximum(np.max(np.abs(spatial), axis=-1, keepdims=True), 1.0)
-    norm = np.sqrt(np.sum((spatial / scale) ** 2, axis=-1)) * scale[..., 0]
-    z[..., -1] = np.hypot(1.0, norm)
+    z[..., -1] = np.hypot(1.0, np.hypot.reduce(z[..., :-1], axis=-1))
     return z
 
 
@@ -134,16 +130,20 @@ def origin(d):
 
 
 def distance(a, b):
-    """Geodesic distance: arccosh(-<a,b>), or 2 asinh(sqrt(<a-b, a-b>) / 2) where
-    that chord form sums the smaller terms, as for nearby points (0 for a = b)."""
+    """Geodesic distance from the radii r (sinh r is the spatial norm) and the angle
+    theta at o: 2 asinh sqrt(sinh^2((r_a - r_b)/2) + sinh r_a sinh r_b sin^2(theta/2)),
+    the law of cosines through cosh rho - 1 = 2 sinh^2(rho/2).  Both terms are
+    nonnegative, so nothing cancels; distance(p, p) is 0."""
     ca, cb = _coords(a), _coords(b)
-    m, scale = -minkowski_product(ca, cb), _roundoff_scale(ca, cb)
-    if np.any(m < 1.0 - _REL_TOL * scale):
+    m = -minkowski_product(ca, cb)
+    if np.any(m < 1.0 - _REL_TOL * _roundoff_scale(ca, cb)):
         raise ValueError(f"points off the hyperboloid: -<a,b> = {float(np.min(m))!r} < 1")
-    chord = ca - cb
-    c = np.maximum(minkowski_product(chord, chord), 0.0)
-    return np.where(_roundoff_scale(chord, chord) <= scale, 2.0 * np.arcsinh(0.5 * np.sqrt(c)),
-                    np.arccosh(np.maximum(m, 1.0)))[()]
+    sa, sb = np.hypot.reduce(ca[..., :-1], axis=-1), np.hypot.reduce(cb[..., :-1], axis=-1)
+    # the unit directions u at o; o itself gets u = 0, and sinh r = 0 drops its angle
+    ua, ub = (c[..., :-1] / np.where(s > 0, s, 1.0)[..., None] for c, s in ((ca, sa), (cb, sb)))
+    sin_half = 0.5 * np.linalg.norm(ua - ub, axis=-1)
+    return 2.0 * np.arcsinh(np.hypot(np.sinh(0.5 * (np.arcsinh(sa) - np.arcsinh(sb))),
+                                     np.sqrt(sa) * np.sqrt(sb) * sin_half))[()]
 
 
 def exp_map(base, sigma, rho):
@@ -182,6 +182,8 @@ def log_map(base, target):
     if np.any(rho < _DEGENERATE):
         raise ValueError("points are too close to define a direction")
     u = (ct - np.cosh(rho)[..., None] * cb) / np.sinh(rho)[..., None]
+    # tangent by construction: <base, u> = 0 fixes the time-like part
+    u[..., -1] = np.sum(cb[..., :-1] * u[..., :-1], axis=-1) / cb[..., -1]
     if isinstance(base, HPoint) and u.ndim == 1:
         return TangentVec(base, u), float(rho)
     return u, rho
@@ -199,34 +201,34 @@ def _logsinh(x):
                         x - math.log(2.0))
 
 
-def angle_at(vertex, p, q):
-    """Angle in [0, pi] at ``vertex`` between the geodesics toward ``p`` and ``q``.
-
-    Evaluated through the hyperbolic half-angle identity
+def _half_angle(side_a, side_b, side_c):
+    """The angle opposite ``side_a`` in the triangle with these sides, by
 
         tan^2(A/2) = sinh(s-b) sinh(s-c) / (sinh(s) sinh(s-a)),
 
-    with a = dist(p, q) opposite the vertex and s the semiperimeter.  All
-    factors are nonnegative, so the formula stays accurate for nearly
-    collinear triangles where inner-product-based angles lose the small
-    angle to cancellation; it agrees with the log-map/Riemannian-inner-product
-    definition wherever both are well conditioned.
+    s being the semiperimeter.  All factors are nonnegative, so the formula
+    stays accurate for nearly collinear triangles, where inner-product-based
+    angles lose the small angle to cancellation.
     """
-    cv, cp, cq = _coords(vertex), _coords(p), _coords(q)
-    side_a = distance(cp, cq)
-    side_b = distance(cv, cq)
-    side_c = distance(cv, cp)
-    if np.any(side_b < _DEGENERATE) or np.any(side_c < _DEGENERATE):
-        raise ValueError("degenerate vertex: endpoint coincides with the vertex")
     s = 0.5 * (side_a + side_b + side_c)
     # clamp tiny negatives from roundoff in the semiperimeter differences
-    log_tan_sq = (_logsinh(np.maximum(s - side_b, 0.0))
-                  + _logsinh(np.maximum(s - side_c, 0.0))
-                  - _logsinh(s)
-                  - _logsinh(np.maximum(s - side_a, 0.0)))
+    log_tan_sq = (_logsinh(np.maximum(s - side_b, 0.0)) + _logsinh(np.maximum(s - side_c, 0.0))
+                  - _logsinh(s) - _logsinh(np.maximum(s - side_a, 0.0)))
     with np.errstate(over="ignore"):
         ang = 2.0 * np.arctan(np.exp(0.5 * log_tan_sq))
     return ang if ang.ndim else float(ang)
+
+
+def angle_at(vertex, p, q):
+    """Angle in [0, pi] at ``vertex`` between the geodesics toward ``p`` and ``q``,
+    from the three sides by :func:`_half_angle`; it agrees with the
+    log-map/Riemannian-inner-product definition wherever both are well conditioned.
+    """
+    cv, cp, cq = _coords(vertex), _coords(p), _coords(q)
+    side_b, side_c = distance(cv, cq), distance(cv, cp)
+    if np.any(side_b < _DEGENERATE) or np.any(side_c < _DEGENERATE):
+        raise ValueError("degenerate vertex: endpoint coincides with the vertex")
+    return _half_angle(distance(cp, cq), side_b, side_c)
 
 
 def triangle_deficit(a_vertex, b_vertex, c_vertex):
@@ -240,12 +242,10 @@ def triangle_deficit(a_vertex, b_vertex, c_vertex):
     is then reported as +inf rather than raising.
     """
     ca, cb, cc = _coords(a_vertex), _coords(b_vertex), _coords(c_vertex)
-    side_a = distance(cb, cc)
-    side_b = distance(ca, cc)
-    side_c = distance(ca, cb)
+    side_a, side_b, side_c = distance(cb, cc), distance(ca, cc), distance(ca, cb)
     if np.any(np.minimum(np.minimum(side_a, side_b), side_c) < _DEGENERATE):
         raise ValueError("triangle vertices must be pairwise distinct")
-    ang = angle_at(ca, cb, cc)
+    ang = _half_angle(side_a, side_b, side_c)
     with np.errstate(divide="ignore"):
         # log(2/(1-cos A)) = log 2 - log1p(-cos A); -> +inf as A -> 0
         bound = math.log(2.0) - np.log1p(-np.cos(ang))

@@ -58,7 +58,11 @@ _M_F_GRID = 2001  # distances in [0, r] at which m_f evaluates the profile
 
 
 class EstimatorError(RuntimeError):
-    """Too many excluded paths or an invalid estimator configuration."""
+    """An invalid estimator configuration, or too many excluded paths."""
+
+
+class NonFiniteError(EstimatorError):
+    """More than 1e-3 of the paths carry a non-finite value (too many excluded)."""
 
 
 @dataclass
@@ -102,11 +106,11 @@ class PhaseRow:
 
 def _finite_paths(values, what):
     """Mask of the paths (rows of ``values``) with only finite values; more than
-    1e-3 of the paths with a non-finite value is an EstimatorError."""
+    1e-3 of the paths with a non-finite value is a NonFiniteError."""
     finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
     n_excl = int(np.sum(~finite))
     if n_excl > 1e-3 * len(finite):
-        raise EstimatorError(f"{n_excl}/{len(finite)} non-finite {what}")
+        raise NonFiniteError(f"{n_excl}/{len(finite)} non-finite {what}")
     return finite
 
 

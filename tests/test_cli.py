@@ -449,8 +449,10 @@ n_paths = 2
     ("50", "-1", "[lambda] separations"),
     ("50", "", "[lambda] separations"),
     ("50", "0, 5, 0", "[lambda] separations: lists 0.0 more than once"),
+    ("1e9", "0", "[lambda] t_max: t/step = 10000000000 exceeds the 100000000 step budget"),
+    ("200", "0", "[lambda] t_max: 2/2 non-finite profile values"),
 ], ids=["t_max-inf", "t_max-nan", "sep-nan", "sep-inf", "sep-negative", "sep-empty",
-        "sep-repeated"])
+        "sep-repeated", "t_max-step-budget", "t_max-overflow"])
 def test_lambda_rejects_nonfinite_settings(tmp_path, capsys, t_max, seps, named):
     out = tmp_path / "out"
     cfg = _write(tmp_path, _LAMBDA_CONFIG.format(t_max=t_max, seps=seps))
@@ -674,8 +676,9 @@ def test_validate_rejects_bad_tolerance_scale(capsys, scale):
     (["eigenvalue", "--r", "1", "--dim", "1"], "--dim"),
     (["eigenvalue", "--r", "1", "--dim", "100"], "--dim"),
     (["validate", "--seed", "-1"], "--seed"),
+    (["sample-path", "--t", "1e9"], "--t"),
 ], ids=["sample-path-dim", "sample-path-step", "eigenvalue-r", "eigenvalue-dim",
-        "eigenvalue-dim-above-max", "validate-seed"])
+        "eigenvalue-dim-above-max", "validate-seed", "sample-path-step-budget"])
 def test_argument_error_names_flag(tmp_path, capsys, argv, flag):
     out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "eigenvalue" else []
     assert main([*argv, *out]) == 2

@@ -330,7 +330,7 @@ def test_exp_map_accepts_a_tangent_direction_at_a_far_base():
     sigma = np.append(w / np.linalg.norm(w), 0.0)
     assert abs(minkowski_product(base, sigma)) > 1e-8
     # sigma is orthogonal to the geodesic from o, so cosh rho(o, q) = cosh 30 cosh 1
-    # (hyperbolic Pythagoras); distance(base, q) itself is lost to cancellation
+    # (hyperbolic Pythagoras)
     q = exp_map(base, sigma, 1.0)
     assert distance(origin(3), q) == pytest.approx(30.0 + math.log(math.cosh(1.0)), rel=1e-12)
 
@@ -382,7 +382,7 @@ def test_self_distance_at_far_points_is_zero(rho):
 
 def test_distance_resolves_nearby_far_points_and_far_pairs():
     # arccosh(-<p, q>) was off by up to 2e-4 for points 1e-4 apart at rho = 10;
-    # the chord resolves them, while cosh rho = -<o, p> still serves far pairs
+    # the radii and the angle at o resolve them, and serve far pairs as well
     rng = np.random.default_rng(SEED)
     for p in _far_points(10.0, rng, 25):
         q = exp_map(p, uniform_sphere_direction(p, rng), 1e-4)
@@ -419,3 +419,31 @@ def test_spherical_cap_refuses_bad_parameters():
             geometry.SphericalCap(axis, 0.5)
     assert geometry.SphericalCap(e1, math.pi).sample(np.random.default_rng(SEED), 4).shape \
         == (4, 3)
+
+
+@pytest.mark.parametrize("rho", [10.0, 15.0, 20.0])
+def test_far_pair_distance_from_radii_and_angle(rho):
+    # two far points 10 apart: -<a, b> and the chord both carry roundoff of order
+    # eps cosh^2 rho, so at rho = 20 most such pairs read 0 and nearly all were
+    # off by more than 1; the radii and the angle at o lose nothing to cancellation
+    rng = np.random.default_rng(0)
+    bases = geometry.points_from_polar(np.full(1000, rho),
+                                       geometry.random_directions(1000, 3, rng))
+    sigma = geometry.transport_from_origin(bases, geometry.random_directions(1000, 3, rng))
+    targets = exp_map(bases, sigma, 10.0)
+    assert np.max(np.abs(distance(bases, targets) - 10.0)) <= 1e-5
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-6])
+@pytest.mark.parametrize("rho", [0.0, 5.0, 10.0])
+def test_log_map_of_a_nearby_target_is_tangent(rho, gap):
+    # the time-like part of (target - cosh r base) / sinh r carried roundoff
+    # eps / r, above the tangency tolerance, so log_map refused its own output
+    # with "not tangent"; it now solves <base, u> = 0 for that part
+    rng = np.random.default_rng(0)
+    bases = [origin(3)] * 100 if rho == 0.0 else _far_points(rho, rng, 100)
+    for base in bases:
+        sigma = uniform_sphere_direction(base, rng)
+        u, r = log_map(base, exp_map(base, sigma, gap))
+        assert isinstance(u, TangentVec)
+        assert r == pytest.approx(gap, rel=1e-3)
