@@ -18,11 +18,21 @@ Nor do they use ``scipy.integrate``: the quadrature check integrates with a
 Gauss-Jacobi rule from ``scipy.special`` (the pytest suite holds it equal to
 ``quad``).  Importing this module loads no scipy module; ``scipy.special``
 loads inside the checks that call it.
+
+The checks are independent and each seeds its own generators, so
+:func:`run_suite` runs them on up to one forked worker process per available
+CPU (``taskset -c 0`` runs them one after another in this process).  The
+report lists them in ``SUITES`` order and is the same at any worker count,
+apart from the ``elapsed_s`` timings.
 """
 
+import contextlib
 import math
+import multiprocessing
+import os
 import time
 from collections import namedtuple
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -46,9 +56,9 @@ def _check_hyperboloid_constraint(seed):
     rng = np.random.default_rng(seed)
     pts = geometry.random_points(20000, 3, rng, max_radius=30.0)
     q = geometry.minkowski_product(pts, pts)
-    # <z,z>+1 carries representation noise ~eps cosh^2(rho), so normalize
-    worst = float(np.max(np.abs(q + 1.0) / np.maximum(1.0, pts[:, -1] ** 2)))
-    return _Measured("hyperboloid-constraint", worst, 1e-8)
+    # <z,z>+1 carries roundoff of order eps times the sum of its terms' magnitudes
+    worst = float(np.max(np.abs(q + 1.0) / geometry._roundoff_scale(pts, pts)))
+    return _Measured("hyperboloid-constraint", worst, geometry._REL_TOL)
 
 
 def _check_triangle_inequality(seed):
@@ -322,29 +332,59 @@ SUITES = {
 }
 
 
+def _available_cpus():
+    """CPUs this process may run on; the sweep's pool and the checks' pool are
+    both sized by it (``cli`` reads it under the same name)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_check(job):
+    """Run check ``index`` of ``suite``: (its measurement, its seconds).
+
+    The check is looked up here, in the worker, so a forked worker runs the
+    entry its parent holds, even one replaced in place that pickle could not
+    find by name.
+    """
+    suite, index, seed = job
+    started = time.perf_counter()
+    m = SUITES[suite][index](seed)
+    return m, time.perf_counter() - started
+
+
 def run_suite(suite, tolerance_scale=1.0, seed=None):
-    """Run and judge one named suite (or 'all'); the JSON-ready report dict."""
+    """Run and judge one named suite (or 'all'); the JSON-ready report dict.
+
+    The checks run on min(checks, available CPUs) forked workers, or in this
+    process when that is 1; the first check to raise, in ``SUITES`` order,
+    raises here.
+    """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
     seed = 20260809 if seed is None else seed
+    jobs = [(name, i, seed) for name in names for i in range(len(SUITES[name]))]
+    workers = min(len(jobs), _available_cpus())
+    # forked, not spawned: a worker must see the SUITES entries this process holds
+    fork = multiprocessing.get_context("fork")
+    t0 = time.perf_counter()
+    with ProcessPoolExecutor(workers, mp_context=fork) if workers > 1 \
+            else contextlib.nullcontext() as pool:
+        measured = list((pool.map if pool else map)(_run_check, jobs))
     checks = []
-    t0 = time.time()
-    for name in names:
-        for fn in SUITES[name]:
-            started = time.time()
-            m = fn(seed)
-            eff = m.limit * tolerance_scale
-            checks.append({"name": m.name, "observed": float(m.observed),
-                           "limit": float(m.limit), "effective_limit": float(eff),
-                           "passed": bool(tolerance_scale > 0 and m.observed <= eff),
-                           "detail": m.detail, "suite": name,
-                           "elapsed_s": round(time.time() - started, 3)})
+    for (name, _, _), (m, elapsed) in zip(jobs, measured):
+        eff = m.limit * tolerance_scale
+        checks.append({"name": m.name, "observed": float(m.observed),
+                       "limit": float(m.limit), "effective_limit": float(eff),
+                       "passed": bool(tolerance_scale > 0 and m.observed <= eff),
+                       "detail": m.detail, "suite": name,
+                       "elapsed_s": round(elapsed, 3)})
     return {
         "suite": suite,
         "tolerance_scale": tolerance_scale,
         "seed": seed,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
-        "elapsed_s": round(time.time() - t0, 3),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
     }

@@ -17,7 +17,9 @@ rows.csv has the config hash and master seed in a '#' header line; rows.json,
 summary.json and lambda.json carry them as keys; the sample-path CSV header
 and the validate report give the seed but no hash.  Reruns with the same
 config or flags yield byte-identical files, except the validate report's
-elapsed_s timings.
+elapsed_s timings, at any worker count: phase-sweep shards its paths over
+min(workers, available CPUs) processes, and validate runs its checks on up
+to one process per available CPU (``taskset`` limits both).
 """
 
 import argparse
@@ -37,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import brownian, checks, geometry, heatkernel, moments
+from .checks import _available_cpus
 from .covariance import CovarianceModel
 
 
@@ -240,13 +243,6 @@ def _run_cell(args):
         return kind, beta, t, moments.to_phase_row(est), None
     except Exception as exc:  # keep the sweep alive; the cell is reported
         return kind, beta, t, None, f"{type(exc).__name__}: {exc}"
-
-
-def _available_cpus():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def cmd_phase_sweep(args):

@@ -1,14 +1,16 @@
 """The validate checks' own statistics and quadrature, held equal to scipy.stats
-and scipy.integrate as the oracles."""
+and scipy.integrate as the oracles; each check's pass rule; and the pool that
+run_suite runs the checks on."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.stats as st
 from scipy.integrate import quad
 
-from hyperpam import brownian, checks, covariance, heatkernel
+from hyperpam import brownian, checks, covariance, geometry, heatkernel
 
 _RNG = np.random.default_rng(7)
 _NORMAL = _RNG.standard_normal(300)
@@ -96,3 +98,61 @@ def test_dirichlet_limits_fail_a_large_ball_off_its_eigenvalue(monkeypatch):
 def test_envelope_sandwich_passes_the_exact_envelope_at_half_scale(monkeypatch):
     # the band ratio 1.000 was judged, so any scale below 1 failed
     assert _judged(monkeypatch, checks._check_envelope_sandwich, 0.5)["passed"]
+
+
+def test_hyperboloid_constraint_fails_points_1e9_off_the_sheet(monkeypatch):
+    # |<z,z> + 1| / max(1, z_d^2) against 1e-8 passed a time-like coordinate
+    # 1e-9 too large relative; the roundoff scale is about 2 z_d^2
+    random_points = geometry.random_points
+
+    def lifted(*args, **kwargs):
+        pts = random_points(*args, **kwargs)
+        pts[:, -1] *= 1.0 + 1e-9
+        return pts
+
+    assert _judged(monkeypatch, checks._check_hyperboloid_constraint, 1.0)["passed"]
+    monkeypatch.setattr(geometry, "random_points", lifted)
+    assert not _judged(monkeypatch, checks._check_hyperboloid_constraint, 1.0)["passed"]
+
+
+# ------------------------------------------------------------ the check pool
+
+def _untimed(report):
+    report.pop("elapsed_s")
+    for c in report["checks"]:
+        c.pop("elapsed_s")
+    return report
+
+
+def test_report_does_not_depend_on_the_cpu_count(monkeypatch):
+    pools = []
+
+    def counted(workers, **kwargs):
+        pools.append(workers)
+        return ProcessPoolExecutor(workers, **kwargs)
+
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", counted)
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(checks, "_available_cpus", lambda cpus=cpus: cpus)
+        reports.append(_untimed(checks.run_suite("all")))
+    assert pools == [2]
+    assert reports[0] == reports[1]
+    assert [c["suite"] for c in reports[1]["checks"]] \
+        == [s for s, fns in checks.SUITES.items() for _ in fns]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was built")
+
+
+@pytest.mark.parametrize("suite,cpus", [("geometry", 2), ("covariance", 1)],
+                         ids=["one-check", "one-cpu"])
+def test_one_check_or_one_cpu_builds_no_pool(monkeypatch, suite, cpus):
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(checks, "_available_cpus", lambda: cpus)
+    if suite == "geometry":
+        monkeypatch.setitem(checks.SUITES, "geometry", [checks._check_hyperboloid_constraint])
+    report = checks.run_suite(suite)
+    assert len(report["checks"]) == len(checks.SUITES[suite])
+    assert report["all_passed"]

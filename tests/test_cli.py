@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperpam import cli
+from hyperpam import checks, cli
 from hyperpam.cli import main
 from hyperpam.moments import PhaseRow, growth_fit
 
@@ -423,6 +423,22 @@ def test_validate_honours_seed_zero(tmp_path):
     report_path = tmp_path / "report.json"
     main(["validate", "--suite", "covariance", "--seed", "0", "--out", str(report_path)])
     assert json.loads(report_path.read_text())["seed"] == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_raising_check_exits_2_at_any_cpu_count(monkeypatch, capsys, cpus):
+    # the first check to raise, in SUITES order, is the one reported
+    def raising(message):
+        def check(seed):
+            raise ValueError(message)
+        return check
+
+    fns = list(checks.SUITES["covariance"])
+    fns[1], fns[3] = raising("bad quadrature"), raising("bad profile")
+    monkeypatch.setitem(checks.SUITES, "covariance", fns)
+    monkeypatch.setattr(checks, "_available_cpus", lambda: cpus)
+    assert main(["validate", "--suite", "covariance"]) == 2
+    assert capsys.readouterr().err == "error: bad quadrature\n"
 
 
 _LAMBDA_CONFIG = """\
