@@ -28,14 +28,16 @@ struct-of-arrays state in place, one coordinate per row and one path per
 column, column i on its own stream, and calls a recorder at the stored step
 indices only.  Both schemes move every column along a transported
 tangent direction in one step function, :func:`_step`, whose d-term dot
-products are in-order multiply-adds over the leading axis.  A pair ensemble
+products multiply into one (d, N) scratch array of the step and sum its rows
+in index order, so a step allocates no temporary per row.  A pair ensemble
 is the P columns of B followed by the P columns of B~, stepped together.
 Ensembles run in near-equal batches of at most ``_MAX_COLUMNS`` (4096) state
 columns, paths times role tags.  Each stream refills about
 ``_REFILL_NORMALS`` (2048) normals at a time into its own slab of the noise
 buffer, in draw order, so the buffer is at most 4096 x 2048 doubles (64 MiB)
-and shrinks with the batch; the loop reads it through a small transposed
-block, so a step's noise is contiguous too.  The Euclidean comparison walk
+and shrinks with the batch; the loop reads it through a small step block,
+filled by one transposing copy per normal (no staging array), so a step's
+noise is contiguous too.  The Euclidean comparison walk
 uses the same loop with an internal flat kernel, x += sqrt(2 dt) g, on a
 (d, N) state; it is not a sampler scheme.  Every kernel draws d normals per
 step, so one pass steps any set of states on one noise block: flat pairs
@@ -182,11 +184,22 @@ def _chunk_size(d, n_steps):
     return int(np.clip(_REFILL_NORMALS // d, 16, n_steps))
 
 
-def _dot(a, b, out=None):
-    """sum_i a[i] * b[i] over the leading axis, multiply-added in index order."""
-    out = np.multiply(a[0], b[0], out=out)
-    for ai, bi in zip(a[1:], b[1:]):
-        out += ai * bi
+def _dot(a, b, out=None, prod=None):
+    """sum_i a[i] * b[i] over the leading axis of (d, N) rows, added in index order.
+
+    The products go into ``prod``, a (d, N) scratch array (a new one if None),
+    and the rows are summed into ``out``.  np.add.reduce adds the rows one
+    after another over N >= 2 columns, but sums a single column pairwise from
+    d = 8 on, so one column is added row by row.
+    """
+    prod = np.multiply(a, b, out=prod)
+    if prod.shape[1] > 1:
+        return np.add.reduce(prod, axis=0, out=out)
+    if out is None:
+        out = np.empty(1)
+    out[...] = prod[0]
+    for row in prod[1:]:
+        out += row
     return out
 
 
@@ -194,39 +207,43 @@ def _step(x, v, a, b, d, s, tmp):
     """x[:d] <- b x[:d] + a T_x(v) in every column, then x[d] from the constraint.
 
     v (d, N) is tangent at o and T_x parallel-transports it to x; a and b are
-    scalars or per-column (N,) arrays.  The Euler step is (v, a, b) =
-    (g, sqrt(2 dt), 1 + d dt), noise plus the constraint drift; the geodesic
-    step is (g, sinh(r)/|g|, cosh r) with r = sqrt(2 dt) |g|.
+    scalars or per-column (N,) arrays; s (N,) and tmp (d, N) are scratch.  The
+    Euler step is (v, a, b) = (g, sqrt(2 dt), 1 + d dt), noise plus the
+    constraint drift; the geodesic step is (g, sinh(r)/|g|, cosh r) with
+    r = sqrt(2 dt) |g|.
     """
     xs = x[:d]
-    _dot(v, xs, s)
+    _dot(v, xs, s, tmp)
     s /= 1.0 + x[d]
     np.multiply(s, xs, out=tmp)
     tmp += v
     tmp *= a
     xs *= b
     xs += tmp
-    _reproject(x, d)
+    _reproject(x, d, tmp)
 
 
 def _step_geodesic(x, g, d, root2dt, s, tmp):
     """One geodesic step along g (d, N): direction g/|g|, length sqrt(2 dt) |g|."""
-    norm = np.sqrt(_dot(g, g))
+    norm = np.sqrt(_dot(g, g, prod=tmp))
     r = root2dt * norm
     _step(x, g, np.sinh(r) / np.maximum(norm, 1e-300), np.cosh(r), d, s, tmp)
 
 
-def _reproject(x, d):
+def _reproject(x, d, prod=None):
     """Set the time-like row x[d] = sqrt(1 + |x[:d]|^2) of the (d+1, N) state.
 
-    The direct square-sum overflows only beyond rho ~ 354 (spatial entries
-    ~1e154); the rescaled projection covers that regime.
+    The square-sum goes straight into x[d], its products into the (d, N)
+    scratch ``prod``.  It overflows only beyond rho ~ 354 (spatial entries
+    ~1e154); the rescaled projection, which reads x[:d] only, covers that
+    regime.
     """
+    sq = x[d]
     with np.errstate(over="ignore"):  # the fallback below handles it
-        sq = _dot(x[:d], x[:d])
+        _dot(x[:d], x[:d], sq, prod)
     if np.isfinite(sq.max()):  # max propagates NaN
         sq += 1.0
-        np.sqrt(sq, out=x[d])
+        np.sqrt(sq, out=sq)
     else:
         x[:] = geometry.project_to_hyperboloid(x.T).T
 
@@ -261,11 +278,11 @@ def _drive(states, gens, t, cfg, stored=(), record=None):
 
     Stream i fills its own (chunk, d) slab of the (N, chunk, d) noise buffer,
     in draw order.  The steps read that buffer through a (b, d, N) block of
-    about 1 MB: every b steps, each stream's next b*d draws are gathered, one
-    contiguous run per stream, into an (N, b*d) staging block, which one
-    in-cache transposing copy turns into the step block.
-    Reading noise[:, j] directly would touch a different page for every path
-    at every step.
+    about 1 MB: every b steps, one transposing copy moves each stream's next
+    b*d draws, one contiguous run per stream, into the step block, one copy
+    per normal.  Reading noise[:, j] directly would touch a different page
+    for every path at every step.  The kernels' d-term products go into one
+    (d, N) scratch array, so a step allocates no temporary per row.
     """
     n_steps, dt, _, _ = _schedule(t, cfg.step)
     due_steps = np.asarray(stored)
@@ -288,7 +305,7 @@ def _drive(states, gens, t, cfg, stored=(), record=None):
     chunk = _chunk_size(d, n_steps)
     buf = np.empty((n, chunk, d))
     b = max(1, min(chunk, _BLOCK_DOUBLES // (d * n)))
-    staged, block = np.empty((n, b * d)), np.empty((b, d, n))
+    block = np.empty((b, d, n))
     marks = enumerate(due_steps.tolist())
     slot, due = next(marks, (None, None))
     if due == 0:
@@ -300,10 +317,8 @@ def _drive(states, gens, t, cfg, stored=(), record=None):
             gen.standard_normal(out=noise[i])
         for j0 in range(0, noise.shape[1], b):
             nb = min(b, noise.shape[1] - j0)
-            rows = staged[:, :nb * d]
-            rows[...] = noise[:, j0:j0 + nb].reshape(n, nb * d)
             blk = block[:nb]
-            blk.reshape(nb * d, n)[...] = rows.T
+            blk.reshape(nb * d, n)[...] = noise[:, j0:j0 + nb].reshape(n, nb * d).T
             for k, g in enumerate(blk, pos + j0 + 1):
                 for step in steps:
                     step(g)

@@ -24,6 +24,11 @@ The checks are independent and each seeds its own generators, so
 CPU (``taskset -c 0`` runs them one after another in this process).  The
 report lists them in ``SUITES`` order and is the same at any worker count,
 apart from the ``elapsed_s`` timings.
+
+The pool hands the checks out in ``SUITES`` order, so ``brownian`` comes
+first: its ``radial-speed`` (3,000 paths to t = 25 in one call) is by far the
+longest check, and started first it runs while the other workers take the
+rest, instead of starting late and leaving them idle at the end.
 """
 
 import contextlib
@@ -300,6 +305,12 @@ def _check_monotone_profile(seed):
 
 
 SUITES = {
+    "brownian": [
+        _check_radial_speed,
+        _check_radial_law,
+        _check_determinism,
+        _check_pair_independence,
+    ],
     "geometry": [
         _check_hyperboloid_constraint,
         _check_triangle_inequality,
@@ -316,12 +327,6 @@ SUITES = {
         _check_dirichlet_euclidean,
         _check_dirichlet_hyperbolic,
         _check_exit_tail,
-    ],
-    "brownian": [
-        _check_radial_speed,
-        _check_radial_law,
-        _check_determinism,
-        _check_pair_independence,
     ],
     "covariance": [
         _check_decay_limit,

@@ -21,7 +21,8 @@ at rho from o, where paths go: rho = 10-60), so a component of size 1 along the
 base goes unseen past rho ~ 12.  distance instead takes the radii r and the
 angle theta at o: rho = 2 asinh sqrt(sinh^2((r_a - r_b)/2) + sinh r_a sinh r_b
 sin^2(theta/2)), which resolves nearby points at rho from o to about eps sinh rho
-and pairs far apart to about eps relative.
+and pairs far apart to about eps relative.  log_map, angle_at and
+triangle_deficit refuse pairs below that floor (see :func:`_too_close`).
 """
 
 import math
@@ -34,6 +35,7 @@ MAX_RADIUS = 700.0
 _REL_TOL = 1e-10  # sized so that log_map directions at far bases pass
 
 _DEGENERATE = 1e-8  # two points closer than this cannot define a direction
+_FLOOR_EPS = 8.0 * 2.0**-52  # 8 eps: the coordinate roundoff the distance floor allows
 
 
 def minkowski_product(a, b):
@@ -146,6 +148,18 @@ def distance(a, b):
                                      np.sqrt(sa) * np.sqrt(sb) * sin_half))[()]
 
 
+def _too_close(ca, cb, rho):
+    """Whether any rho = distance(ca, cb) lies below the pair's distance floor.
+
+    Coordinates of size cosh r carry roundoff of about eps cosh r, so the angle
+    at o between points near radius r is known to about eps, and their distance
+    to about 2 asinh(eps sinh r).  The floor, 2 asinh(8 eps sqrt(cosh r_a cosh
+    r_b)), is never below _DEGENERATE; it passes it near r = 15.5.
+    """
+    floor = 2.0 * np.arcsinh(_FLOOR_EPS * np.sqrt(ca[..., -1]) * np.sqrt(cb[..., -1]))
+    return np.any(rho < np.maximum(floor, _DEGENERATE))
+
+
 def exp_map(base, sigma, rho):
     """Follow the geodesic from ``base`` in unit direction ``sigma`` for length ``rho``.
 
@@ -174,16 +188,24 @@ def exp_map(base, sigma, rho):
 def log_map(base, target):
     """Inverse of :func:`exp_map`: unit initial direction and distance to ``target``.
 
-    Returns ``(direction, rho)``.  Requires the points to be at least
-    1e-8 apart, since coincident points define no direction.
+    Returns ``(direction, rho)``.  Requires the points to be farther apart
+    than 1e-8 and than the floor of :func:`_too_close`, since coincident points
+    define no direction.
     """
     cb, ct = _coords(base), _coords(target)
     rho = distance(cb, ct)
-    if np.any(rho < _DEGENERATE):
+    if _too_close(cb, ct, rho):
         raise ValueError("points are too close to define a direction")
     u = (ct - np.cosh(rho)[..., None] * cb) / np.sinh(rho)[..., None]
     # tangent by construction: <base, u> = 0 fixes the time-like part
     u[..., -1] = np.sum(cb[..., :-1] * u[..., :-1], axis=-1) / cb[..., -1]
+    # the spatial part carries roundoff eps |base| / rho; where that takes
+    # <u, u> past exp_map's unit-norm test, u is rescaled to unit norm.  A
+    # product within the test is left alone: at a far base its own roundoff,
+    # eps times the scale, would move the geodesic's far end
+    norm2 = minkowski_product(u, u)
+    off = np.abs(norm2 - 1.0) > _REL_TOL * _roundoff_scale(u, u)
+    u /= np.sqrt(np.where(off, norm2, 1.0))[..., None]
     if isinstance(base, HPoint) and u.ndim == 1:
         return TangentVec(base, u), float(rho)
     return u, rho
@@ -226,7 +248,7 @@ def angle_at(vertex, p, q):
     """
     cv, cp, cq = _coords(vertex), _coords(p), _coords(q)
     side_b, side_c = distance(cv, cq), distance(cv, cp)
-    if np.any(side_b < _DEGENERATE) or np.any(side_c < _DEGENERATE):
+    if _too_close(cv, cq, side_b) or _too_close(cv, cp, side_c):
         raise ValueError("degenerate vertex: endpoint coincides with the vertex")
     return _half_angle(distance(cp, cq), side_b, side_c)
 
@@ -243,7 +265,7 @@ def triangle_deficit(a_vertex, b_vertex, c_vertex):
     """
     ca, cb, cc = _coords(a_vertex), _coords(b_vertex), _coords(c_vertex)
     side_a, side_b, side_c = distance(cb, cc), distance(ca, cc), distance(ca, cb)
-    if np.any(np.minimum(np.minimum(side_a, side_b), side_c) < _DEGENERATE):
+    if _too_close(cb, cc, side_a) or _too_close(ca, cc, side_b) or _too_close(ca, cb, side_c):
         raise ValueError("triangle vertices must be pairwise distinct")
     ang = _half_angle(side_a, side_b, side_c)
     with np.errstate(divide="ignore"):

@@ -334,6 +334,24 @@ def test_reproject_far_rows_without_overflow():
     assert x[0, 0] == 3e200 and x[1, 1] == 0.8
 
 
+@pytest.mark.parametrize("n", [1, 2, 1024])
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 10])
+def test_dot_sums_the_rows_in_index_order(d, n):
+    # the step kernels' dot products must stay bit-identical to a row-by-row
+    # multiply-add; np.add.reduce sums a single column pairwise from d = 8 on
+    rng = np.random.default_rng(d * 10_000 + n)
+    for _ in range(20):
+        a = rng.standard_normal((d, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (d, 1))
+        b = rng.standard_normal((d, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (d, 1))
+        expected = a[0] * b[0]
+        for i in range(1, d):
+            expected = expected + a[i] * b[i]
+        out, prod = np.empty(n), np.empty((d, n))
+        assert brownian._dot(a, b, out, prod) is out
+        assert out.tobytes() == expected.tobytes()
+        assert brownian._dot(a, b).tobytes() == expected.tobytes()
+
+
 def _driver_outputs(d, scheme):
     o = geometry.origin(d)
     y = geometry.exp_map(o, geometry.TangentVec(o, np.eye(d + 1)[1]), 0.7)

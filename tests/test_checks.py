@@ -142,6 +142,17 @@ def test_report_does_not_depend_on_the_cpu_count(monkeypatch):
         == [s for s, fns in checks.SUITES.items() for _ in fns]
 
 
+def test_no_check_depends_on_the_checks_run_before_it(monkeypatch):
+    # the pool hands the checks out in SUITES order, so a worker runs some of
+    # them after each other; in reverse order every check must read the same
+    forward = {c["name"]: c for c in _untimed(checks.run_suite("all"))["checks"]}
+    monkeypatch.setattr(checks, "SUITES", {name: fns[::-1] for name, fns
+                                           in reversed(checks.SUITES.items())})
+    backward = _untimed(checks.run_suite("all"))["checks"]
+    assert [c["name"] for c in backward] != list(forward)
+    assert {c["name"]: c for c in backward} == forward
+
+
 def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was built")
 

@@ -447,3 +447,39 @@ def test_log_map_of_a_nearby_target_is_tangent(rho, gap):
         u, r = log_map(base, exp_map(base, sigma, gap))
         assert isinstance(u, TangentVec)
         assert r == pytest.approx(gap, rel=1e-3)
+
+
+@pytest.mark.parametrize("rho", [20.0, 30.0])
+def test_points_below_the_distance_floor_are_too_close(rho):
+    # 1e-9 apart, below the eps sinh rho the coordinates resolve: the absolute
+    # 1e-8 floor let log_map return a direction for most such pairs, with a
+    # claimed distance up to the formula's floor
+    rng = np.random.default_rng(0)
+    o = origin(3)
+    for p in _far_points(rho, rng, 100):
+        q = exp_map(p, uniform_sphere_direction(p, rng), 1e-9)
+        with pytest.raises(ValueError, match="too close"):
+            log_map(p, q)
+        with pytest.raises(ValueError, match="degenerate vertex"):
+            angle_at(p, q, o)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            triangle_deficit(o, p, q)
+
+
+@pytest.mark.parametrize("rho,gap", [(5.0, 1e-8), (5.0, 1e-7), (5.0, 1e-6), (10.0, 1e-8),
+                                     (10.0, 1e-7)])
+def test_exp_map_takes_every_direction_log_map_returns(rho, gap):
+    # the spatial part of (target - cosh r base) / sinh r carries roundoff
+    # eps |base| / r that nothing renormalized, so exp_map refused up to a
+    # quarter of these directions as "sigma must have unit Minkowski norm"
+    rng = np.random.default_rng(0)
+    returned = 0
+    for base in _far_points(rho, rng, 100):
+        try:
+            u, r = log_map(base, exp_map(base, uniform_sphere_direction(base, rng), gap))
+        except ValueError as exc:
+            assert "too close" in str(exc)
+            continue
+        returned += 1
+        exp_map(base, u, r)
+    assert returned >= 40
