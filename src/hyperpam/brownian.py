@@ -162,9 +162,10 @@ def _schedule(t, step):
     """
     if not 0 < t < np.inf:  # also rejects NaN
         raise ValueError(f"t must be positive and finite, got {float(t)}")
-    n_steps = max(1, int(round(t / step)))
+    ratio = t / step  # inf at a subnormal step, which round() cannot take
+    n_steps = max(1, int(round(ratio))) if ratio < 2 * MAX_STEPS else ratio
     if n_steps > MAX_STEPS:
-        raise ValueError(f"t/step = {n_steps} exceeds the {MAX_STEPS} step budget")
+        raise ValueError(f"t/step = {ratio:g} exceeds the {MAX_STEPS} step budget")
     dt = t / n_steps
     m = max(1, min(n_steps // 128, int(0.05 / dt)))
     stored = np.arange(0, n_steps + 1, m)

@@ -261,6 +261,20 @@ def cmd_phase_sweep(args):
         if kind not in _ESTIMATORS:
             cfg._fail("run", "estimators",
                       f"unknown kind {kind!r} (choose from {sorted(_ESTIMATORS)})")
+    # q <= F(0) t, so z = beta^2 q stays below beta^2 F(0) max t; jensen's
+    # stderr squares z.  beta * beta overflows to inf where beta**2 raises
+    f0 = model.sup_value()
+    bound = f0 * max(ts)
+    if not bound < math.inf:
+        cfg._fail("model", "c" if model.kind == "constant" else "C",
+                  f"F(0) = {f0:g} times max t = {max(ts):g} overflows")
+    for beta in betas:
+        z = beta * beta * bound
+        if not z < math.inf:
+            cfg._fail("sweep", "beta", f"{beta:g}: beta^2 F(0) max t overflows")
+        if "jensen" in estimators and not z * z < math.inf:
+            cfg._fail("sweep", "beta", f"{beta:g}: jensen squares beta^2 F(0) max t = {z:g}, "
+                      "which overflows")
     workers = cfg.count("run", "workers", 1) if args.workers is None \
         else _at_least_one("workers", args.workers, _flag_error)
     problem = moments._euclidean_problem(model, sampler.dim)
@@ -281,6 +295,11 @@ def cmd_phase_sweep(args):
         ensemble = moments.PairEnsemble(geometry.origin(sampler.dim), model, sampler,
                                         n_paths, ts, kernels=kernels, pmap=pmap,
                                         shards=workers)
+        if not ensemble._plan:  # no horizon can be scheduled: the smallest says why
+            try:
+                brownian._schedule(min(ts), sampler.step)
+            except ValueError as exc:
+                cfg._fail("run", "step", f"{sampler.step:g} schedules no [sweep] t: {exc}")
         # simulation starts lazily, inside the first cell that needs it
         results = [_run_cell((kind, beta, t, model, n_paths, sampler, ensemble))
                    for kind in estimators for beta in betas for t in ts]

@@ -141,7 +141,9 @@ def sample_radial_exact_d3(t, rng, size=None):
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be positive and finite")
-    n = 1 if size is None else int(size)
+    if not (size is None or (brownian._is_integer(size) and size >= 0)):
+        raise ValueError(f"size must be None or a non-negative integer, got {size!r}")
+    n = 1 if size is None else size
     z = math.sqrt(2.0 * t) * rng.standard_normal((n, 3))
     z[:, 0] += 2.0 * t
     rho = np.linalg.norm(z, axis=1)

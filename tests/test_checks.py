@@ -124,28 +124,45 @@ def _untimed(report):
     return report
 
 
-def test_report_does_not_depend_on_the_cpu_count(monkeypatch):
+def _counted_pools(mp, cpus):
+    """Make run_suite see ``cpus`` CPUs; returns the list that collects the worker
+    count of each pool it builds."""
     pools = []
 
     def counted(workers, **kwargs):
         pools.append(workers)
         return ProcessPoolExecutor(workers, **kwargs)
 
-    monkeypatch.setattr(checks, "ProcessPoolExecutor", counted)
-    reports = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(checks, "_available_cpus", lambda cpus=cpus: cpus)
-        reports.append(_untimed(checks.run_suite("all")))
-    assert pools == [2]
-    assert reports[0] == reports[1]
-    assert [c["suite"] for c in reports[1]["checks"]] \
+    mp.setattr(checks, "ProcessPoolExecutor", counted)
+    mp.setattr(checks, "_available_cpus", lambda: cpus)
+    return pools
+
+
+@pytest.fixture(scope="module")
+def forward_report():
+    """The untimed run_suite("all") report on 2 CPUs, in SUITES order, and the
+    worker counts of the pools it built; the tests below share this one run."""
+    with pytest.MonkeyPatch.context() as mp:
+        pools = _counted_pools(mp, 2)
+        report = _untimed(checks.run_suite("all"))
+    return report, pools
+
+
+def test_report_does_not_depend_on_the_cpu_count(monkeypatch, forward_report):
+    two_cpus, pools = forward_report
+    one_cpu_pools = _counted_pools(monkeypatch, 1)
+    one_cpu = _untimed(checks.run_suite("all"))
+    assert pools + one_cpu_pools == [2]
+    assert one_cpu == two_cpus
+    assert [c["suite"] for c in two_cpus["checks"]] \
         == [s for s, fns in checks.SUITES.items() for _ in fns]
 
 
-def test_no_check_depends_on_the_checks_run_before_it(monkeypatch):
+def test_no_check_depends_on_the_checks_run_before_it(monkeypatch, forward_report):
     # the pool hands the checks out in SUITES order, so a worker runs some of
     # them after each other; in reverse order every check must read the same
-    forward = {c["name"]: c for c in _untimed(checks.run_suite("all"))["checks"]}
+    forward = {c["name"]: c for c in forward_report[0]["checks"]}
+    monkeypatch.setattr(checks, "_available_cpus", lambda: 2)
     monkeypatch.setattr(checks, "SUITES", {name: fns[::-1] for name, fns
                                            in reversed(checks.SUITES.items())})
     backward = _untimed(checks.run_suite("all"))["checks"]

@@ -377,6 +377,23 @@ def test_eigenvalue_subcommand_large_radius(capsys):
 
 _EUCLIDEAN = BASE_CONFIG.replace("estimators = fk", "estimators = fk, fk-euclidean")
 
+_TP_CONFIG = """\
+[model]
+kind = truncated-power
+alpha = 0.5
+C = 1
+
+[run]
+step = 0.05
+n_paths = 4
+seed = 5
+estimators = fk, jensen
+
+[sweep]
+beta = 0.5
+t = 1, 2, 3, 4
+"""
+
 
 @pytest.mark.parametrize("text,named", [
     (BASE_CONFIG.replace("n_paths = 64", "n_paths = 0"), "[run] n_paths:"),
@@ -385,13 +402,38 @@ _EUCLIDEAN = BASE_CONFIG.replace("estimators = fk", "estimators = fk, fk-euclide
     (_EUCLIDEAN.replace("dim = 3", "dim = 2"), "[run] dim:"),
     (_EUCLIDEAN.replace("kind = constant", "kind = phi-alpha\nalpha = 0.5"),
      "[model] kind:"),
-], ids=["no-paths", "no-beta", "no-t", "euclidean-dim", "euclidean-kind"])
+    # each of these ran every cell and exited 0: 1e308 failed its cells with a
+    # bare OverflowError, C = 1e308 and step = 1e-9 wrote 0 rows, step = 1e-300
+    # printed a 301-digit step count and 5e-324 raised an OverflowError
+    (_TP_CONFIG.replace("beta = 0.5", "beta = 0.5, 1e308"),
+     "[sweep] beta: 1e+308: beta^2 F(0) max t overflows"),
+    (_TP_CONFIG.replace("C = 1", "C = 1e308"),
+     "[model] C: F(0) = 1e+308 times max t = 4 overflows"),
+    (_TP_CONFIG.replace("kind = truncated-power\nalpha = 0.5\nC = 1",
+                        "kind = constant\nc = 1e308"), "[model] c: F(0) = 1e+308"),
+    (_TP_CONFIG.replace("C = 1", "C = 1e200"),
+     "[sweep] beta: 0.5: jensen squares beta^2 F(0) max t"),
+    (_TP_CONFIG.replace("step = 0.05", "step = 1e-9"), "[run] step: 1e-09 schedules no "
+     "[sweep] t: t/step = 1e+09 exceeds the 100000000 step budget"),
+    (_TP_CONFIG.replace("step = 0.05", "step = 1e-300"), "t/step = 1e+300 exceeds"),
+    (_TP_CONFIG.replace("step = 0.05", "step = 5e-324"), "t/step = inf exceeds"),
+], ids=["no-paths", "no-beta", "no-t", "euclidean-dim", "euclidean-kind", "beta-overflow",
+        "C-overflow", "c-overflow", "jensen-square-overflow", "step-budget", "step-digits",
+        "step-subnormal"])
 def test_sweep_that_cannot_produce_rows_exits_2(tmp_path, capsys, text, named):
     rc = main(["phase-sweep", "--config", _write(tmp_path, text),
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_overflow_checks_pass_a_large_amplitude(tmp_path, capsys):
+    # beta^2 F(0) max t = 1e150, and its square, are finite
+    text = _TP_CONFIG.replace("C = 1", "C = 1e150")
+    assert main(["phase-sweep", "--config", _write(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "errors=0" in capsys.readouterr().out
 
 
 def test_lambda_rejects_no_paths(tmp_path, capsys):
@@ -465,7 +507,7 @@ n_paths = 2
     ("50", "-1", "[lambda] separations"),
     ("50", "", "[lambda] separations"),
     ("50", "0, 5, 0", "[lambda] separations: lists 0.0 more than once"),
-    ("1e9", "0", "[lambda] t_max: t/step = 10000000000 exceeds the 100000000 step budget"),
+    ("1e9", "0", "[lambda] t_max: t/step = 1e+10 exceeds the 100000000 step budget"),
     ("200", "0", "[lambda] t_max: 2/2 non-finite profile values"),
 ], ids=["t_max-inf", "t_max-nan", "sep-nan", "sep-inf", "sep-negative", "sep-empty",
         "sep-repeated", "t_max-step-budget", "t_max-overflow"])

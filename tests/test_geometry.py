@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hyperpam import geometry
+from hyperpam.covariance import CovarianceModel, psd_check
 from hyperpam.geometry import (
     HPoint, TangentVec, angle_at, cone_sets, distance, exp_map, log_map,
     minkowski_product, origin, triangle_deficit, uniform_sphere_direction,
@@ -68,9 +69,65 @@ def test_distance_trivia():
 
 def test_distance_off_hyperboloid_rejected():
     o = origin(3)
-    bad = np.array([0.0, 0.0, 0.0, 0.5])  # -<o,bad> = 0.5 < 1
+    bad = np.array([0.0, 0.0, 0.0, 0.5])  # <bad,bad> = -0.25
     with pytest.raises(ValueError):
         distance(o.coords, bad)
+
+
+_O3 = origin(3)
+_P = geometry.points_from_polar(np.array(1.0), np.array([1.0, 0.0, 0.0]))
+_Q = geometry.points_from_polar(np.array(1.0), np.array([0.0, 1.0, 0.0]))
+_TP = CovarianceModel("truncated-power", alpha=0.5)
+
+# entry point -> a call with one raw coordinate row replaced by p; exp_map's
+# sigma = e2 is a unit vector Minkowski-orthogonal to every 4-coordinate row below
+_SHEET_ENTRY_POINTS = {
+    "distance-a": lambda p: distance(p, _O3.coords),
+    "distance-b": lambda p: distance(_O3.coords, p),
+    "exp_map": lambda p: exp_map(p, np.array([0.0, 1.0, 0.0, 0.0]), 1.0),
+    "log_map": lambda p: log_map(p, _O3.coords),
+    "angle_at": lambda p: angle_at(p, _P, _Q),
+    "triangle_deficit": lambda p: triangle_deficit(p, _P, _Q),
+    "uniform_sphere_direction": lambda p: uniform_sphere_direction(
+        p, np.random.default_rng(SEED)),
+    "transport_from_origin": lambda p: geometry.transport_from_origin(
+        p, np.array([1.0, 0.0, 0.0])),
+    "psd_check": lambda p: psd_check(_TP, [_O3.coords, p]),
+    "evaluate": lambda p: _TP.evaluate(p, _O3),
+}
+_BAD_ROWS = {
+    "off-sheet": np.array([5.0, 0.0, 0.0, 1.0]),
+    "lower-sheet": np.array([0.0, 0.0, 0.0, -1.0]),
+    "nan": np.array([0.0, 0.0, math.nan, 1.0]),
+    "time-like-0": np.array([1.0, 0.0, 0.0, 0.0]),
+    # <z,z> overflowed to inf, and inf > _REL_TOL * inf is false
+    "huge": np.array([1e300, 0.0, 0.0, 1.0]),
+    "length": origin(2).coords,
+}
+
+
+# a base alone has no length to disagree with: uniform_sphere_direction of a
+# point of H^2 is a direction of H^2
+@pytest.mark.parametrize("entry,row", [
+    (entry, row) for entry in sorted(_SHEET_ENTRY_POINTS) for row in _BAD_ROWS
+    if (entry, row) != ("uniform_sphere_direction", "length")])
+def test_every_entry_point_refuses_a_row_off_the_sheet(entry, row):
+    # distance tested -<a, b> >= 1 on the pair only, so it read 2.31 from o to
+    # the off-sheet row and NaN from the NaN row; exp_map and
+    # uniform_sphere_direction tested no base and returned coordinates
+    match = None if row == "length" else "off the hyperboloid"
+    with pytest.raises(ValueError, match=match):
+        _SHEET_ENTRY_POINTS[entry](_BAD_ROWS[row])
+
+
+@pytest.mark.parametrize("rho", [400.0, 700.0])
+def test_far_points_pass_the_sheet_test(rho):
+    # squaring coordinates past rho ~ 355 overflowed: HPoint raised numpy's
+    # RuntimeWarning, and without it passed on an inf comparison
+    for u in np.eye(3):
+        p = HPoint(geometry.points_from_polar(np.array(rho), u), 3)
+        assert distance(_O3, p) == pytest.approx(rho, rel=1e-14)
+        assert distance(p.coords, _O3.coords) == pytest.approx(rho, rel=1e-14)
 
 
 def test_distance_vs_geodesic_shooting_oracle():
@@ -123,6 +180,9 @@ def test_exp_map_rejects_bad_inputs():
         exp_map(o, TangentVec(o, np.array([1.0, 0.0, 0.0, 0.0])), -1.0)
     with pytest.raises(ValueError):
         exp_map(o.coords, np.array([2.0, 0.0, 0.0, 0.0]), 1.0)  # non-unit
+    # a NaN length returned NaN coordinates from a raw base
+    with pytest.raises(ValueError, match="rho must be nonnegative"):
+        exp_map(o.coords, np.array([1.0, 0.0, 0.0, 0.0]), math.nan)
     # a unit tangent vector at p = exp_o(2 e1) is not tangent at o; the final
     # projection onto the hyperboloid used to hide that and land 2.19 from o
     v = log_map(exp_map(o, TangentVec(o, np.array([1.0, 0.0, 0.0, 0.0])), 2.0), o)[0]

@@ -114,6 +114,20 @@ def test_radial_sampler_moments():
     assert 1.0 <= x.var() / t <= 3.0
 
 
+@pytest.mark.parametrize("size", [2.5, True, "3", -1, 3.0])
+def test_radial_sampler_refuses_a_size_that_is_not_a_count(size):
+    # int(size) drew 2 values for 2.5, 1 for True and 3 for "3"
+    with pytest.raises(ValueError, match="size must be None or a non-negative integer"):
+        sample_radial_exact_d3(1.0, np.random.default_rng(SEED), size=size)
+
+
+def test_radial_sampler_sizes():
+    rng = np.random.default_rng(SEED)
+    assert isinstance(sample_radial_exact_d3(1.0, rng), float)
+    assert sample_radial_exact_d3(1.0, rng, size=0).shape == (0,)
+    assert sample_radial_exact_d3(1.0, rng, size=np.int64(3)).shape == (3,)
+
+
 def test_radial_sampler_small_time_flat_limit():
     rng = np.random.default_rng(SEED + 1)
     t = 1e-3
