@@ -74,7 +74,11 @@ TAG_CHAIN = 5
 
 @dataclass
 class SamplerConfig:
-    """Simulation parameters shared by all path-generating operations."""
+    """Simulation parameters shared by all path-generating operations.
+
+    The fields are checked in order; the first one refused raises a
+    :class:`geometry.ParameterError` that names it.
+    """
 
     dim: int = 3
     step: float = 1e-3
@@ -83,13 +87,13 @@ class SamplerConfig:
 
     def __post_init__(self):
         if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 2):
-            raise ValueError("dim must be an integer >= 2")
+            raise geometry.ParameterError("dim", "dim must be an integer >= 2")
         if not 0 < self.step <= 0.1:
-            raise ValueError("step must lie in (0, 0.1]")
+            raise geometry.ParameterError("step", "step must lie in (0, 0.1]")
         if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise geometry.ParameterError("scheme", f"unknown scheme {self.scheme!r}")
         if not _is_integer(self.seed):  # a float seed would draw int(seed)'s streams
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+            raise geometry.ParameterError("seed", f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -167,7 +171,7 @@ def _schedule(t, step):
     if n_steps > MAX_STEPS:
         raise ValueError(f"t/step = {ratio:g} exceeds the {MAX_STEPS} step budget")
     dt = t / n_steps
-    m = max(1, min(n_steps // 128, int(0.05 / dt)))
+    m = max(1, int(min(n_steps // 128, 0.05 / dt)))  # 0.05 / dt is inf at a subnormal dt
     stored = np.arange(0, n_steps + 1, m)
     if stored[-1] != n_steps:
         stored = np.append(stored, n_steps)
@@ -266,6 +270,9 @@ def _batches(cfg, n_paths, first_index, tags):
                        for i in range(first_index + lo, first_index + hi)]
 
 
+# a walker past the overflow radius (~710) turns inf or NaN without a numpy
+# warning: the estimators exclude its path, or refuse too many such paths
+@np.errstate(over="ignore", invalid="ignore")
 def _drive(states, gens, t, cfg, stored=(), record=None):
     """Step every state in place to horizon t on one noise; column i draws from gens[i].
 

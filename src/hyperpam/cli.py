@@ -145,18 +145,12 @@ class _Config:
         return values
 
     def model(self):
-        fields = {
+        return _record(CovarianceModel, {
             "kind": self.get("model", "kind", str, required=True),
             "alpha": self.get("model", "alpha", float),
             "C": self.get("model", "C", float, default=1.0),
             "c": self.get("model", "c", float, default=1.0),
-        }
-        # alpha is checked against the kind, the kind with a valid alpha, and
-        # each amplitude on its own
-        context = {"kind": {"alpha": 1.0}, "alpha": {"kind": fields["kind"]},
-                   "C": {"kind": "constant"}, "c": {"kind": "constant"}}
-        return _record(CovarianceModel, fields, functools.partial(self._fail, "model"),
-                       context)
+        }, functools.partial(self._fail, "model"))
 
     def sampler(self, seed_override=None):
         seed = seed_override if seed_override is not None \
@@ -175,19 +169,16 @@ def _flag_error(key, message):
     raise ConfigError(f"--{key}: {message}")
 
 
-def _record(cls, fields, fail, context=None):
-    """``cls(**fields)``; ``fail(key, message)`` reports the field that fails.
+def _record(cls, fields, fail):
+    """``cls(**fields)``; ``fail(key, message)`` reports the field it refuses.
 
-    ``cls`` checks each field on its own, together with the fields of
-    ``context[key]`` (none by default): build it one field at a time first,
-    so the error names the key that failed.
+    ``cls`` checks its fields in order and raises a geometry.ParameterError
+    naming the first one it refuses, so the record is built once.
     """
-    for key, value in fields.items():
-        try:
-            cls(**(context or {}).get(key, {}), **{key: value})
-        except ValueError as exc:
-            fail(key, str(exc))
-    return cls(**fields)
+    try:
+        return cls(**fields)
+    except geometry.ParameterError as exc:
+        fail(*exc.args)
 
 
 def _at_least_one(key, value, fail):
@@ -234,14 +225,17 @@ def _run_cell(args):
 
     Runs in the sweep's own process; the first cell of a dt group triggers
     that group's simulation, which the ensemble shards over the worker pool.
-    Returns (kind, beta, t, row or None, error or None).
+    Returns (kind, beta, t, row or None, error or None).  The error is that of
+    a horizon that cannot be scheduled, a non-finite row or too many
+    non-finite paths (a ValueError or an EstimatorError); any other exception
+    is a fault of the program and propagates.
     """
     kind, beta, t, model, n_paths, sampler, ensemble = args
     try:
         est = _ESTIMATORS[kind](ensemble.x, t, beta, model, n_paths, sampler,
                                 ensemble=ensemble)
         return kind, beta, t, moments.to_phase_row(est), None
-    except Exception as exc:  # keep the sweep alive; the cell is reported
+    except (ValueError, moments.EstimatorError) as exc:  # keep the sweep alive
         return kind, beta, t, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -265,16 +259,19 @@ def cmd_phase_sweep(args):
     # stderr squares z.  beta * beta overflows to inf where beta**2 raises
     f0 = model.sup_value()
     bound = f0 * max(ts)
+    amplitude = "c" if model.kind == "constant" else "C"
     if not bound < math.inf:
-        cfg._fail("model", "c" if model.kind == "constant" else "C",
-                  f"F(0) = {f0:g} times max t = {max(ts):g} overflows")
+        cfg._fail("model", amplitude, f"F(0) = {f0:g} times max t = {max(ts):g} overflows")
+    # the limits on beta are joint: name the keys of F(0) and max t too
+    of_key = "" if model.kind == "phi-alpha" else f" ([model] {amplitude})"
+    joint = f"F(0) = {f0:g}{of_key} and max [sweep] t = {max(ts):g}"
     for beta in betas:
         z = beta * beta * bound
         if not z < math.inf:
-            cfg._fail("sweep", "beta", f"{beta:g}: beta^2 F(0) max t overflows")
+            cfg._fail("sweep", "beta", f"{beta:g}: beta^2 F(0) max t overflows, at {joint}")
         if "jensen" in estimators and not z * z < math.inf:
             cfg._fail("sweep", "beta", f"{beta:g}: jensen squares beta^2 F(0) max t = {z:g}, "
-                      "which overflows")
+                      f"which overflows, at {joint}")
     workers = cfg.count("run", "workers", 1) if args.workers is None \
         else _at_least_one("workers", args.workers, _flag_error)
     problem = moments._euclidean_problem(model, sampler.dim)
@@ -364,19 +361,28 @@ def cmd_lambda(args):
     sampler = cfg.sampler(args.seed)
     t_max = cfg.get("lambda", "t_max", float, default=50.0)
     seps = cfg.floats("lambda", "separations", default=[0.0, 5.0, 10.0])
+    if max(seps) > geometry.MAX_RADIUS:  # cosh overflows beyond a separation of about 710
+        cfg._fail("lambda", "separations",
+                  f"values must be at most {geometry.MAX_RADIUS:g}, got {seps}")
     # [lambda] n_paths overrides [run] n_paths
     n_paths = cfg.count("lambda" if cfg.parser.has_option("lambda", "n_paths")
                         else "run", "n_paths", 512)
+    # the slice means sum n_paths profile values, and the integral's terms add
+    # up to F(0) T_max; lambda_constant refuses an infinite or NaN T_max
+    f0 = model.sup_value()
+    if t_max < math.inf and not f0 * max(n_paths, t_max) < math.inf:
+        cfg._fail("model", "c" if model.kind == "constant" else "C",
+                  f"F(0) = {f0:g} times n_paths = {n_paths} or t_max = {t_max:g} overflows")
     o = geometry.origin(sampler.dim)
-    ys = geometry.points_from_polar(np.array(seps), np.eye(sampler.dim)[0])
-    try:  # cosh overflows beyond a separation of about 710
-        pairs = [(o, geometry.HPoint(y, sampler.dim)) for y in ys]
-    except ValueError as exc:
-        cfg._fail("lambda", "separations", str(exc))
+    pairs = [(o, geometry.HPoint(y, sampler.dim))
+             for y in geometry.points_from_polar(np.array(seps), np.eye(sampler.dim)[0])]
     try:
         result = moments.lambda_constant(model, pairs, t_max, n_paths, sampler)
     except (ValueError, moments.NonFiniteError) as exc:  # a horizon that cannot run
-        cfg._fail("lambda", "t_max", str(exc))
+        cfg._fail("lambda", "t_max", f"{exc} (with [run] dim = {sampler.dim} and "
+                  f"[run] step = {sampler.step:g})")
+    except moments.EstimatorError as exc:  # a profile with no finite tail integral
+        cfg._fail("model", "kind" if model.kind == "constant" else "alpha", str(exc))
     result["model"] = model.label()
     result["config_hash"] = cfg.hash
     out = _out_dir(Path(args.out))
@@ -395,8 +401,8 @@ def cmd_sample_path(args):
     try:
         paths = [brownian.sample_path(x0, args.t, sampler, path_index=i)
                  for i in range(args.n_paths)]
-    except ValueError as exc:  # a horizon that cannot be scheduled
-        raise ConfigError(f"--t: {exc}") from exc
+    except ValueError as exc:  # a horizon that cannot be scheduled at this step
+        raise ConfigError(f"--t: {exc} (with --step {args.step:g})") from exc
     out = Path(args.out)
     with _out_file(out) as fh:
         fh.write(f"# config_hash=- seed={sampler.seed} scheme={sampler.scheme} "
@@ -409,9 +415,9 @@ def cmd_sample_path(args):
 def cmd_eigenvalue(args):
     try:
         lam = heatkernel.dirichlet_eigenvalue(args.r, args.dim, args.mode)
-    except ValueError as exc:  # --mode is a choice
-        flag = "--dim" if isinstance(exc, heatkernel.DimensionError) else "--r"
-        raise ConfigError(f"{flag}: {exc}") from exc
+    except geometry.ParameterError as exc:  # --mode is a choice
+        name, message = exc.args
+        _flag_error("dim" if name == "d" else name, message)
     print(f"lambda({args.mode}, r={args.r:g}, d={args.dim}) = {lam!r}")
     return 0
 

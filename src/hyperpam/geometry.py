@@ -46,6 +46,17 @@ _DEGENERATE = 1e-8  # two points closer than this cannot define a direction
 _FLOOR_EPS = 8.0 * 2.0**-52  # 8 eps: the coordinate roundoff the distance floor allows
 
 
+class ParameterError(ValueError):
+    """A refused argument: ``args`` are (the parameter's name, the message).
+
+    The message alone is its str, so a caller can name the parameter in its
+    own terms (a config key, a flag); the pair of args also pickles.
+    """
+
+    def __str__(self):
+        return self.args[1]
+
+
 def minkowski_product(a, b):
     """Minkowski inner product with signature (+,...,+,-), batched on the last axis."""
     a = np.asarray(a, dtype=float)

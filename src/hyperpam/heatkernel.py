@@ -32,13 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brownian
-from .geometry import _logsinh, origin
+from .geometry import ParameterError, _logsinh, origin
 
 MAX_DIM = 10  # largest d dirichlet_eigenvalue was checked at; 6e-4 off at d = 30
-
-
-class DimensionError(ValueError):
-    """A dimension outside the range :func:`dirichlet_eigenvalue` was checked over."""
+MIN_RADIUS = 1e-60  # LAPACK's bisection fails from r ~ 1e-72, on entries (4000 / r)^2
 
 
 def solve_ivp(*args, **kwargs):
@@ -193,13 +190,16 @@ def dirichlet_eigenvalue(r, d, mode="hyperbolic"):
     :func:`_fv_eigenvalue` (``mode``: hyperbolic or flat) at 2000 and 4000 cells,
     Richardson-extrapolated (a finer pair loses digits to rounding); for d <= MAX_DIM
     within 2e-8 relative up to r = 20 and 2e-6 at r = 100 of closed forms and shooting.
+    A refused d, r or mode raises a :class:`geometry.ParameterError` naming it.
     """
     if not (2 <= d <= MAX_DIM and int(d) == d):
-        raise DimensionError(f"d must be an integer in [2, {MAX_DIM}], got {d}")
+        raise ParameterError("d", f"d must be an integer in [2, {MAX_DIM}], got {d}")
     if not 0 < r <= 100:
-        raise ValueError("r must lie in (0, 100]")
+        raise ParameterError("r", "r must lie in (0, 100]")
+    if r < MIN_RADIUS:
+        raise ParameterError("r", f"r must be at least {MIN_RADIUS:g}, got {r:g}")
     if mode not in ("hyperbolic", "euclidean"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParameterError("mode", f"unknown mode {mode!r}")
     coarse, fine = (_fv_eigenvalue(r, d, mode, n) for n in (2000, 4000))
     return float((4.0 * fine - coarse) / 3.0)
 

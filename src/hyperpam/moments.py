@@ -415,18 +415,28 @@ class GrowthFit:
 
 
 def _wls(x, y, w):
+    """Weighted least squares of y on x: (slope, R^2).
+
+    y and w are first scaled by powers of two to a largest magnitude below 1.
+    That changes no rounding, so a fit that did not overflow keeps its bits,
+    and the squares of a log moment near 1e200, or of the 1e24 weight of a
+    zero stderr, cannot overflow.
+    """
+    ey = np.frexp(np.max(np.abs(y)))[1]
+    y = np.ldexp(y, -ey)
+    w = np.ldexp(w, -np.frexp(np.max(w))[1])
     W = np.sum(w)
     xm = np.sum(w * x) / W
     ym = np.sum(w * y) / W
     var = np.sum(w * (x - xm) ** 2)
     if var == 0:
-        return 0.0, ym, 0.0
+        return 0.0, 0.0
     b = np.sum(w * (x - xm) * (y - ym)) / var
     a = ym - b * xm
     ss_res = np.sum(w * (y - a - b * x) ** 2)
     ss_tot = np.sum(w * (y - ym) ** 2)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res < 1e-30 else 0.0)
-    return float(b), float(a), float(r2)
+    return float(np.ldexp(b, ey)), float(r2)
 
 
 def growth_fit(rows, hypothesis):
@@ -447,14 +457,14 @@ def growth_fit(rows, hypothesis):
     se = np.array([r.stderr_log for r in rows], dtype=float)
     w = 1.0 / np.maximum(se, 1e-12) ** 2
 
-    b_lin, _, r2_lin = _wls(t, y, w)
+    b_lin, r2_lin = _wls(t, y, w)
 
     alphas = {r.alpha for r in rows if r.alpha is not None and np.isfinite(r.alpha)}
     r2_pow = float("nan")
     if len(alphas) == 1:
         alpha = alphas.pop()
         if 0 < alpha < 1:
-            _, _, r2_pow = _wls(t ** (1.0 - alpha), y, w)
+            _, r2_pow = _wls(t ** (1.0 - alpha), y, w)
 
     exponent = float("nan")
     pos = y > 0

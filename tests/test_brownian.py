@@ -456,3 +456,41 @@ def test_batches_respect_column_cap_and_split_evenly(monkeypatch, max_columns, t
     assert len(batches) == -(-n_paths // max(1, max_columns // len(tags)))
     lo, hi, gens = batches[-1]
     assert gens == [(i, tag) for tag in tags for i in range(10 + lo, 10 + hi)]
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"dim": 1, "step": 0.5}, "dim"),
+    ({"step": 0.5, "scheme": "leapfrog"}, "step"),
+    ({"scheme": "leapfrog", "seed": 1.5}, "scheme"),
+    ({"seed": 1.5}, "seed"),
+])
+def test_config_names_the_first_field_it_refuses(fields, name):
+    with pytest.raises(geometry.ParameterError) as info:
+        SamplerConfig(**fields)
+    assert info.value.args[0] == name
+
+
+@pytest.mark.parametrize("t,step", [(5e-324, 1e-3), (1e-310, 0.1), (5e-324, 5e-324)])
+def test_schedule_takes_a_subnormal_horizon(t, step):
+    # int(0.05 / dt) was int(inf), an OverflowError, for dt below ~2.8e-310
+    n_steps, dt, stored, times = brownian._schedule(t, step)
+    assert (n_steps, dt, stored.tolist(), times.tolist()) == (1, t, [0, 1], [0.0, t])
+
+
+def test_schedule_keeps_every_finite_spacing():
+    # the min is taken before the int: the same stored steps wherever
+    # int(0.05 / dt) was finite
+    for t, step in [(1.0, 1e-3), (10.0, 2e-3), (40.0, 2e-3), (0.3, 0.1), (7.0, 0.05),
+                    (1e-300, 1e-3), (6.4, 1e-3)]:
+        n_steps, dt, stored, _ = brownian._schedule(t, step)
+        m = max(1, min(n_steps // 128, int(0.05 / dt)))
+        assert stored.tolist() == sorted({*range(0, n_steps + 1, m), n_steps})
+
+
+def test_walkers_past_the_overflow_radius_warn_nothing():
+    # the radius drifts like (d - 1) t: at d = 200 it passes ~710 before t = 50;
+    # stepping leaked numpy overflow warnings, and the paths end as NaN
+    cfg = SamplerConfig(dim=200, step=0.1, seed=1)
+    o = geometry.origin(200)
+    _, F = brownian.pair_profile_matrix(o, o, 50.0, cfg, 2, _TP.profile)
+    assert np.isnan(F[:, -1]).all()

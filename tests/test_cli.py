@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperpam import checks, cli
+from hyperpam import checks, cli, geometry
 from hyperpam.cli import main
 from hyperpam.moments import PhaseRow, growth_fit
 
@@ -735,10 +735,110 @@ def test_validate_rejects_bad_tolerance_scale(capsys, scale):
     (["eigenvalue", "--r", "1", "--dim", "100"], "--dim"),
     (["validate", "--seed", "-1"], "--seed"),
     (["sample-path", "--t", "1e9"], "--t"),
+    # r = 1e-100 exited 2 naming no flag (LAPACK did not converge), and
+    # r = 1e-300 raised numpy warnings
+    (["eigenvalue", "--r", "1e-100"], "--r"),
+    (["eigenvalue", "--r", "1e-300"], "--r"),
 ], ids=["sample-path-dim", "sample-path-step", "eigenvalue-r", "eigenvalue-dim",
-        "eigenvalue-dim-above-max", "validate-seed", "sample-path-step-budget"])
+        "eigenvalue-dim-above-max", "validate-seed", "sample-path-step-budget",
+        "eigenvalue-r-1e-100", "eigenvalue-r-1e-300"])
 def test_argument_error_names_flag(tmp_path, capsys, argv, flag):
     out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "eigenvalue" else []
     assert main([*argv, *out]) == 2
     assert f"config error: {flag}:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_record_builds_the_record_once():
+    built = []
+
+    class Record:
+        def __init__(self, **fields):
+            built.append(fields)
+            if fields["b"] < 0:
+                raise geometry.ParameterError("b", f"b must be >= 0, got {fields['b']}")
+
+    fields = {"a": 1, "b": 2}
+    assert isinstance(cli._record(Record, fields, _refuse_always), Record)
+    with pytest.raises(cli.ConfigError, match="--b: b must be >= 0, got -1"):
+        cli._record(Record, {"a": 1, "b": -1}, cli._flag_error)
+    assert built == [fields, {"a": 1, "b": -1}]
+
+
+def _refuse_always(key, message):
+    raise AssertionError(f"{key}: {message}")
+
+
+def test_a_fault_inside_a_cell_escapes_main(tmp_path, monkeypatch):
+    # every Exception became a summary.json error and exit 0
+    def broken(*args, **kwargs):
+        raise OverflowError("a fault of the program")
+
+    monkeypatch.setitem(cli._ESTIMATORS, "fk", broken)
+    with pytest.raises(OverflowError, match="a fault of the program"):
+        main(["phase-sweep", "--config", _write(tmp_path, _TP_CONFIG),
+              "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("change,named", [
+    (("alpha = 2.0", "alpha = 1"), "[model] alpha: lambda_constant requires a profile "
+     "decaying faster than 1/rho"),
+    (("kind = truncated-power\nalpha = 2.0", "kind = constant"), "[model] kind: "
+     "lambda_constant requires"),
+    (("separations = {seps}", "separations = 0, 800"),
+     "[lambda] separations: values must be at most 700, got [0.0, 800.0]"),
+    (("alpha = 2.0", "alpha = 2.0\nC = 1e308"),
+     "[model] C: F(0) = 1e+308 times n_paths = 2 or t_max = 50 overflows"),
+    (("step = 1e-1", "step = 1e-300"), "[lambda] t_max: t/step = 5e+301 exceeds the "
+     "100000000 step budget (with [run] dim = 3 and [run] step = 1e-300)"),
+], ids=["alpha-1", "constant", "separation-800", "C-1e308", "step-budget"])
+def test_lambda_names_the_key_of_each_refusal(tmp_path, capsys, change, named):
+    # alpha <= 1 and the constant kind named no key; a separation of 800 leaked
+    # numpy warnings first; C = 1e308 wrote "lambda_hat": Infinity with exit 0
+    text = _LAMBDA_CONFIG.replace(*change).format(t_max=50, seps=0)
+    out = tmp_path / "out"
+    assert main(["lambda", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change,named", [
+    (("C = 1", "C = 1e200"), "[sweep] beta: 0.5: jensen squares beta^2 F(0) max t = "
+     "1e+200, which overflows, at F(0) = 1e+200 ([model] C) and max [sweep] t = 4"),
+    (("t = 1, 2, 3, 4", "t = 1e308"), "[sweep] beta: 0.5: jensen squares beta^2 F(0) max "
+     "t = 2.5e+307, which overflows, at F(0) = 1 ([model] C) and max [sweep] t = 1e+308"),
+    (("beta = 0.5", "beta = 1e200"), "[sweep] beta: 1e+200: beta^2 F(0) max t overflows, "
+     "at F(0) = 1 ([model] C) and max [sweep] t = 4"),
+], ids=["C", "t", "beta"])
+def test_sweep_joint_limit_names_all_its_keys(tmp_path, capsys, change, named):
+    # these named [sweep] beta alone, whichever key was set
+    rc = main(["phase-sweep", "--config", _write(tmp_path, _TP_CONFIG.replace(*change)),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_sample_path_step_budget_names_both_flags(tmp_path, capsys):
+    rc = main(["sample-path", "--step", "1e-300", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "config error: --t: t/step = 1e+300 exceeds the 100000000 step budget " \
+        "(with --step 1e-300)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-sweep", "t = 1, 2, 3, 4", "t = 5e-324, 0.5, 0.75, 1"],
+    ["sample-path", "--t", "5e-324"],
+], ids=["phase-sweep", "sample-path"])
+def test_a_subnormal_horizon_runs(tmp_path, argv):
+    # int(0.05 / dt) raised an OverflowError at dt = 5e-324: a traceback, exit 1
+    if argv[0] == "phase-sweep":
+        out = tmp_path / "out"
+        text = _TP_CONFIG.replace(argv[1], argv[2])
+        assert main(["phase-sweep", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        rows = json.loads((out / "rows.json").read_text())["rows"]
+        assert [r["log_m2"] for r in rows if r["t"] == 5e-324] == [0.0, 0.0]
+    else:
+        out = tmp_path / "p.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1].startswith("0,5e-324,")
+

@@ -1,13 +1,14 @@
 """Covariance profiles: special-function oracles, decay, positivity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special as sp
 from scipy.integrate import quad
 
-from hyperpam import geometry
+from hyperpam import covariance, geometry
 from hyperpam.covariance import (
     CovarianceModel, lower_incomplete_gamma, phi_alpha, psd_check, psi,
 )
@@ -308,3 +309,68 @@ def test_profile_propagates_nan(kind):
     # an overflowed pair distance must be excluded, not counted as f = c
     out = CovarianceModel(kind, alpha=2.0).profile(np.array([math.nan, 1.0]))
     assert np.isnan(out[0]) and np.isfinite(out[1])
+
+
+@pytest.mark.parametrize("a,message", [
+    (200.0, "Gamma\\(a\\) overflows at a = 200"),
+    (171.7, "Gamma\\(a\\) overflows at a = 171.7"),
+    (1e-310, "a must be at least 2.2e-308, got 1e-310"),
+    (6e-309, "a must be at least 2.2e-308, got 6e-309"),
+], ids=["200", "171.7", "1e-310", "6e-309"])
+def test_gamma_refuses_an_a_it_cannot_evaluate(a, message):
+    # math.gamma raised a bare OverflowError (math range error) at 200 and
+    # 1e-310, and gammainc is 0 at a subnormal a: 0 was returned at 6e-309
+    with pytest.raises(ValueError, match=message):
+        lower_incomplete_gamma(a, 1.0)
+
+
+_ALPHA_MAX = 23.690728162032478  # the root of lgamma(alpha + 1) + 12 alpha ln 10 = 1022 ln 2
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"kind": "gauss", "alpha": math.nan}, "kind"),
+    ({"kind": "phi-alpha", "alpha": math.inf, "C": -1.0}, "alpha"),
+    ({"kind": "truncated-power", "C": -1.0}, "alpha"),
+    ({"kind": "phi-alpha", "alpha": _ALPHA_MAX * (1 + 1e-12)}, "alpha"),
+    ({"kind": "phi-alpha", "alpha": 2e-308}, "alpha"),
+    ({"kind": "truncated-power", "alpha": 2.0, "C": math.nan, "c": -1.0}, "C"),
+    ({"kind": "constant", "c": 0.0}, "c"),
+])
+def test_model_names_the_first_field_it_refuses(fields, name):
+    with pytest.raises(geometry.ParameterError) as info:
+        CovarianceModel(**fields)
+    assert info.value.args[0] == name
+
+
+@pytest.mark.parametrize("alpha", [_ALPHA_MAX * (1 - 1e-12), np.finfo(float).tiny],
+                         ids=["largest", "smallest"])
+def test_phi_alpha_is_accurate_at_every_accepted_extreme(alpha):
+    # phi_alpha was 0 near rho = 1.4e-6 from alpha ~ 24 (gamma(alpha, Psi)
+    # underflowed) and NaN from alpha = 27 (Psi^alpha too); Gamma(200) overflowed
+    model = CovarianceModel("phi-alpha", alpha=alpha)
+    rho = np.geomspace(1e-7, 710.0, 4001)
+    f = model.profile(rho)
+    assert np.isfinite(f).all()
+    p = psi(rho)
+    ref = np.where(p <= 1e-12, 1.0, sp.hyp1f1(alpha, alpha + 1.0, -p))
+    np.testing.assert_allclose(f, ref, rtol=1e-10, atol=0.0)
+
+
+def test_phi_alpha_bound_is_closed_form():
+    lhs = math.lgamma(_ALPHA_MAX + 1.0) - _ALPHA_MAX * math.log(covariance._PSI_CUTOFF)
+    assert lhs == pytest.approx(-math.log(np.finfo(float).tiny), rel=1e-12)
+    with pytest.raises(ValueError, match="phi-alpha requires alpha between"):
+        CovarianceModel("phi-alpha", alpha=23.7)
+    assert CovarianceModel("phi-alpha", alpha=23.69).alpha == 23.69
+
+
+@pytest.mark.parametrize("kind,alpha", [("truncated-power", 1e9), ("phi-alpha", 23.0)])
+def test_a_power_overflow_is_its_limit_zero(kind, alpha):
+    # numpy printed "overflow encountered in power" on stderr
+    model = CovarianceModel(kind, alpha=alpha)
+    rho = np.array([0.0, 1e-12, 1e-3, 1.0, 1e100, 1e300, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = model.profile(rho)
+    assert f[0] == 1.0 and (f[-3:] == 0.0).all()
+    assert np.isfinite(f).all()

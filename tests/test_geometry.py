@@ -1,6 +1,7 @@
 """Hyperboloid geometry: oracles, closed forms, and property checks."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -543,3 +544,12 @@ def test_exp_map_takes_every_direction_log_map_returns(rho, gap):
         returned += 1
         exp_map(base, u, r)
     assert returned >= 40
+
+
+def test_parameter_error_names_its_argument_and_pickles():
+    exc = geometry.ParameterError("dim", "dim must be an integer >= 2")
+    assert isinstance(exc, ValueError)
+    assert exc.args == ("dim", "dim must be an integer >= 2")
+    assert str(exc) == "dim must be an integer >= 2"
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is geometry.ParameterError and back.args == exc.args

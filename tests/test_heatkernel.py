@@ -323,3 +323,20 @@ def test_chapman_kolmogorov_radial():
     radii = geometry.distance(o.coords, end)
     ks = st.kstest(radii, RadialLaw(2.0).cdf).statistic
     assert ks <= 0.02
+
+
+def test_eigenvalue_names_the_argument_it_refuses():
+    for args, name in [((1.0, 11), "d"), ((200.0, 3), "r"), ((1.0, 3, "spherical"), "mode"),
+                       ((1e-61, 3), "r"), ((math.nan, 100), "d")]:
+        with pytest.raises(geometry.ParameterError) as info:
+            dirichlet_eigenvalue(*args)
+        assert info.value.args[0] == name
+
+
+def test_eigenvalue_at_the_smallest_radius():
+    # below ~1e-72 LAPACK's bisection failed ("stebz did not converge"), and
+    # below ~1e-150 the operator overflowed with numpy warnings
+    r = heatkernel.MIN_RADIUS
+    assert dirichlet_eigenvalue(r, 3) * r * r == pytest.approx(math.pi**2, rel=1e-8)
+    with pytest.raises(ValueError, match="r must be at least 1e-60, got 1e-300"):
+        dirichlet_eigenvalue(1e-300, 3)

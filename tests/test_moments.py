@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -439,3 +440,31 @@ def test_ensemble_union_of_strides_matches_one_horizon_runs(flat):
         assert union_times[cols].tobytes() == times.tobytes()
         assert union_F[:, cols].tobytes() == F.tobytes()
         assert ens.integrals(t, kernel).tobytes() == np.trapezoid(F, times, axis=1).tobytes()
+
+
+def _rows(log_m2, stderr, alpha=0.5):
+    return [PhaseRow(alpha, 0.5, t, y, se, 4, "fk", 1)
+            for t, y, se in zip((1.0, 2.0, 3.0, 4.0), log_m2, stderr)]
+
+
+@pytest.mark.parametrize("scale", [2.0**-700, 2.0**600])
+def test_growth_fit_scales_exactly(scale):
+    # the fit scales log_m2 and the weights by powers of two: a fit whose
+    # squares do not overflow keeps its bits, and a scaled one scales exactly
+    y, se = [0.11, 0.23, 0.31, 0.47], [0.01, 0.02, 0.0, 0.03]
+    fit = growth_fit(_rows(y, se), "power-t^{1-alpha}")
+    scaled = growth_fit(_rows([v * scale for v in y], se), "power-t^{1-alpha}")
+    assert scaled.slope_linear == fit.slope_linear * scale
+    assert (scaled.r2_linear, scaled.r2_power) == (fit.r2_linear, fit.r2_power)
+
+
+def test_growth_fit_of_huge_log_moments_is_finite():
+    # log_m2 near 1e199 overflowed the squared residuals (NaN R^2); zero
+    # stderrs, weight 1e24, overflowed ss_tot at log_m2 near 1e150
+    for y, se in [([1e199, 2.1e199, 2.9e199, 4e199], [1.0, 1.0, 1.0, 1.0]),
+                  ([1e150, 2e150, 3e150, 4.2e150], [0.0, 0.0, 0.0, 0.0])]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = growth_fit(_rows(y, se), "linear-in-t")
+        assert math.isfinite(fit.r_squared) and 0.9 < fit.r2_linear <= 1.0
+        assert fit.slope_linear == pytest.approx((y[3] - y[0]) / 3, rel=0.1)
