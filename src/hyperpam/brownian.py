@@ -35,11 +35,11 @@ Ensembles run in near-equal batches of at most ``_MAX_COLUMNS`` (4096) state
 columns, paths times role tags.  Each stream refills about
 ``_REFILL_NORMALS`` (2048) normals at a time into its own slab of the noise
 buffer, in draw order, so the buffer is at most 4096 x 2048 doubles (64 MiB)
-and shrinks with the batch; the loop reads it through a small step block,
-filled by one transposing copy per normal (no staging array), so a step's
-noise is contiguous too.  The Euclidean comparison walk
-uses the same loop with an internal flat kernel, x += sqrt(2 dt) g, on a
-(d, N) state; it is not a sampler scheme.  Every kernel draws d normals per
+up to d = 128, twice that at ``MAX_DIM`` (256), and shrinks with the batch;
+the loop reads it through a small step block, filled by one transposing copy
+per normal (no staging array), so a step's noise is contiguous too.  The
+Euclidean comparison walk uses the same loop with an internal flat kernel,
+x += sqrt(2 dt) g, on a (d, N) state; it is not a sampler scheme.  Every kernel draws d normals per
 step, so one pass steps any set of states on one noise block: flat pairs
 requested with hyperbolic pairs are stepped in the hyperbolic pass and read
 exactly the normals a flat walk alone would draw, so every normal is
@@ -62,6 +62,8 @@ from .geometry import _coords
 
 _SCHEMES = ("embedded-sde", "geodesic-walk")
 MAX_STEPS = 10**8
+MAX_DIM = 256  # past d = 128 a stream refills 16 d normals: at most 128 MiB of noise
+MAX_SEED = 2**64 - 1  # the master seed of a stream key is a uint64
 _BLOCK_DOUBLES = 1 << 17  # 1 MB of noise per transposed block
 _MAX_COLUMNS = 4096  # state columns (paths x role tags) per driven batch
 _REFILL_NORMALS = 2048  # normals each stream draws per noise refill
@@ -77,7 +79,8 @@ class SamplerConfig:
     """Simulation parameters shared by all path-generating operations.
 
     The fields are checked in order; the first one refused raises a
-    :class:`geometry.ParameterError` that names it.
+    :class:`geometry.ParameterError` that names it.  ``dim`` is an integer
+    in [2, MAX_DIM] and ``seed`` one in [0, MAX_SEED], the range of the stream key.
     """
 
     dim: int = 3
@@ -86,14 +89,13 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 2):
-            raise geometry.ParameterError("dim", "dim must be an integer >= 2")
+        geometry._count("dim", self.dim, 2, MAX_DIM)
         if not 0 < self.step <= 0.1:
             raise geometry.ParameterError("step", "step must lie in (0, 0.1]")
         if self.scheme not in _SCHEMES:
             raise geometry.ParameterError("scheme", f"unknown scheme {self.scheme!r}")
-        if not _is_integer(self.seed):  # a float seed would draw int(seed)'s streams
-            raise geometry.ParameterError("seed", f"seed must be an integer, got {self.seed!r}")
+        # a float seed would draw int(seed)'s streams
+        geometry._count("seed", self.seed, 0, MAX_SEED)
 
 
 @dataclass
@@ -111,17 +113,6 @@ class BrownianPath:
     @property
     def dim(self):
         return self.points.shape[1] - 1
-
-
-def _is_integer(n):
-    """Whether n is an int or a numpy integer; a bool is not a count."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
-def _check_n_paths(n_paths):
-    """Refuse a path count that is not an integer >= 1."""
-    if not (_is_integer(n_paths) and n_paths >= 1):
-        raise ValueError(f"n_paths must be at least 1 and an integer, got {n_paths!r}")
 
 
 def _start(x, cfg, name, n_rows=None):
@@ -147,9 +138,10 @@ def path_stream(seed, path_index, tag=TAG_PRIMARY):
 
     The key goes through SeedSequence, so streams are reproducible and
     order-independent: an ensemble draws the same numbers regardless of batch
-    sizes, worker counts, or execution order.
+    sizes, worker counts, or execution order.  The master seed enters the key
+    as given: SamplerConfig keeps it in [0, MAX_SEED], so no two seeds alias.
     """
-    ss = np.random.SeedSequence((int(seed) & (2**64 - 1), int(path_index), int(tag)))
+    ss = np.random.SeedSequence((int(seed), int(path_index), int(tag)))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -164,8 +156,7 @@ def _schedule(t, step):
     and above (0.05): for truncated-power alpha = 2 it is +4.0% at t = 5 and
     +5.6% at t = 10, from the first panels near s = 0.
     """
-    if not 0 < t < np.inf:  # also rejects NaN
-        raise ValueError(f"t must be positive and finite, got {float(t)}")
+    geometry._positive("t", t)
     ratio = t / step  # inf at a subnormal step, which round() cannot take
     n_steps = max(1, int(round(ratio))) if ratio < 2 * MAX_STEPS else ratio
     if n_steps > MAX_STEPS:
@@ -184,7 +175,7 @@ def _chunk_size(d, n_steps):
     A refill is one ``standard_normal`` call per stream, whose fixed cost
     (about 1 us) is then a few percent of the draws; the (N, chunk, d) buffer
     is at most _MAX_COLUMNS x _REFILL_NORMALS doubles (64 MiB), less for
-    narrower batches.
+    narrower batches, up to d = 128; past it a refill is 16 steps, 16 d draws.
     """
     return int(np.clip(_REFILL_NORMALS // d, 16, n_steps))
 
@@ -368,7 +359,7 @@ def endpoints(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0, starts=None):
     first n_paths rows are used (chained/restarted ensembles); otherwise every
     path starts at x0.
     """
-    _check_n_paths(n_paths)
+    geometry._count("n_paths", n_paths, 1)
     out = np.tile(_start(x0, cfg, "x0"), (n_paths, 1)) if starts is None \
         else _start(np.array(starts[:n_paths], dtype=float), cfg, "starts", n_paths)
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
@@ -408,9 +399,9 @@ def _pair_distance(kernel, x, y):
     """Column-wise distance between the (d+1, P) or, for "flat", (d, P) states x and y."""
     if kernel == "flat":
         return np.linalg.norm(x - y, axis=0)
-    # radii summing past ~711 make this inf - inf = NaN; estimators refuse it
-    with np.errstate(over="ignore", invalid="ignore"):
-        minus_ip = x[-1] * y[-1] - _dot(x[:-1], y[:-1])
+    # radii summing past ~711 make this inf - inf = NaN, unwarned under _drive's
+    # errstate; estimators refuse it
+    minus_ip = x[-1] * y[-1] - _dot(x[:-1], y[:-1])
     return np.arccosh(np.maximum(minus_ip, 1.0))
 
 
@@ -419,7 +410,7 @@ def _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored=None):
 
     Every kernel steps in one pass per batch, on the batch's pair streams.
     """
-    _check_n_paths(n_paths)
+    geometry._count("n_paths", n_paths, 1)
     _, dt, own, _ = _schedule(t, cfg.step)
     stored = own if stored is None else np.asarray(stored)
     F = {kernel: np.empty((n_paths, len(stored))) for kernel in starts}
@@ -440,9 +431,8 @@ def exit_times(x0, r, t_max, cfg, n_paths, first_index=0):
 
     Exits are detected on the simulation grid (every step).
     """
-    if not 0 < r < np.inf:  # also rejects NaN
-        raise ValueError(f"r must be positive and finite, got {r}")
-    _check_n_paths(n_paths)
+    geometry._positive("r", r)
+    geometry._count("n_paths", n_paths, 1)
     coords = _start(x0, cfg, "x0")
     cosh_r = np.cosh(r)
     n_steps, dt, _, _ = _schedule(t_max, cfg.step)
@@ -481,8 +471,7 @@ def event_indicators(pair, x0, delta, s, y0=None):
     start the two events coincide (the first angle degenerates).  Angle
     degeneracies make the event fail (conservative).
     """
-    if not delta > 0:  # also rejects NaN
-        raise ValueError(f"delta must be positive, got {delta}")
+    geometry._positive("delta", delta)
     pb, pbt = pair
     if not 0 < s <= pb.times[-1] + 1e-12:
         raise ValueError("s must lie in (0, horizon]")

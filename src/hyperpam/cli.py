@@ -43,6 +43,8 @@ from .checks import _available_cpus
 from .covariance import CovarianceModel
 
 
+_MAX_PATHS = 10**8  # the path budget of n_paths and --n-paths, like brownian.MAX_STEPS
+
 # every key some command reads, by section
 _KEYS = {
     "model": ("kind", "alpha", "C", "c"),
@@ -117,10 +119,10 @@ class _Config:
         except ValueError as exc:
             self._fail(section, key, f"cannot parse {raw!r}: {exc}")
 
-    def count(self, section, key, default):
-        """Integer key that must be at least 1."""
+    def count(self, section, key, default, high=None):
+        """Integer key that must be at least 1 (and at most ``high``)."""
         return _at_least_one(key, self.get(section, key, int, default=default),
-                             functools.partial(self._fail, section))
+                             functools.partial(self._fail, section), high)
 
     def distinct(self, section, key, item, default=None):
         """Distinct values ``item(token)`` of a comma- or space-separated list;
@@ -153,6 +155,7 @@ class _Config:
         }, functools.partial(self._fail, "model"))
 
     def sampler(self, seed_override=None):
+        """The [run] SamplerConfig; a refused ``seed_override`` is named --seed."""
         seed = seed_override if seed_override is not None \
             else self.get("run", "seed", int, required=True)
         fields = {
@@ -161,7 +164,13 @@ class _Config:
             "scheme": self.get("run", "scheme", str, default="embedded-sde"),
             "seed": seed,
         }
-        return _record(brownian.SamplerConfig, fields, functools.partial(self._fail, "run"))
+
+        def fail(key, message):
+            if key == "seed" and seed_override is not None:
+                _flag_error(key, message)
+            self._fail("run", key, message)
+
+        return _record(brownian.SamplerConfig, fields, fail)
 
 
 def _flag_error(key, message):
@@ -181,10 +190,12 @@ def _record(cls, fields, fail):
         fail(*exc.args)
 
 
-def _at_least_one(key, value, fail):
-    """``value``; ``fail(key, message)`` unless it is at least 1."""
+def _at_least_one(key, value, fail, high=None):
+    """``value``; ``fail(key, message)`` unless it is at least 1 (and at most ``high``)."""
     if value < 1:
         fail(key, f"must be at least 1, got {value}")
+    if high is not None and value > high:
+        fail(key, f"must be at most {high}, got {value}")
     return value
 
 
@@ -249,7 +260,7 @@ def cmd_phase_sweep(args):
         cfg._fail("sweep", "beta", "values that agree to 6 significant digits share the "
                   f"summary key beta={next(k for k in labels if labels.count(k) > 1)}")
     ts = cfg.floats("sweep", "t", positive=True)
-    n_paths = cfg.count("run", "n_paths", 1024)
+    n_paths = cfg.count("run", "n_paths", 1024, _MAX_PATHS)
     estimators = cfg.distinct("run", "estimators", str, default=["fk"])
     for kind in estimators:
         if kind not in _ESTIMATORS:
@@ -341,8 +352,11 @@ def cmd_validate(args):
     if not 0 <= args.tolerance_scale < math.inf:  # also rejects NaN
         raise ConfigError(
             f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale}")
-    if args.seed is not None and args.seed < 0:  # the checks seed numpy generators directly
-        raise ConfigError(f"--seed: must be a non-negative integer, got {args.seed}")
+    if args.seed is not None:  # the checks build SamplerConfigs from it
+        try:
+            geometry._count("seed", args.seed, 0, brownian.MAX_SEED)
+        except geometry.ParameterError as exc:
+            _flag_error(*exc.args)
     report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=args.seed)
     if args.out:
         _write_json(Path(args.out), report)
@@ -366,7 +380,7 @@ def cmd_lambda(args):
                   f"values must be at most {geometry.MAX_RADIUS:g}, got {seps}")
     # [lambda] n_paths overrides [run] n_paths
     n_paths = cfg.count("lambda" if cfg.parser.has_option("lambda", "n_paths")
-                        else "run", "n_paths", 512)
+                        else "run", "n_paths", 512, _MAX_PATHS)
     # the slice means sum n_paths profile values, and the integral's terms add
     # up to F(0) T_max; lambda_constant refuses an infinite or NaN T_max
     f0 = model.sup_value()
@@ -378,6 +392,11 @@ def cmd_lambda(args):
              for y in geometry.points_from_polar(np.array(seps), np.eye(sampler.dim)[0])]
     try:
         result = moments.lambda_constant(model, pairs, t_max, n_paths, sampler)
+    except geometry.ParameterError as exc:  # no tail fit: a joint limit of the fit's keys
+        keys = f"[lambda] separations = {seps}, [model] alpha = {model.alpha:g}"
+        if model.kind == "truncated-power":
+            keys += f" and [model] C = {model.C:g}"
+        cfg._fail("lambda", "t_max", f"{exc} (with {keys})")
     except (ValueError, moments.NonFiniteError) as exc:  # a horizon that cannot run
         cfg._fail("lambda", "t_max", f"{exc} (with [run] dim = {sampler.dim} and "
                   f"[run] step = {sampler.step:g})")
@@ -393,7 +412,7 @@ def cmd_lambda(args):
 
 
 def cmd_sample_path(args):
-    _at_least_one("n-paths", args.n_paths, _flag_error)
+    _at_least_one("n-paths", args.n_paths, _flag_error, _MAX_PATHS)
     sampler = _record(brownian.SamplerConfig, {"dim": args.dim, "step": args.step,
                                                "scheme": args.scheme, "seed": args.seed},
                       _flag_error)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HPoint, ParameterError, _coords, distance
+from .geometry import HPoint, ParameterError, _coords, _positive, distance
 
 _KINDS = ("phi-alpha", "truncated-power", "constant")
 _PSI_CUTOFF = 1e-12  # phi_alpha is 1 wherever Psi <= _PSI_CUTOFF
@@ -45,8 +45,7 @@ def lower_incomplete_gamma(a, x):
     x returns a float, an array x an ndarray.  A subnormal a (gammainc is 0
     there) and an a whose Gamma(a) overflows (above about 171.6) are refused.
     """
-    if not 0 < a < math.inf:  # also rejects NaN
-        raise ValueError("a must be positive and finite")
+    _positive("a", a)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
@@ -69,8 +68,7 @@ def phi_alpha(rho, alpha):
     0 at rho = inf, and where Psi^alpha overflows; NaN at rho = NaN.  A float
     for scalar rho, else an ndarray.
     """
-    if not 0 < alpha < math.inf:  # also rejects NaN
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _positive("alpha", alpha)
     p = np.asarray(psi(rho))
     with np.errstate(invalid="ignore", over="ignore"):
         out = np.where(p <= _PSI_CUTOFF, 1.0,
@@ -112,10 +110,8 @@ class CovarianceModel:
             # load scipy.special now, in the process that parses the config,
             # so a sweep's forked workers inherit it instead of each paying it
             import scipy.special  # noqa: F401
-        # chained comparisons also reject NaN
         for name in ("C", "c"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ParameterError(name, "amplitudes must be positive and finite")
+            _positive(name, getattr(self, name))
 
     def profile(self, rho):
         """F(rho) for rho >= 0 (or NaN, which propagates); vectorized over rho."""

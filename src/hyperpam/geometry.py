@@ -31,6 +31,9 @@ sqrt(sinh^2((r_a - r_b)/2) + sinh r_a sinh r_b sin^2(theta/2)), which resolves
 nearby points at rho from o to about eps sinh rho and pairs far apart to about
 eps relative.  log_map, angle_at and triangle_deficit refuse pairs below that
 floor (see :func:`_too_close`).
+
+Scalar arguments that are positive numbers or counts pass :func:`_positive` or
+:func:`_count`, which raise a :class:`ParameterError` naming them; neither takes a bool.
 """
 
 import math
@@ -55,6 +58,23 @@ class ParameterError(ValueError):
 
     def __str__(self):
         return self.args[1]
+
+
+def _positive(name, value, zero=False):
+    """Refuse ``value`` unless it is a finite number > 0 (>= 0 with ``zero``)."""
+    # chained comparisons also refuse NaN; a bool is a flag, not a number
+    if isinstance(value, (bool, np.bool_)) or not (
+            (0 <= value if zero else 0 < value) and value < math.inf):
+        rule = "finite and nonnegative" if zero else "positive and finite"
+        raise ParameterError(name, f"{name} must be {rule}, got {value}")
+
+
+def _count(name, value, low, high=None):
+    """Refuse ``value`` unless it is an int or numpy integer (not a bool) in [low, high]."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ParameterError(name, f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def minkowski_product(a, b):

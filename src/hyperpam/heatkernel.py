@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brownian
-from .geometry import ParameterError, _logsinh, origin
+from .geometry import ParameterError, _count, _logsinh, _positive, origin
 
 MAX_DIM = 10  # largest d dirichlet_eigenvalue was checked at; 6e-4 off at d = 30
 MIN_RADIUS = 1e-60  # LAPACK's bisection fails from r ~ 1e-72, on entries (4000 / r)^2
@@ -46,8 +46,7 @@ def solve_ivp(*args, **kwargs):
 
 def log_hk_exact_d3(t, rho):
     """log of the d = 3 heat kernel, safe where the kernel itself underflows."""
-    if not 0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
+    _positive("t", t)
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("rho must be nonnegative")
@@ -80,10 +79,8 @@ def log_radial_density_d3(t, rho):
 
 def log_hk_envelope(t, rho, d):
     """Log of the two-sided comparison envelope (any d >= 2, any t > 0)."""
-    if not 0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    if d < 2 or int(d) != d:
-        raise ValueError("d must be an integer >= 2")
+    _positive("t", t)
+    _count("d", d, 2)
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("rho must be nonnegative")
@@ -113,8 +110,7 @@ class RadialLaw:
     t: float
 
     def __post_init__(self):
-        if not 0 < self.t < math.inf:
-            raise ValueError("t must be positive and finite")
+        _positive("t", self.t)
 
     def support_hi(self):
         return 2.0 * self.t + 14.0 * math.sqrt(2.0 * self.t) + 30.0
@@ -136,10 +132,9 @@ def sample_radial_exact_d3(t, rng, size=None):
     Each draw is |2t e_1 + sqrt(2t) Z| for three standard normals Z (the
     drifted-Gaussian identity in the module docstring); no rejection.
     """
-    if not 0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    if not (size is None or (brownian._is_integer(size) and size >= 0)):
-        raise ValueError(f"size must be None or a non-negative integer, got {size!r}")
+    _positive("t", t)
+    if size is not None:
+        _count("size", size, 0)
     n = 1 if size is None else size
     z = math.sqrt(2.0 * t) * rng.standard_normal((n, 3))
     z[:, 0] += 2.0 * t
@@ -192,8 +187,7 @@ def dirichlet_eigenvalue(r, d, mode="hyperbolic"):
     within 2e-8 relative up to r = 20 and 2e-6 at r = 100 of closed forms and shooting.
     A refused d, r or mode raises a :class:`geometry.ParameterError` naming it.
     """
-    if not (2 <= d <= MAX_DIM and int(d) == d):
-        raise ParameterError("d", f"d must be an integer in [2, {MAX_DIM}], got {d}")
+    _count("d", d, 2, MAX_DIM)
     if not 0 < r <= 100:
         raise ParameterError("r", "r must lie in (0, 100]")
     if r < MIN_RADIUS:
@@ -236,8 +230,7 @@ def exit_tail_estimate(r, t_grid, n_paths, cfg):
     survivors are flagged and excluded).  The slope should approach the
     negative principal Dirichlet eigenvalue of the ball.
     """
-    if not 0 < r < math.inf:
-        raise ValueError("r must be positive and finite")
+    _positive("r", r)
     t_grid = np.asarray(t_grid, dtype=float)
     if not (t_grid.size and np.all(np.isfinite(t_grid)) and np.all(np.diff(t_grid) > 0)):
         raise ValueError("t_grid must be a nonempty increasing grid of finite times")

@@ -97,8 +97,7 @@ class PhaseRow:
     seed: int
 
     def __post_init__(self):
-        if not 0 < self.t < math.inf:  # also rejects NaN
-            raise ValueError(f"t must be finite and positive, got {self.t}")
+        geometry._positive("t", self.t)
         for name in ("log_m2", "stderr_log"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -140,7 +139,7 @@ class PairEnsemble:
         self.kernels = frozenset(kernels)
         if not self.kernels or not self.kernels <= {"hyperbolic", "flat"}:
             raise ValueError(f"kernels must be hyperbolic and/or flat, got {sorted(kernels)}")
-        brownian._check_n_paths(n_paths)
+        geometry._count("n_paths", n_paths, 1)
         if "hyperbolic" in self.kernels or not (x is None or (
                 not isinstance(x, geometry.HPoint) and np.shape(x) == (cfg.dim,)
                 and np.isfinite(x).all())):
@@ -221,11 +220,8 @@ def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="h
     up to 1e-3 of the paths.  ``reduce(z)`` returns (log_m2, stderr_log,
     extra MomentEstimate fields).
     """
-    # chained comparisons also reject NaN; a bool is not a time or a coupling
-    if isinstance(t, (bool, np.bool_)) or not 0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive, got {t}")
-    if isinstance(beta, (bool, np.bool_)) or not 0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    geometry._positive("t", t)
+    geometry._positive("beta", beta, zero=True)
     if kernel == "flat" and (problem := _euclidean_problem(model, cfg.dim)):
         raise EstimatorError(problem[1])
     ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel)
@@ -280,8 +276,7 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     result carries a truncation flag when the last term exceeds 1% of the
     partial sum.
     """
-    if not (brownian._is_integer(n_terms) and 0 <= n_terms <= 8):
-        raise ValueError(f"n_terms must be an integer in [0, 8], got {n_terms!r}")
+    geometry._count("n_terms", n_terms, 0, 8)
     coef = np.array([1.0 / math.factorial(n) for n in range(n_terms + 1)])
 
     def reduce(z):
@@ -302,7 +297,10 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
     correction fitted to the integrand's late-time decay.  Returns the max
     over pairs as ``lambda_hat`` and ``beta0_hat = 1/sqrt(lambda_hat)``.
 
-    Refuses profiles with alpha <= 1 (the tail integral does not converge).
+    Refuses profiles with alpha <= 1 (the tail integral does not converge),
+    and raises a :class:`geometry.ParameterError` naming T_max, never an
+    infinite total, for a pair without a tail fit: fewer than 3 positive
+    slice means on [T_max/4, T_max], or a late slope >= -1 (not integrable).
     """
     alpha = getattr(model, "alpha", None)
     if model.kind == "constant" or alpha is None or alpha <= 1.0:
@@ -322,14 +320,19 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
         integral = float(np.trapezoid(means, times))
         late = times >= T_max / 4.0
         late &= means > 0
-        slope = float("nan")
-        tail = math.inf
-        if np.sum(late) >= 3:
-            slope = float(np.polyfit(np.log(times[late]), np.log(means[late]), 1)[0])
-            if slope < -1.0:
-                tail = float(means[-1] * T_max / (-slope - 1.0))
+        separation = float(geometry.distance(x, y))
+        if np.sum(late) < 3:
+            raise geometry.ParameterError("T_max", (
+                f"no tail fit for the pair at separation {separation:g}: {np.sum(late)} "
+                f"of its slice means on [T_max/4, T_max] are positive, fewer than 3"))
+        slope = float(np.polyfit(np.log(times[late]), np.log(means[late]), 1)[0])
+        if not slope < -1.0:
+            raise geometry.ParameterError("T_max", (
+                f"no tail fit for the pair at separation {separation:g}: its slice means "
+                f"on [T_max/4, T_max] decay with slope {slope:.3g} >= -1"))
+        tail = float(means[-1] * T_max / (-slope - 1.0))
         pairs_out.append({
-            "separation": float(geometry.distance(x, y)),
+            "separation": separation,
             "integral": integral,
             "tail_correction": tail,
             "decay_slope": slope,
@@ -382,8 +385,7 @@ def m_f(model, r):
     For a radial profile this is the minimum of F over distances [0, r]
     (computed on a dense grid rather than assuming monotonicity).
     """
-    if not 0 <= r < math.inf:  # also rejects NaN
-        raise ValueError(f"r must be finite and nonnegative, got {r}")
+    geometry._positive("r", r, zero=True)
     grid = np.linspace(0.0, r, _M_F_GRID)
     return float(np.min(model.profile(grid)))
 

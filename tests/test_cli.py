@@ -842,3 +842,40 @@ def test_a_subnormal_horizon_runs(tmp_path, argv):
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-1].startswith("0,5e-324,")
 
+
+
+@pytest.mark.parametrize("change,named", [
+    (("alpha = 2.0", "alpha = 200"), "[lambda] t_max: no tail fit for the pair at separation "
+     "0: 0 of its slice means on [T_max/4, T_max] are positive, fewer than 3 (with [lambda] "
+     "separations = [0.0, 5.0, 10.0], [model] alpha = 200 and [model] C = 1)"),
+    (("separations = {seps}", "separations = 200"), "[lambda] t_max: no tail fit for the "
+     "pair at separation 200: its slice means on [T_max/4, T_max] decay with slope -0.633 >= -1 "
+     "(with [lambda] separations = [200.0], [model] alpha = 2 and [model] C = 1)"),
+    (("alpha = 2.0", "alpha = 2.0\nC = 5e-324"), "[lambda] t_max: no tail fit for the pair "
+     "at separation 0: 0 of its slice means on [T_max/4, T_max] are positive, fewer than 3 "
+     "(with [lambda] separations = [0.0, 5.0, 10.0], [model] alpha = 2 and [model] C = "
+     "4.94066e-324)"),
+], ids=["alpha-200", "separation-200", "C-5e-324"])
+def test_lambda_without_a_tail_fit_names_every_key_it_rests_on(tmp_path, capsys, change,
+                                                              named):
+    # each wrote "lambda_hat": Infinity and "beta0_hat": 0.0 and exited 0
+    text = _LAMBDA_CONFIG.replace(*change).format(t_max=50, seps="0, 5, 10")
+    out = tmp_path / "out"
+    assert main(["lambda", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["phase-sweep", "lambda", "validate"])
+def test_a_refused_seed_flag_is_named_seed(tmp_path, capsys, command, seed):
+    # phase-sweep and lambda ran seed -1 on seed 2^64 - 1's streams, and
+    # validate --seed 2^64 ran seed 0's checks but recorded 2^64
+    config = {"phase-sweep": BASE_CONFIG, "lambda": _LAMBDA_CONFIG.format(t_max=50, seps=0)}
+    argv = [command, "--seed", seed, "--out", str(tmp_path / "out")]
+    if command in config:
+        argv += ["--config", _write(tmp_path, config[command])]
+    assert main(argv) == 2
+    assert "config error: --seed: seed must be an integer in [0, 18446744073709551615], " \
+        f"got {seed}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -10,7 +10,9 @@ example holds that:
 * with 2, stderr names the mutated key (``[section] key`` or ``--flag``);
   a joint limit names every key it depends on, so the mutated one too;
 * with 0, every cell error in ``summary.json`` depends on the paths
-  (``NonFiniteError``), and every growth fit has a finite R^2.
+  (``NonFiniteError``), and every growth fit has a finite R^2; ``lambda.json``'s
+  ``lambda_hat``, ``beta0_hat`` and every pair's ``total`` are finite and > 0;
+  and the recorded seed lies in [0, 2^64), where it keys the streams unaliased.
 
 The explicit examples are the regressions this test was written with; a
 few set other keys of the base config first (``also``).
@@ -34,7 +36,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from hyperpam import cli
+from hyperpam import brownian, cli
 
 SWEEP = {
     "model": {"kind": "truncated-power", "alpha": "0.5", "C": "1", "c": "1"},
@@ -64,7 +66,8 @@ TARGETS = [("phase-sweep", section, key) for section in SWEEP for key in SWEEP[s
     + [("lambda", section, key) for section in LAMBDA for key in LAMBDA[section]] \
     + [(command, None, flag) for command in FLAGS for flag in FLAGS[command]]
 VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "5e-324", "1e308", "200", "1e9",
-          "True", "abc", "constant", "phi-alpha", "geodesic-walk", "0.5, 0.5", "", "1, 2"]
+          "True", "abc", "constant", "phi-alpha", "geodesic-walk", "0.5, 0.5", "", "1, 2",
+          "18446744073709551616"]
 
 
 class _SerialPool:
@@ -129,6 +132,13 @@ def _check(command, section, key, value, also=()):
             fits = [f for f in summary["summaries"].values() if "r_squared" in f]
             assert all(math.isfinite(f["r_squared"]) and math.isfinite(f["r2_linear"])
                        for f in fits), fits
+            assert 0 <= summary["meta"]["seed"] <= brownian.MAX_SEED, summary["meta"]
+        elif command == "lambda":
+            result = json.loads((tmp / "out" / "lambda.json").read_text())
+            values = [result["lambda_hat"], result["beta0_hat"],
+                      *(pair["total"] for pair in result["pairs"])]
+            assert all(0 < v < math.inf for v in values), result
+            assert 0 <= result["seed"] <= brownian.MAX_SEED, result
 
 
 _PHI = (("model", "kind", "phi-alpha"),)
@@ -161,5 +171,18 @@ _FIT = (("run", "estimators", "fk"), ("sweep", "t", "1, 2, 3, 4"))
 @example(target=("phase-sweep", "sweep", "t"), value="1e308", also=())
 @example(target=("phase-sweep", "model", "C"), value="1e308", also=())
 @example(target=("eigenvalue", None, "r"), value="1e-300", also=())
+# lambda wrote "lambda_hat": Infinity with exit 0 where no tail could be fitted:
+# too few positive late slice means, and a late slope >= -1
+@example(target=("lambda", "model", "alpha"), value="200", also=())
+@example(target=("lambda", "model", "C"), value="5e-324", also=())
+@example(target=("lambda", "lambda", "separations"), value="200", also=())
+# seed -1 ran on seed 2^64 - 1's streams; a count of 2^64 raised inside numpy,
+# naming no key, and sample-path would dump paths without end
+@example(target=("phase-sweep", "run", "seed"), value="-1", also=())
+@example(target=("phase-sweep", "run", "dim"), value="18446744073709551616", also=())
+@example(target=("phase-sweep", "run", "n_paths"), value="18446744073709551616", also=())
+@example(target=("lambda", "lambda", "n_paths"), value="18446744073709551616", also=())
+@example(target=("sample-path", None, "dim"), value="18446744073709551616", also=())
+@example(target=("sample-path", None, "n-paths"), value="18446744073709551616", also=())
 def test_one_bad_key_exits_2_naming_it(target, value, also):
     _check(*target, value, also)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hyperpam import geometry
+from hyperpam import brownian, covariance, geometry, heatkernel, moments
 from hyperpam.covariance import CovarianceModel, psd_check
 from hyperpam.geometry import (
     HPoint, TangentVec, angle_at, cone_sets, distance, exp_map, log_map,
@@ -553,3 +553,81 @@ def test_parameter_error_names_its_argument_and_pickles():
     assert str(exc) == "dim must be an integer >= 2"
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is geometry.ParameterError and back.args == exc.args
+
+
+_O3 = origin(3)
+_CFG3 = brownian.SamplerConfig(dim=3, step=1e-2)
+_TP = CovarianceModel("truncated-power", alpha=2.0)
+_FLAGS = [True, np.True_]
+
+
+# the values geometry._positive refuses, with zero=True and without
+_NONNEGATIVE = [*_FLAGS, math.nan, math.inf, -math.inf, -1.0]
+_POSITIVE = [*_NONNEGATIVE, 0.0]
+
+
+def _counts(low, high=None):
+    """The values geometry._count(name, v, low, high) refuses; float(low) is not a count."""
+    return [*_FLAGS, math.nan, math.inf, float(low), low - 1,
+            *([] if high is None else [high + 1])]
+
+
+# entry -> (parameter, call, refused values): every scalar argument that one
+# of the two rules checks
+_RULE_ENTRY_POINTS = {
+    "_schedule": ("t", lambda v: brownian._schedule(v, 1e-2), _POSITIVE),
+    "sample_path": ("t", lambda v: brownian.sample_path(_O3, v, _CFG3), _POSITIVE),
+    "exit_times-r": ("r", lambda v: brownian.exit_times(_O3, v, 0.1, _CFG3, 2), _POSITIVE),
+    "event_indicators": ("delta", lambda v: brownian.event_indicators(
+        brownian.sample_pair(_O3, 0.1, _CFG3), _O3, v, 0.1), _POSITIVE),
+    "lower_incomplete_gamma": ("a", lambda v: covariance.lower_incomplete_gamma(v, 1.0),
+                               _POSITIVE),
+    "phi_alpha": ("alpha", lambda v: covariance.phi_alpha(1.0, v), _POSITIVE),
+    "CovarianceModel-C": ("C", lambda v: CovarianceModel("truncated-power", alpha=2.0, C=v),
+                          _POSITIVE),
+    "CovarianceModel-c": ("c", lambda v: CovarianceModel("constant", c=v), _POSITIVE),
+    "log_hk_exact_d3": ("t", lambda v: heatkernel.log_hk_exact_d3(v, 1.0), _POSITIVE),
+    "log_hk_envelope-t": ("t", lambda v: heatkernel.log_hk_envelope(v, 1.0, 3), _POSITIVE),
+    "RadialLaw": ("t", heatkernel.RadialLaw, _POSITIVE),
+    "sample_radial_exact_d3-t": ("t", lambda v: heatkernel.sample_radial_exact_d3(
+        v, np.random.default_rng(SEED)), _POSITIVE),
+    "exit_tail_estimate": ("r", lambda v: heatkernel.exit_tail_estimate(
+        v, [0.05], 2, _CFG3), _POSITIVE),
+    "PhaseRow": ("t", lambda v: moments.PhaseRow(1.0, 0.0, v, 0.0, 0.0, 2, "fk", 0),
+                 _POSITIVE),
+    "fk_second_moment-t": ("t", lambda v: moments.fk_second_moment(
+        _O3, v, 0.5, _TP, 2, _CFG3), _POSITIVE),
+    "fk_second_moment-beta": ("beta", lambda v: moments.fk_second_moment(
+        _O3, 0.1, v, _TP, 2, _CFG3), _NONNEGATIVE),
+    "m_f": ("r", lambda v: moments.m_f(_TP, v), _NONNEGATIVE),
+    "SamplerConfig-dim": ("dim", lambda v: brownian.SamplerConfig(dim=v),
+                          _counts(2, brownian.MAX_DIM)),
+    "SamplerConfig-seed": ("seed", lambda v: brownian.SamplerConfig(seed=v),
+                           _counts(0, brownian.MAX_SEED)),
+    "endpoints": ("n_paths", lambda v: brownian.endpoints(_O3, 0.1, _CFG3, v), _counts(1)),
+    "pair_profile_matrix": ("n_paths", lambda v: brownian.pair_profile_matrix(
+        _O3, _O3, 0.1, _CFG3, v, _TP.profile), _counts(1)),
+    "exit_times-n_paths": ("n_paths", lambda v: brownian.exit_times(_O3, 1.0, 0.1, _CFG3, v),
+                           _counts(1)),
+    "PairEnsemble": ("n_paths", lambda v: moments.PairEnsemble(_O3, _TP, _CFG3, v, (0.1,)),
+                     _counts(1)),
+    "sample_radial_exact_d3-size": ("size", lambda v: heatkernel.sample_radial_exact_d3(
+        1.0, np.random.default_rng(SEED), size=v), _counts(0)),
+    "dirichlet_eigenvalue": ("d", lambda v: heatkernel.dirichlet_eigenvalue(1.0, v),
+                             _counts(2, heatkernel.MAX_DIM)),
+    "log_hk_envelope-d": ("d", lambda v: heatkernel.log_hk_envelope(1.0, 1.0, v), _counts(2)),
+    "dyson_partial": ("n_terms", lambda v: moments.dyson_partial(
+        _O3, 0.1, 0.5, _TP, v, 2, _CFG3), _counts(0, 8)),
+}
+
+
+@pytest.mark.parametrize("entry,value", [
+    (entry, value) for entry, (_, _, values) in _RULE_ENTRY_POINTS.items() for value in values])
+def test_each_rule_refusal_names_its_parameter(entry, value):
+    # a bool ran as 1 (or 0) at most of these, delta = inf passed, d = inf
+    # raised an OverflowError, and seeds -1 and 2^64 drew seed 2^64 - 1's and 0's streams
+    name, call, _ = _RULE_ENTRY_POINTS[entry]
+    with pytest.raises(geometry.ParameterError) as info:
+        call(value)
+    assert info.value.args[0] == name
+    assert str(info.value).startswith(f"{name} must be ")

@@ -117,7 +117,7 @@ def test_radial_sampler_moments():
 @pytest.mark.parametrize("size", [2.5, True, "3", -1, 3.0])
 def test_radial_sampler_refuses_a_size_that_is_not_a_count(size):
     # int(size) drew 2 values for 2.5, 1 for True and 3 for "3"
-    with pytest.raises(ValueError, match="size must be None or a non-negative integer"):
+    with pytest.raises(ValueError, match=f"^size must be an integer >= 0, got {size!r}$"):
         sample_radial_exact_d3(1.0, np.random.default_rng(SEED), size=size)
 
 
@@ -282,7 +282,7 @@ def test_exit_tail_rejects_nonfinite_or_empty_grid(t_grid):
 @pytest.mark.parametrize("n_paths", [0, -3])
 def test_exit_tail_rejects_fewer_than_one_path(n_paths):
     cfg = brownian.SamplerConfig(dim=3, step=1e-2, seed=SEED)
-    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+    with pytest.raises(ValueError, match=f"^n_paths must be an integer >= 1, got {n_paths}$"):
         exit_tail_estimate(2.0, [0.5], n_paths, cfg)
 
 

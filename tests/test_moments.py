@@ -233,6 +233,21 @@ def test_lambda_constant_names_a_non_finite_horizon(T_max):
                         [(O3, O3)], T_max, 8, _cfg())
 
 
+@pytest.mark.parametrize("alpha,separation,why", [
+    (200.0, 0.0, "0 of its slice means on [T_max/4, T_max] are positive, fewer than 3"),
+    (2.0, 200.0, "its slice means on [T_max/4, T_max] decay with slope "),
+], ids=["underflow", "slow-decay"])
+def test_lambda_constant_refuses_a_pair_without_a_tail_fit(alpha, separation, why):
+    # both returned an infinite lambda_hat and beta0_hat = 0
+    y = geometry.points_from_polar(np.array([separation]), np.eye(3)[0])[0]
+    with pytest.raises(geometry.ParameterError) as info:
+        lambda_constant(CovarianceModel("truncated-power", alpha=alpha),
+                        [(O3, y)], 50.0, 2, _cfg(step=0.1))
+    assert info.value.args[0] == "T_max"
+    assert str(info.value).startswith(
+        f"no tail fit for the pair at separation {separation:g}: {why}")
+
+
 @pytest.mark.parametrize("flag", [True, np.True_])
 def test_counts_refuse_a_bool(flag):
     # True == 1 and isinstance(True, int): a flag would otherwise run as one
@@ -408,9 +423,9 @@ def test_validation_of_common_arguments():
     # beta = 0 returns before any path is scheduled: t is checked first
     for t in (math.nan, math.inf):
         for estimator in (fk_second_moment, jensen_lower):
-            with pytest.raises(ValueError, match="t must be finite and positive"):
+            with pytest.raises(ValueError, match=f"^t must be positive and finite, got {t}$"):
                 estimator(O3, t, 0.0, model, 8, _cfg())
-        with pytest.raises(ValueError, match="t must be finite and positive"):
+        with pytest.raises(ValueError, match=f"^t must be positive and finite, got {t}$"):
             PhaseRow(1.0, 0.0, t, 0.0, 0.0, 8, "fk", 0)
 
 
