@@ -62,6 +62,7 @@ from .geometry import _coords
 
 _SCHEMES = ("embedded-sde", "geodesic-walk")
 MAX_STEPS = 10**8
+MAX_PATHS = 10**8  # the path budget: every n_paths (and the CLI's) is in [1, MAX_PATHS]
 MAX_DIM = 256  # past d = 128 a stream refills 16 d normals: at most 128 MiB of noise
 MAX_SEED = 2**64 - 1  # the master seed of a stream key is a uint64
 _BLOCK_DOUBLES = 1 << 17  # 1 MB of noise per transposed block
@@ -359,7 +360,7 @@ def endpoints(x0, t, cfg, n_paths, tag=TAG_PRIMARY, first_index=0, starts=None):
     first n_paths rows are used (chained/restarted ensembles); otherwise every
     path starts at x0.
     """
-    geometry._count("n_paths", n_paths, 1)
+    geometry._count("n_paths", n_paths, 1, MAX_PATHS)
     out = np.tile(_start(x0, cfg, "x0"), (n_paths, 1)) if starts is None \
         else _start(np.array(starts[:n_paths], dtype=float), cfg, "starts", n_paths)
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (tag,)):
@@ -410,7 +411,7 @@ def _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored=None):
 
     Every kernel steps in one pass per batch, on the batch's pair streams.
     """
-    geometry._count("n_paths", n_paths, 1)
+    geometry._count("n_paths", n_paths, 1, MAX_PATHS)
     _, dt, own, _ = _schedule(t, cfg.step)
     stored = own if stored is None else np.asarray(stored)
     F = {kernel: np.empty((n_paths, len(stored))) for kernel in starts}
@@ -432,7 +433,7 @@ def exit_times(x0, r, t_max, cfg, n_paths, first_index=0):
     Exits are detected on the simulation grid (every step).
     """
     geometry._positive("r", r)
-    geometry._count("n_paths", n_paths, 1)
+    geometry._count("n_paths", n_paths, 1, MAX_PATHS)
     coords = _start(x0, cfg, "x0")
     cosh_r = np.cosh(r)
     n_steps, dt, _, _ = _schedule(t_max, cfg.step)

@@ -10,7 +10,9 @@ lambda        estimate the uniform integral bound and the derived small-beta
 sample-path   dump Brownian trajectories as CSV
 eigenvalue    principal Dirichlet eigenvalue of a geodesic ball
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error.  A count,
+number or record the library refuses reaches the user through _checked, under
+its config key or flag ("[run] workers: workers must be an integer >= 1, got 0").
 
 Config files are flat INI-style key/value sections (diffable and hashable).
 rows.csv has the config hash and master seed in a '#' header line; rows.json,
@@ -42,8 +44,6 @@ from . import brownian, checks, geometry, heatkernel, moments
 from .checks import _available_cpus
 from .covariance import CovarianceModel
 
-
-_MAX_PATHS = 10**8  # the path budget of n_paths and --n-paths, like brownian.MAX_STEPS
 
 # every key some command reads, by section
 _KEYS = {
@@ -121,8 +121,8 @@ class _Config:
 
     def count(self, section, key, default, high=None):
         """Integer key that must be at least 1 (and at most ``high``)."""
-        return _at_least_one(key, self.get(section, key, int, default=default),
-                             functools.partial(self._fail, section), high)
+        return _checked(functools.partial(self._fail, section), geometry._count,
+                        key, self.get(section, key, int, default=default), 1, high)
 
     def distinct(self, section, key, item, default=None):
         """Distinct values ``item(token)`` of a comma- or space-separated list;
@@ -140,37 +140,32 @@ class _Config:
     def floats(self, section, key, positive=False, default=None):
         """Distinct finite floats >= 0 (> 0 if ``positive``); required without a default."""
         values = self.distinct(section, key, float, default)
-        # chained comparisons also reject NaN, which fails every comparison
-        if not all(0 <= v < math.inf and (v > 0 or not positive) for v in values):
-            self._fail(section, key, "values must be finite and "
-                       f"{'> 0' if positive else '>= 0'}, got {values}")
+        for v in values:
+            _checked(functools.partial(self._fail, section), geometry._positive,
+                     key, v, zero=not positive)
         return values
 
     def model(self):
-        return _record(CovarianceModel, {
-            "kind": self.get("model", "kind", str, required=True),
-            "alpha": self.get("model", "alpha", float),
-            "C": self.get("model", "C", float, default=1.0),
-            "c": self.get("model", "c", float, default=1.0),
-        }, functools.partial(self._fail, "model"))
+        return _checked(functools.partial(self._fail, "model"), CovarianceModel,
+                        kind=self.get("model", "kind", str, required=True),
+                        alpha=self.get("model", "alpha", float),
+                        C=self.get("model", "C", float, default=1.0),
+                        c=self.get("model", "c", float, default=1.0))
 
     def sampler(self, seed_override=None):
         """The [run] SamplerConfig; a refused ``seed_override`` is named --seed."""
-        seed = seed_override if seed_override is not None \
-            else self.get("run", "seed", int, required=True)
-        fields = {
-            "dim": self.get("run", "dim", int, default=3),
-            "step": self.get("run", "step", float, default=1e-3),
-            "scheme": self.get("run", "scheme", str, default="embedded-sde"),
-            "seed": seed,
-        }
-
         def fail(key, message):
             if key == "seed" and seed_override is not None:
                 _flag_error(key, message)
             self._fail("run", key, message)
 
-        return _record(brownian.SamplerConfig, fields, fail)
+        seed = seed_override if seed_override is not None \
+            else self.get("run", "seed", int, required=True)
+        return _checked(fail, brownian.SamplerConfig,
+                        dim=self.get("run", "dim", int, default=3),
+                        step=self.get("run", "step", float, default=1e-3),
+                        scheme=self.get("run", "scheme", str, default="embedded-sde"),
+                        seed=seed)
 
 
 def _flag_error(key, message):
@@ -178,25 +173,17 @@ def _flag_error(key, message):
     raise ConfigError(f"--{key}: {message}")
 
 
-def _record(cls, fields, fail):
-    """``cls(**fields)``; ``fail(key, message)`` reports the field it refuses.
+def _checked(fail, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a geometry.ParameterError it raises goes to
+    ``fail(name, message)``, which names the parameter's key or flag and raises.
 
-    ``cls`` checks its fields in order and raises a geometry.ParameterError
-    naming the first one it refuses, so the record is built once.
+    A record (SamplerConfig, CovarianceModel) checks its fields in order and
+    names the first one it refuses, so it is built once.
     """
     try:
-        return cls(**fields)
+        return fn(*args, **kwargs)
     except geometry.ParameterError as exc:
         fail(*exc.args)
-
-
-def _at_least_one(key, value, fail, high=None):
-    """``value``; ``fail(key, message)`` unless it is at least 1 (and at most ``high``)."""
-    if value < 1:
-        fail(key, f"must be at least 1, got {value}")
-    if high is not None and value > high:
-        fail(key, f"must be at most {high}, got {value}")
-    return value
 
 
 def _out_dir(path):
@@ -260,7 +247,7 @@ def cmd_phase_sweep(args):
         cfg._fail("sweep", "beta", "values that agree to 6 significant digits share the "
                   f"summary key beta={next(k for k in labels if labels.count(k) > 1)}")
     ts = cfg.floats("sweep", "t", positive=True)
-    n_paths = cfg.count("run", "n_paths", 1024, _MAX_PATHS)
+    n_paths = cfg.count("run", "n_paths", 1024, brownian.MAX_PATHS)
     estimators = cfg.distinct("run", "estimators", str, default=["fk"])
     for kind in estimators:
         if kind not in _ESTIMATORS:
@@ -284,7 +271,7 @@ def cmd_phase_sweep(args):
             cfg._fail("sweep", "beta", f"{beta:g}: jensen squares beta^2 F(0) max t = {z:g}, "
                       f"which overflows, at {joint}")
     workers = cfg.count("run", "workers", 1) if args.workers is None \
-        else _at_least_one("workers", args.workers, _flag_error)
+        else _checked(_flag_error, geometry._count, "workers", args.workers, 1)
     problem = moments._euclidean_problem(model, sampler.dim)
     if "fk-euclidean" in estimators and problem:
         key, message = problem
@@ -349,14 +336,10 @@ def cmd_phase_sweep(args):
 
 def cmd_validate(args):
     # 0 is allowed and fails every check (the harness self-test)
-    if not 0 <= args.tolerance_scale < math.inf:  # also rejects NaN
-        raise ConfigError(
-            f"--tolerance-scale: must be finite and >= 0, got {args.tolerance_scale}")
+    _checked(_flag_error, geometry._positive, "tolerance-scale", args.tolerance_scale,
+             zero=True)
     if args.seed is not None:  # the checks build SamplerConfigs from it
-        try:
-            geometry._count("seed", args.seed, 0, brownian.MAX_SEED)
-        except geometry.ParameterError as exc:
-            _flag_error(*exc.args)
+        _checked(_flag_error, geometry._count, "seed", args.seed, 0, brownian.MAX_SEED)
     report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=args.seed)
     if args.out:
         _write_json(Path(args.out), report)
@@ -374,17 +357,20 @@ def cmd_lambda(args):
     model = cfg.model()
     sampler = cfg.sampler(args.seed)
     t_max = cfg.get("lambda", "t_max", float, default=50.0)
+    # this limit is t_max's own: the run's refusals below name the keys they rest on
+    _checked(lambda _, message: cfg._fail("lambda", "t_max", message), moments._check_T_max,
+             t_max)
     seps = cfg.floats("lambda", "separations", default=[0.0, 5.0, 10.0])
     if max(seps) > geometry.MAX_RADIUS:  # cosh overflows beyond a separation of about 710
         cfg._fail("lambda", "separations",
                   f"values must be at most {geometry.MAX_RADIUS:g}, got {seps}")
     # [lambda] n_paths overrides [run] n_paths
     n_paths = cfg.count("lambda" if cfg.parser.has_option("lambda", "n_paths")
-                        else "run", "n_paths", 512, _MAX_PATHS)
+                        else "run", "n_paths", 512, brownian.MAX_PATHS)
     # the slice means sum n_paths profile values, and the integral's terms add
-    # up to F(0) T_max; lambda_constant refuses an infinite or NaN T_max
+    # up to F(0) T_max (t_max is finite by now)
     f0 = model.sup_value()
-    if t_max < math.inf and not f0 * max(n_paths, t_max) < math.inf:
+    if not f0 * max(n_paths, t_max) < math.inf:
         cfg._fail("model", "c" if model.kind == "constant" else "C",
                   f"F(0) = {f0:g} times n_paths = {n_paths} or t_max = {t_max:g} overflows")
     o = geometry.origin(sampler.dim)
@@ -412,10 +398,9 @@ def cmd_lambda(args):
 
 
 def cmd_sample_path(args):
-    _at_least_one("n-paths", args.n_paths, _flag_error, _MAX_PATHS)
-    sampler = _record(brownian.SamplerConfig, {"dim": args.dim, "step": args.step,
-                                               "scheme": args.scheme, "seed": args.seed},
-                      _flag_error)
+    _checked(_flag_error, geometry._count, "n-paths", args.n_paths, 1, brownian.MAX_PATHS)
+    sampler = _checked(_flag_error, brownian.SamplerConfig, dim=args.dim, step=args.step,
+                       scheme=args.scheme, seed=args.seed)
     x0 = geometry.origin(args.dim)
     try:
         paths = [brownian.sample_path(x0, args.t, sampler, path_index=i)
@@ -432,11 +417,8 @@ def cmd_sample_path(args):
 
 
 def cmd_eigenvalue(args):
-    try:
-        lam = heatkernel.dirichlet_eigenvalue(args.r, args.dim, args.mode)
-    except geometry.ParameterError as exc:  # --mode is a choice
-        name, message = exc.args
-        _flag_error("dim" if name == "d" else name, message)
+    lam = _checked(lambda name, message: _flag_error("dim" if name == "d" else name, message),
+                   heatkernel.dirichlet_eigenvalue, args.r, args.dim, args.mode)
     print(f"lambda({args.mode}, r={args.r:g}, d={args.dim}) = {lam!r}")
     return 0
 

@@ -95,11 +95,12 @@ class CovarianceModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError("kind", f"unknown covariance kind {self.kind!r}")
-        if self.alpha is not None and not math.isfinite(self.alpha):
-            raise ParameterError("alpha", f"alpha must be finite, got {self.alpha}")
         if self.kind in ("phi-alpha", "truncated-power"):
-            if self.alpha is None or self.alpha <= 0:
+            if self.alpha is None:
                 raise ParameterError("alpha", f"{self.kind} requires alpha > 0")
+            _positive("alpha", self.alpha)
+        elif self.alpha is not None and not math.isfinite(self.alpha):
+            raise ParameterError("alpha", f"alpha must be finite, got {self.alpha}")
         if self.kind == "phi-alpha":
             tiny = np.finfo(float).tiny
             if not (self.alpha >= tiny and math.lgamma(self.alpha + 1)

@@ -33,7 +33,8 @@ eps relative.  log_map, angle_at and triangle_deficit refuse pairs below that
 floor (see :func:`_too_close`).
 
 Scalar arguments that are positive numbers or counts pass :func:`_positive` or
-:func:`_count`, which raise a :class:`ParameterError` naming them; neither takes a bool.
+:func:`_count`, which return them or raise a :class:`ParameterError` naming them;
+neither takes a bool.
 """
 
 import math
@@ -61,20 +62,22 @@ class ParameterError(ValueError):
 
 
 def _positive(name, value, zero=False):
-    """Refuse ``value`` unless it is a finite number > 0 (>= 0 with ``zero``)."""
+    """``value``; refuse it unless it is a finite number > 0 (>= 0 with ``zero``)."""
     # chained comparisons also refuse NaN; a bool is a flag, not a number
     if isinstance(value, (bool, np.bool_)) or not (
             (0 <= value if zero else 0 < value) and value < math.inf):
         rule = "finite and nonnegative" if zero else "positive and finite"
         raise ParameterError(name, f"{name} must be {rule}, got {value}")
+    return value
 
 
 def _count(name, value, low, high=None):
-    """Refuse ``value`` unless it is an int or numpy integer (not a bool) in [low, high]."""
+    """``value``; refuse it unless it is an int or numpy integer (not a bool) in [low, high]."""
     if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and low <= value and (high is None or value <= high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ParameterError(name, f"{name} must be an integer {bounds}, got {value!r}")
+    return value
 
 
 def minkowski_product(a, b):
@@ -148,8 +151,7 @@ class HPoint:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        _count("dim", self.dim, 2)
         if self.coords.shape != (self.dim + 1,):
             raise ValueError(
                 f"expected {self.dim + 1} coordinates, got shape {self.coords.shape}"
@@ -381,8 +383,7 @@ def cone_sets(d):
     3*pi/4 > pi/2, which forces dist(y, z) >= max(dist(y, o), dist(z, o)) for
     points y, z with polar directions in A and B respectively.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _count("d", d, 2)
     e1 = np.zeros(d)
     e1[0] = 1.0
     half = math.pi / 8.0

@@ -139,7 +139,7 @@ class PairEnsemble:
         self.kernels = frozenset(kernels)
         if not self.kernels or not self.kernels <= {"hyperbolic", "flat"}:
             raise ValueError(f"kernels must be hyperbolic and/or flat, got {sorted(kernels)}")
-        geometry._count("n_paths", n_paths, 1)
+        geometry._count("n_paths", n_paths, 1, brownian.MAX_PATHS)
         if "hyperbolic" in self.kernels or not (x is None or (
                 not isinstance(x, geometry.HPoint) and np.shape(x) == (cfg.dim,)
                 and np.isfinite(x).all())):
@@ -288,6 +288,13 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     return _estimate("dyson", x, t, beta, model, n_paths, cfg, None, reduce)
 
 
+def _check_T_max(T_max):
+    """Refuse a :func:`lambda_constant` horizon unless it is finite and at least 50."""
+    if not 50 <= T_max < math.inf:  # also rejects NaN
+        raise geometry.ParameterError("T_max",
+                                      f"T_max must be finite and at least 50, got {T_max}")
+
+
 def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
     """Estimate the uniform bound on integral_0^inf E f(B_t, B_t~) dt.
 
@@ -307,8 +314,7 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
         raise EstimatorError(
             "lambda_constant requires a profile decaying faster than 1/rho "
             "(alpha > 1); the tail integral diverges otherwise")
-    if not 50 <= T_max < math.inf:  # also rejects NaN
-        raise ValueError(f"T_max must be finite and at least 50, got {T_max}")
+    _check_T_max(T_max)
     start_pairs = list(start_pairs)
     if not start_pairs:
         raise ValueError("start_pairs must hold at least one (x, y) pair")

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,11 +109,14 @@ _N_PATHS_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("n_paths", [-1, 0, 2.5, True])
+@pytest.mark.parametrize("n_paths", [-1, 0, 2.5, True, 2**64])
 @pytest.mark.parametrize("entry", sorted(_N_PATHS_ENTRY_POINTS))
 def test_path_counts_are_checked_before_anything_is_allocated(entry, n_paths):
-    # -1 failed inside numpy, 2.5 with a TypeError, 0 and True ran on
-    with pytest.raises(ValueError, match=f"^n_paths must be an integer >= 1, got {n_paths!r}$"):
+    # -1 failed inside numpy, 2.5 with a TypeError, 0 and True ran on; 2^64
+    # raised an OverflowError or numpy's unnamed ValueError (PairEnsemble at
+    # its first read)
+    message = f"n_paths must be an integer in [1, {brownian.MAX_PATHS}], got {n_paths!r}"
+    with pytest.raises(geometry.ParameterError, match=f"^{re.escape(message)}$"):
         _N_PATHS_ENTRY_POINTS[entry](n_paths)
 
 

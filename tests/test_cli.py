@@ -553,8 +553,8 @@ def test_lambda_bad_n_paths_names_its_key(tmp_path, capsys, section, value):
     line = text.splitlines().index(f"n_paths = {value}") + 1
     out = tmp_path / "out"
     assert main(["lambda", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
-    assert f"exp.cfg:{line}: [{section}] n_paths: must be at least 1" \
-        in capsys.readouterr().err
+    assert f"exp.cfg:{line}: [{section}] n_paths: n_paths must be an integer in " \
+        f"[1, 100000000], got {value}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -759,10 +759,53 @@ def test_record_builds_the_record_once():
                 raise geometry.ParameterError("b", f"b must be >= 0, got {fields['b']}")
 
     fields = {"a": 1, "b": 2}
-    assert isinstance(cli._record(Record, fields, _refuse_always), Record)
+    assert isinstance(cli._checked(_refuse_always, Record, **fields), Record)
     with pytest.raises(cli.ConfigError, match="--b: b must be >= 0, got -1"):
-        cli._record(Record, {"a": 1, "b": -1}, cli._flag_error)
+        cli._checked(cli._flag_error, Record, a=1, b=-1)
     assert built == [fields, {"a": 1, "b": -1}]
+
+
+@pytest.mark.parametrize("argv,change,message", [
+    (["phase-sweep"], ("estimators = fk", "estimators = fk\nworkers = 0"),
+     "exp.cfg:11: [run] workers: workers must be an integer >= 1, got 0"),
+    (["phase-sweep", "--workers", "0"], None,
+     "--workers: workers must be an integer >= 1, got 0"),
+    (["sample-path", "--n-paths", "0"], None,
+     "--n-paths: n-paths must be an integer in [1, 100000000], got 0"),
+    (["phase-sweep"], ("n_paths = 64", "n_paths = 100000001"),
+     "exp.cfg:8: [run] n_paths: n_paths must be an integer in [1, 100000000], got 100000001"),
+    (["phase-sweep"], ("t = 1, 2, 3, 4", "t = 1, -1"),
+     "exp.cfg:14: [sweep] t: t must be positive and finite, got -1.0"),
+    (["validate", "--tolerance-scale", "nan"], None,
+     "--tolerance-scale: tolerance-scale must be finite and nonnegative, got nan"),
+], ids=["run-workers", "flag-workers", "flag-n-paths", "run-n_paths-above-budget",
+        "sweep-t-negative", "flag-tolerance-scale"])
+def test_a_refused_count_or_number_is_worded_by_its_rule(tmp_path, capsys, argv, change,
+                                                         message):
+    # these read "must be at least 1, got 0", "must be at most 100000000, got
+    # 100000001", "values must be finite and > 0, got [1.0, -1.0]" and
+    # "must be finite and >= 0, got nan"
+    if argv[0] == "phase-sweep":
+        text = BASE_CONFIG.replace(*change) if change else BASE_CONFIG
+        argv = [*argv, "--config", _write(tmp_path, text)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    where = f"{tmp_path}/" if change else ""
+    assert capsys.readouterr().err == f"config error: {where}{message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["10", "nan"])
+def test_lambda_names_only_t_max_for_a_short_horizon(tmp_path, capsys, t_max):
+    # the message also named [run] dim and [run] step, neither of them at fault
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _LAMBDA_CONFIG.format(t_max=t_max, seps=0))
+    assert main(["lambda", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {cfg}:10: [lambda] t_max: T_max must be finite and at " \
+        f"least 50, got {float(t_max)}\n"
+    assert "[run] dim" not in err
+    assert not out.exists()
 
 
 def _refuse_always(key, message):

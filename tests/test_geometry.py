@@ -566,6 +566,10 @@ _NONNEGATIVE = [*_FLAGS, math.nan, math.inf, -math.inf, -1.0]
 _POSITIVE = [*_NONNEGATIVE, 0.0]
 
 
+# NaN and +-inf were refused as "alpha must be finite" already
+_ALPHA = [*_FLAGS, 0.0, -1.0]
+
+
 def _counts(low, high=None):
     """The values geometry._count(name, v, low, high) refuses; float(low) is not a count."""
     return [*_FLAGS, math.nan, math.inf, float(low), low - 1,
@@ -583,6 +587,10 @@ _RULE_ENTRY_POINTS = {
     "lower_incomplete_gamma": ("a", lambda v: covariance.lower_incomplete_gamma(v, 1.0),
                                _POSITIVE),
     "phi_alpha": ("alpha", lambda v: covariance.phi_alpha(1.0, v), _POSITIVE),
+    "CovarianceModel-alpha-tp": ("alpha", lambda v: CovarianceModel("truncated-power",
+                                                                    alpha=v), _ALPHA),
+    "CovarianceModel-alpha-phi": ("alpha", lambda v: CovarianceModel("phi-alpha", alpha=v),
+                                  _ALPHA),
     "CovarianceModel-C": ("C", lambda v: CovarianceModel("truncated-power", alpha=2.0, C=v),
                           _POSITIVE),
     "CovarianceModel-c": ("c", lambda v: CovarianceModel("constant", c=v), _POSITIVE),
@@ -600,6 +608,8 @@ _RULE_ENTRY_POINTS = {
     "fk_second_moment-beta": ("beta", lambda v: moments.fk_second_moment(
         _O3, 0.1, v, _TP, 2, _CFG3), _NONNEGATIVE),
     "m_f": ("r", lambda v: moments.m_f(_TP, v), _NONNEGATIVE),
+    "HPoint": ("dim", lambda v: HPoint(_O3.coords, v), _counts(2)),
+    "cone_sets": ("d", cone_sets, _counts(2)),
     "SamplerConfig-dim": ("dim", lambda v: brownian.SamplerConfig(dim=v),
                           _counts(2, brownian.MAX_DIM)),
     "SamplerConfig-seed": ("seed", lambda v: brownian.SamplerConfig(seed=v),
@@ -625,7 +635,8 @@ _RULE_ENTRY_POINTS = {
     (entry, value) for entry, (_, _, values) in _RULE_ENTRY_POINTS.items() for value in values])
 def test_each_rule_refusal_names_its_parameter(entry, value):
     # a bool ran as 1 (or 0) at most of these, delta = inf passed, d = inf
-    # raised an OverflowError, and seeds -1 and 2^64 drew seed 2^64 - 1's and 0's streams
+    # raised an OverflowError, and seeds -1 and 2^64 drew seed 2^64 - 1's and 0's streams;
+    # a float HPoint dim built, cone_sets(2.0) raised a TypeError and alpha = True ran as 1
     name, call, _ = _RULE_ENTRY_POINTS[entry]
     with pytest.raises(geometry.ParameterError) as info:
         call(value)

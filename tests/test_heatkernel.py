@@ -1,6 +1,7 @@
 """Heat kernels, radial laws, eigenvalues, exit tails."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,7 +283,8 @@ def test_exit_tail_rejects_nonfinite_or_empty_grid(t_grid):
 @pytest.mark.parametrize("n_paths", [0, -3])
 def test_exit_tail_rejects_fewer_than_one_path(n_paths):
     cfg = brownian.SamplerConfig(dim=3, step=1e-2, seed=SEED)
-    with pytest.raises(ValueError, match=f"^n_paths must be an integer >= 1, got {n_paths}$"):
+    message = f"n_paths must be an integer in [1, {brownian.MAX_PATHS}], got {n_paths}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         exit_tail_estimate(2.0, [0.5], n_paths, cfg)
 
 
