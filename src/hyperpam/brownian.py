@@ -91,8 +91,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         geometry._count("dim", self.dim, 2, MAX_DIM)
-        if not 0 < self.step <= 0.1:
-            raise geometry.ParameterError("step", "step must lie in (0, 0.1]")
+        geometry._positive("step", self.step, high=0.1)
         if self.scheme not in _SCHEMES:
             raise geometry.ParameterError("scheme", f"unknown scheme {self.scheme!r}")
         # a float seed would draw int(seed)'s streams
@@ -271,10 +270,11 @@ def _drive(states, gens, t, cfg, stored=(), record=None):
     ``states`` maps a kernel -- ``cfg.scheme`` or "flat" -- to its state, a
     (d+1, N) array for a scheme and (d, N) Euclidean columns for "flat";
     every kernel reads the same d normals per step and column, unchanged.
-    ``stored`` is a strictly increasing sequence of step indices in
-    [0, n_steps], else a ValueError; ``record(slot)`` is called once the
-    states have reached the slot-th of them (k = 0 is the start) and at no
-    other step.
+    ``stored`` is a strictly increasing iterable of step indices in
+    [0, n_steps], walked once: the caller guarantees it, and
+    :func:`pair_profile_matrix` checks one that comes from outside.
+    ``record(slot)`` is called once the states have reached the slot-th of
+    them (k = 0 is the start) and at no other step.
 
     Stream i fills its own (chunk, d) slab of the (N, chunk, d) noise buffer,
     in draw order.  The steps read that buffer through a (b, d, N) block of
@@ -285,10 +285,6 @@ def _drive(states, gens, t, cfg, stored=(), record=None):
     (d, N) scratch array, so a step allocates no temporary per row.
     """
     n_steps, dt, _, _ = _schedule(t, cfg.step)
-    due_steps = np.asarray(stored)
-    if len(due_steps) and (due_steps[0] < 0 or due_steps[-1] > n_steps
-                           or np.any(np.diff(due_steps) <= 0)):
-        raise ValueError(f"stored must be strictly increasing step indices in [0, {n_steps}]")
     d = cfg.dim
     n = len(gens)
     root2dt = np.sqrt(2.0 * dt)
@@ -306,7 +302,7 @@ def _drive(states, gens, t, cfg, stored=(), record=None):
     buf = np.empty((n, chunk, d))
     b = max(1, min(chunk, _BLOCK_DOUBLES // (d * n)))
     block = np.empty((b, d, n))
-    marks = enumerate(due_steps.tolist())
+    marks = enumerate(stored)
     slot, due = next(marks, (None, None))
     if due == 0:
         record(slot)
@@ -412,8 +408,10 @@ def _pair_profile(starts, t, cfg, n_paths, profile, first_index, stored=None):
     Every kernel steps in one pass per batch, on the batch's pair streams.
     """
     geometry._count("n_paths", n_paths, 1, MAX_PATHS)
-    _, dt, own, _ = _schedule(t, cfg.step)
+    n_steps, dt, own, _ = _schedule(t, cfg.step)
     stored = own if stored is None else np.asarray(stored)
+    if len(stored) and (stored[0] < 0 or stored[-1] > n_steps or np.any(np.diff(stored) <= 0)):
+        raise ValueError(f"stored must be strictly increasing step indices in [0, {n_steps}]")
     F = {kernel: np.empty((n_paths, len(stored))) for kernel in starts}
     for lo, hi, gens in _batches(cfg, n_paths, first_index, (TAG_PRIMARY, TAG_SECONDARY)):
         P = hi - lo
@@ -474,8 +472,7 @@ def event_indicators(pair, x0, delta, s, y0=None):
     """
     geometry._positive("delta", delta)
     pb, pbt = pair
-    if not 0 < s <= pb.times[-1] + 1e-12:
-        raise ValueError("s must lie in (0, horizon]")
+    geometry._positive("s", s, high=pb.times[-1] + 1e-12)
     j = int(np.argmin(np.abs(pb.times - s)))
     s_used = float(pb.times[j])
     cx = _coords(x0)

@@ -279,6 +279,11 @@ def cmd_phase_sweep(args):
     if model.kind == "constant":
         print("note: the constant profile has no spatial decay; it serves as "
               "an analytic oracle (log second moment = beta^2 c t)", file=sys.stderr)
+    # the step budget grows with t: if the smallest horizon cannot be scheduled, none can
+    try:
+        brownian._schedule(min(ts), sampler.step)
+    except ValueError as exc:
+        cfg._fail("run", "step", f"{sampler.step:g} schedules no [sweep] t: {exc}")
 
     # workers shard the paths of each ensemble; the pool forks all its
     # workers up front: never more than can be used
@@ -290,11 +295,6 @@ def cmd_phase_sweep(args):
         ensemble = moments.PairEnsemble(geometry.origin(sampler.dim), model, sampler,
                                         n_paths, ts, kernels=kernels, pmap=pmap,
                                         shards=workers)
-        if not ensemble._plan:  # no horizon can be scheduled: the smallest says why
-            try:
-                brownian._schedule(min(ts), sampler.step)
-            except ValueError as exc:
-                cfg._fail("run", "step", f"{sampler.step:g} schedules no [sweep] t: {exc}")
         # simulation starts lazily, inside the first cell that needs it
         results = [_run_cell((kind, beta, t, model, n_paths, sampler, ensemble))
                    for kind in estimators for beta in betas for t in ts]
@@ -417,8 +417,8 @@ def cmd_sample_path(args):
 
 
 def cmd_eigenvalue(args):
-    lam = _checked(lambda name, message: _flag_error("dim" if name == "d" else name, message),
-                   heatkernel.dirichlet_eigenvalue, args.r, args.dim, args.mode)
+    _checked(_flag_error, geometry._count, "dim", args.dim, 2, heatkernel.MAX_DIM)
+    lam = _checked(_flag_error, heatkernel.dirichlet_eigenvalue, args.r, args.dim, args.mode)
     print(f"lambda({args.mode}, r={args.r:g}, d={args.dim}) = {lam!r}")
     return 0
 

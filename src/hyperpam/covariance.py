@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HPoint, ParameterError, _coords, _positive, distance
+from .geometry import HPoint, ParameterError, _coords, _nonnegative, _positive, distance
 
 _KINDS = ("phi-alpha", "truncated-power", "constant")
 _PSI_CUTOFF = 1e-12  # phi_alpha is 1 wherever Psi <= _PSI_CUTOFF
@@ -31,9 +31,7 @@ _PSI_CUTOFF = 1e-12  # phi_alpha is 1 wherever Psi <= _PSI_CUTOFF
 
 def psi(rho):
     """log cosh rho, overflow-safe: rho - log 2 + log1p(exp(-2 rho))."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("rho must be nonnegative")
+    rho = _nonnegative("rho", rho)
     out = rho - math.log(2.0) + np.log1p(np.exp(-2.0 * rho))
     return out if out.ndim else float(out)
 
@@ -46,9 +44,7 @@ def lower_incomplete_gamma(a, x):
     there) and an a whose Gamma(a) overflows (above about 171.6) are refused.
     """
     _positive("a", a)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
+    x = _nonnegative("x", x)
     if a < np.finfo(float).tiny:
         raise ValueError(f"a must be at least 2.2e-308, got {a:g}")
     try:
@@ -116,11 +112,9 @@ class CovarianceModel:
 
     def profile(self, rho):
         """F(rho) for rho >= 0 (or NaN, which propagates); vectorized over rho."""
-        rho = np.asarray(rho, dtype=float)
         if self.kind == "phi-alpha":
             return phi_alpha(rho, self.alpha)  # psi refuses rho < 0
-        if np.any(rho < 0):
-            raise ValueError("rho must be nonnegative")
+        rho = _nonnegative("rho", rho)
         if self.kind == "truncated-power":
             with np.errstate(over="ignore"):  # past the overflow, F is its limit 0
                 return self.C / (1.0 + rho) ** self.alpha

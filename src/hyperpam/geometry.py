@@ -32,9 +32,10 @@ nearby points at rho from o to about eps sinh rho and pairs far apart to about
 eps relative.  log_map, angle_at and triangle_deficit refuse pairs below that
 floor (see :func:`_too_close`).
 
-Scalar arguments that are positive numbers or counts pass :func:`_positive` or
-:func:`_count`, which return them or raise a :class:`ParameterError` naming them;
-neither takes a bool.
+Every other input is checked once, where it enters, by one rule that returns
+it or raises a :class:`ParameterError` naming it, and takes no bool:
+:func:`_positive` (numbers, bounded by ``high`` or not), :func:`_count`
+(counts) or :func:`_nonnegative` (distance arrays, in which NaN passes).
 """
 
 import math
@@ -61,13 +62,16 @@ class ParameterError(ValueError):
         return self.args[1]
 
 
-def _positive(name, value, zero=False):
-    """``value``; refuse it unless it is a finite number > 0 (>= 0 with ``zero``)."""
+def _positive(name, value, zero=False, high=None):
+    """``value``; refuse it unless it is a finite number > 0 (>= 0 with ``zero``)
+    and at most ``high``."""
     # chained comparisons also refuse NaN; a bool is a flag, not a number
     if isinstance(value, (bool, np.bool_)) or not (
-            (0 <= value if zero else 0 < value) and value < math.inf):
-        rule = "finite and nonnegative" if zero else "positive and finite"
-        raise ParameterError(name, f"{name} must be {rule}, got {value}")
+            (0 <= value if zero else 0 < value) and value < math.inf
+            and (high is None or value <= high)):
+        rule = ("be finite and nonnegative" if zero else "be positive and finite") \
+            if high is None else f"lie in {'[' if zero else '('}0, {high:g}]"
+        raise ParameterError(name, f"{name} must {rule}, got {value}")
     return value
 
 
@@ -78,6 +82,16 @@ def _count(name, value, low, high=None):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ParameterError(name, f"{name} must be an integer {bounds}, got {value!r}")
     return value
+
+
+def _nonnegative(name, values):
+    """``values`` as a float array; refuse it if an entry is below 0 (NaN passes)
+    or it holds bools."""
+    values = np.asarray(values)
+    if values.dtype == bool or np.any(values < 0):
+        got = ", got bools" if values.dtype == bool else ""
+        raise ParameterError(name, f"{name} must be nonnegative{got}")
+    return values.astype(float, copy=False)
 
 
 def minkowski_product(a, b):
@@ -182,7 +196,7 @@ class TangentVec:
 
 def origin(d):
     """The base point o = (0, ..., 0, 1)."""
-    z = np.zeros(d + 1)
+    z = np.zeros(_count("d", d, 2) + 1)
     z[-1] = 1.0
     return HPoint(z, d)
 
@@ -345,8 +359,7 @@ class SphericalCap:
 
     def __post_init__(self):
         # an empty cap would leave the rejection loop in sample() without an end
-        if not 0 < self.half_angle <= math.pi:  # also rejects NaN
-            raise ValueError(f"half_angle must lie in (0, pi], got {self.half_angle}")
+        _positive("half_angle", self.half_angle, high=math.pi)
         if not abs(np.linalg.norm(self.axis) - 1.0) <= 1e-12:
             raise ValueError(f"axis must be a unit vector, got {self.axis}")
 

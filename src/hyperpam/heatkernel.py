@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brownian
-from .geometry import ParameterError, _count, _logsinh, _positive, origin
+from .geometry import ParameterError, _count, _logsinh, _nonnegative, _positive, origin
 
 MAX_DIM = 10  # largest d dirichlet_eigenvalue was checked at; 6e-4 off at d = 30
 MIN_RADIUS = 1e-60  # LAPACK's bisection fails from r ~ 1e-72, on entries (4000 / r)^2
@@ -47,9 +47,7 @@ def solve_ivp(*args, **kwargs):
 def log_hk_exact_d3(t, rho):
     """log of the d = 3 heat kernel, safe where the kernel itself underflows."""
     _positive("t", t)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("rho must be nonnegative")
+    rho = _nonnegative("rho", rho)
     # log(rho/sinh rho) -> 0 as rho -> 0
     log_ratio = np.where(rho > 1e-8,
                          np.log(np.maximum(rho, 1e-300))
@@ -81,9 +79,7 @@ def log_hk_envelope(t, rho, d):
     """Log of the two-sided comparison envelope (any d >= 2, any t > 0)."""
     _positive("t", t)
     _count("d", d, 2)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("rho must be nonnegative")
+    rho = _nonnegative("rho", rho)
     return (-0.5 * d * np.log(t)
             - (d - 1) ** 2 * t / 4.0
             - rho**2 / (4.0 * t)
@@ -188,8 +184,7 @@ def dirichlet_eigenvalue(r, d, mode="hyperbolic"):
     A refused d, r or mode raises a :class:`geometry.ParameterError` naming it.
     """
     _count("d", d, 2, MAX_DIM)
-    if not 0 < r <= 100:
-        raise ParameterError("r", "r must lie in (0, 100]")
+    _positive("r", r, high=100)
     if r < MIN_RADIUS:
         raise ParameterError("r", f"r must be at least {MIN_RADIUS:g}, got {r:g}")
     if mode not in ("hyperbolic", "euclidean"):

@@ -403,8 +403,7 @@ def critical_beta_exponential(model, r, d):
     localization lower bound exp((beta^2 m_f - 2 lambda_{r/2}) t) grows.
     r must lie in (0, 200]: the eigen-solver takes r / 2 in (0, 100].
     """
-    if not 0 < r <= 200:  # also rejects NaN
-        raise ValueError(f"r must lie in (0, 200], got {r}")
+    geometry._positive("r", r, high=200)
     lam = heatkernel.dirichlet_eigenvalue(r / 2.0, d, "hyperbolic")
     return math.sqrt(2.0 * lam / m_f(model, r)), lam
 

@@ -288,6 +288,18 @@ def test_event_indicators():
     assert isinstance(out2["M_s"], bool)
 
 
+def test_event_fails_where_its_triangle_degenerates():
+    # B_s at x0 leaves no angle at x0: the penalty is inf and A_s fails at any delta
+    o = geometry.origin(3)
+    far = geometry.exp_map(o, geometry.TangentVec(o, np.array([1.0, 0.0, 0.0, 0.0])), 2.0)
+    times = np.array([0.0, 1.0])
+    pair = (BrownianPath(times, np.vstack([o.coords, o.coords]), seed=0),
+            BrownianPath(times, np.vstack([o.coords, far.coords]), seed=0))
+    out = event_indicators(pair, o, delta=1e6, s=1.0)
+    assert out["angle_penalty"] == math.inf
+    assert not out["A_s"] and not out["M_s"]
+
+
 def test_event_probability_decay():
     """The complement of the localization event is rare for moderate delta*s.
 
@@ -442,6 +454,22 @@ def test_driver_refuses_stored_steps_it_would_not_record(stored):
     with pytest.raises(ValueError, match="stored"):
         brownian.pair_profile_matrix(o, o, 0.5, cfg, 3, lambda rho: rho,
                                      stored=np.array(stored))
+
+
+def test_driver_walks_its_step_indices_once():
+    # np.asarray of an iterator is a 0-d object array, whose len() raised
+    cfg = SamplerConfig(3, 1e-2, seed=SEED)
+
+    def recorded(stored):
+        x = np.tile(geometry.origin(3).coords[:, None], 2)
+        slots = []
+        brownian._drive({cfg.scheme: x}, [brownian.path_stream(cfg.seed, i) for i in range(2)],
+                        0.5, cfg, stored, lambda slot: slots.append((slot, x.tobytes())))
+        return slots
+
+    want = recorded(list(range(0, 51, 5)))
+    assert len(want) == 11
+    assert recorded(iter(range(0, 51, 5))) == want
 
 
 @pytest.mark.parametrize("max_columns", [1, 3, 4, 4096])

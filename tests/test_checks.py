@@ -184,3 +184,8 @@ def test_one_check_or_one_cpu_builds_no_pool(monkeypatch, suite, cpus):
     report = checks.run_suite(suite)
     assert len(report["checks"]) == len(checks.SUITES[suite])
     assert report["all_passed"]
+
+
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        checks.run_suite("nope")

@@ -417,9 +417,11 @@ t = 1, 2, 3, 4
      "[sweep] t: t/step = 1e+09 exceeds the 100000000 step budget"),
     (_TP_CONFIG.replace("step = 0.05", "step = 1e-300"), "t/step = 1e+300 exceeds"),
     (_TP_CONFIG.replace("step = 0.05", "step = 5e-324"), "t/step = inf exceeds"),
+    (BASE_CONFIG + "\n[run]\nseed = 1\n", "exp.cfg: While reading from '<string>' "
+     "[line 16]: section 'run' already exists"),
 ], ids=["no-paths", "no-beta", "no-t", "euclidean-dim", "euclidean-kind", "beta-overflow",
         "C-overflow", "c-overflow", "jensen-square-overflow", "step-budget", "step-digits",
-        "step-subnormal"])
+        "step-subnormal", "duplicate-section"])
 def test_sweep_that_cannot_produce_rows_exits_2(tmp_path, capsys, text, named):
     rc = main(["phase-sweep", "--config", _write(tmp_path, text),
                "--out", str(tmp_path / "out")])
@@ -747,6 +749,13 @@ def test_argument_error_names_flag(tmp_path, capsys, argv, flag):
     assert main([*argv, *out]) == 2
     assert f"config error: {flag}:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_eigenvalue_dim_is_named_by_its_flag(capsys):
+    # read "--dim: d must be ...", the library's name for it
+    assert main(["eigenvalue", "--r", "1", "--dim", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: --dim: dim must be an integer in [2, 10], got 1\n"
 
 
 def test_record_builds_the_record_once():

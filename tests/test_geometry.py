@@ -570,6 +570,11 @@ _POSITIVE = [*_NONNEGATIVE, 0.0]
 _ALPHA = [*_FLAGS, 0.0, -1.0]
 
 
+# the distance arrays geometry._nonnegative refuses; NaN and inf pass, since an
+# overflowed pair distance must reach the estimators that exclude it
+_DISTANCES = [*_FLAGS, -math.inf, -1.0, [0.5, -1e-3]]
+
+
 def _counts(low, high=None):
     """The values geometry._count(name, v, low, high) refuses; float(low) is not a count."""
     return [*_FLAGS, math.nan, math.inf, float(low), low - 1,
@@ -609,6 +614,7 @@ _RULE_ENTRY_POINTS = {
         _O3, 0.1, v, _TP, 2, _CFG3), _NONNEGATIVE),
     "m_f": ("r", lambda v: moments.m_f(_TP, v), _NONNEGATIVE),
     "HPoint": ("dim", lambda v: HPoint(_O3.coords, v), _counts(2)),
+    "origin": ("d", geometry.origin, _counts(2)),
     "cone_sets": ("d", cone_sets, _counts(2)),
     "SamplerConfig-dim": ("dim", lambda v: brownian.SamplerConfig(dim=v),
                           _counts(2, brownian.MAX_DIM)),
@@ -628,6 +634,15 @@ _RULE_ENTRY_POINTS = {
     "log_hk_envelope-d": ("d", lambda v: heatkernel.log_hk_envelope(1.0, 1.0, v), _counts(2)),
     "dyson_partial": ("n_terms", lambda v: moments.dyson_partial(
         _O3, 0.1, 0.5, _TP, v, 2, _CFG3), _counts(0, 8)),
+    "psi": ("rho", covariance.psi, _DISTANCES),
+    "lower_incomplete_gamma-x": ("x", lambda v: covariance.lower_incomplete_gamma(1.0, v),
+                                 _DISTANCES),
+    "profile-phi": ("rho", CovarianceModel("phi-alpha", alpha=2.0).profile, _DISTANCES),
+    "profile-tp": ("rho", _TP.profile, _DISTANCES),
+    "profile-constant": ("rho", CovarianceModel("constant").profile, _DISTANCES),
+    "log_hk_exact_d3-rho": ("rho", lambda v: heatkernel.log_hk_exact_d3(1.0, v), _DISTANCES),
+    "log_hk_envelope-rho": ("rho", lambda v: heatkernel.log_hk_envelope(1.0, v, 3),
+                            _DISTANCES),
 }
 
 
@@ -642,3 +657,35 @@ def test_each_rule_refusal_names_its_parameter(entry, value):
         call(value)
     assert info.value.args[0] == name
     assert str(info.value).startswith(f"{name} must be ")
+
+
+# entry -> (parameter, high, call): every number geometry._positive bounds by high
+_INTERVAL_ENTRY_POINTS = {
+    "SamplerConfig-step": ("step", 0.1, lambda v: brownian.SamplerConfig(step=v)),
+    "dirichlet_eigenvalue": ("r", 100.0, lambda v: heatkernel.dirichlet_eigenvalue(v, 3)),
+    "critical_beta_exponential": ("r", 200.0, lambda v: moments.critical_beta_exponential(
+        _TP, v, 3)),
+    "SphericalCap": ("half_angle", math.pi, lambda v: geometry.SphericalCap(np.eye(3)[0], v)),
+    "event_indicators-s": ("s", 0.1, lambda v: brownian.event_indicators(
+        brownian.sample_pair(_O3, 0.1, _CFG3), _O3, 1.0, v)),
+}
+
+
+@pytest.mark.parametrize("entry,value", [
+    (entry, value) for entry, (_, high, _) in _INTERVAL_ENTRY_POINTS.items()
+    for value in [*_POSITIVE, 2.0 * high]])
+def test_each_interval_refusal_names_its_parameter_and_bound(entry, value):
+    # a bool ran as 1: dirichlet_eigenvalue(True, 3) returned 10.8696, the cap
+    # had a 1-radian half angle and event_indicators ran at s = 1
+    name, high, call = _INTERVAL_ENTRY_POINTS[entry]
+    with pytest.raises(geometry.ParameterError) as info:
+        call(value)
+    assert info.value.args[0] == name
+    assert str(info.value) == f"{name} must lie in (0, {high:g}], got {value}"
+
+
+def test_tangent_vector_and_geodesic_length_refusals():
+    with pytest.raises(ValueError, match="wrong number of coordinates"):
+        TangentVec(_O3, np.zeros(3))
+    with pytest.raises(ValueError, match="overflow ceiling"):
+        exp_map(_O3, TangentVec(_O3, np.array([1.0, 0.0, 0.0, 0.0])), 701.0)
