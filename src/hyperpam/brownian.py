@@ -450,9 +450,7 @@ def exit_times(x0, r, t_max, cfg, n_paths, first_index=0):
 
 def radial_statistics(path, x0):
     """Normalized radial fluctuation xi_t = (rho(x0, B_t) - (d-1) t) / sqrt(t)."""
-    t = float(path.times[-1])
-    if t < 1.0:
-        raise ValueError("endpoint time must be at least 1")
+    t = geometry._positive("t", float(path.times[-1]), low=1)
     rho = float(geometry.distance(_coords(x0), path.points[-1]))
     d = path.dim
     return {"xi_t": (rho - (d - 1) * t) / np.sqrt(t)}

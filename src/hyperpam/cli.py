@@ -142,7 +142,7 @@ class _Config:
         values = self.distinct(section, key, float, default)
         for v in values:
             _checked(functools.partial(self._fail, section), geometry._positive,
-                     key, v, zero=not positive)
+                     key, v, low=None if positive else 0)
         return values
 
     def model(self):
@@ -336,8 +336,7 @@ def cmd_phase_sweep(args):
 
 def cmd_validate(args):
     # 0 is allowed and fails every check (the harness self-test)
-    _checked(_flag_error, geometry._positive, "tolerance-scale", args.tolerance_scale,
-             zero=True)
+    _checked(_flag_error, geometry._positive, "tolerance-scale", args.tolerance_scale, low=0)
     if args.seed is not None:  # the checks build SamplerConfigs from it
         _checked(_flag_error, geometry._count, "seed", args.seed, 0, brownian.MAX_SEED)
     report = checks.run_suite(args.suite, tolerance_scale=args.tolerance_scale, seed=args.seed)
@@ -358,8 +357,8 @@ def cmd_lambda(args):
     sampler = cfg.sampler(args.seed)
     t_max = cfg.get("lambda", "t_max", float, default=50.0)
     # this limit is t_max's own: the run's refusals below name the keys they rest on
-    _checked(lambda _, message: cfg._fail("lambda", "t_max", message), moments._check_T_max,
-             t_max)
+    _checked(lambda _, message: cfg._fail("lambda", "t_max", message), geometry._positive,
+             "T_max", t_max, low=moments.MIN_T_MAX)
     seps = cfg.floats("lambda", "separations", default=[0.0, 5.0, 10.0])
     if max(seps) > geometry.MAX_RADIUS:  # cosh overflows beyond a separation of about 710
         cfg._fail("lambda", "separations",
@@ -398,6 +397,7 @@ def cmd_lambda(args):
 
 
 def cmd_sample_path(args):
+    _checked(_flag_error, geometry._positive, "t", args.t)
     _checked(_flag_error, geometry._count, "n-paths", args.n_paths, 1, brownian.MAX_PATHS)
     sampler = _checked(_flag_error, brownian.SamplerConfig, dim=args.dim, step=args.step,
                        scheme=args.scheme, seed=args.seed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HPoint, ParameterError, _coords, _nonnegative, _positive, distance
+from .geometry import HPoint, ParameterError, _coords, _count, _nonnegative, _positive, distance
 
 _KINDS = ("phi-alpha", "truncated-power", "constant")
 _PSI_CUTOFF = 1e-12  # phi_alpha is 1 wherever Psi <= _PSI_CUTOFF
@@ -43,10 +43,8 @@ def lower_incomplete_gamma(a, x):
     x returns a float, an array x an ndarray.  A subnormal a (gammainc is 0
     there) and an a whose Gamma(a) overflows (above about 171.6) are refused.
     """
-    _positive("a", a)
+    _positive("a", a, low=np.finfo(float).tiny)
     x = _nonnegative("x", x)
-    if a < np.finfo(float).tiny:
-        raise ValueError(f"a must be at least 2.2e-308, got {a:g}")
     try:
         gamma_a = math.gamma(a)
     except OverflowError:
@@ -146,8 +144,7 @@ def psd_check(model, points):
     too), counted first, then unwrapped alike.  For the phi-alpha kind the
     contract is min_eigenvalue >= -1e-8 * trace.
     """
-    if not 1 <= len(points) <= 500:
-        raise ValueError("need between 1 and 500 points")
+    _count("len(points)", len(points), 1, 500)
     coords = np.stack([_coords(p) for p in points])
     gram = np.asarray(model.profile(distance(coords[:, None], coords[None])), dtype=float)
     eig = np.linalg.eigvalsh(gram)

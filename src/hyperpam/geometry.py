@@ -34,8 +34,9 @@ floor (see :func:`_too_close`).
 
 Every other input is checked once, where it enters, by one rule that returns
 it or raises a :class:`ParameterError` naming it, and takes no bool:
-:func:`_positive` (numbers, bounded by ``high`` or not), :func:`_count`
-(counts) or :func:`_nonnegative` (distance arrays, in which NaN passes).
+:func:`_positive` (numbers above 0, or at least ``low``, and at most ``high``
+if given), :func:`_count` (counts in [low, high]) or :func:`_nonnegative`
+(distance arrays, at most ``high`` if given; NaN passes only without it).
 """
 
 import math
@@ -62,15 +63,19 @@ class ParameterError(ValueError):
         return self.args[1]
 
 
-def _positive(name, value, zero=False, high=None):
-    """``value``; refuse it unless it is a finite number > 0 (>= 0 with ``zero``)
+def _positive(name, value, low=None, high=None):
+    """``value``; refuse it unless it is a finite number > 0 (>= ``low`` if given)
     and at most ``high``."""
     # chained comparisons also refuse NaN; a bool is a flag, not a number
     if isinstance(value, (bool, np.bool_)) or not (
-            (0 <= value if zero else 0 < value) and value < math.inf
+            (0 < value if low is None else low <= value) and value < math.inf
             and (high is None or value <= high)):
-        rule = ("be finite and nonnegative" if zero else "be positive and finite") \
-            if high is None else f"lie in {'[' if zero else '('}0, {high:g}]"
+        if high is not None:
+            rule = f"lie in {'(0' if low is None else f'[{low:g}'}, {high:g}]"
+        elif low is None:
+            rule = "be positive and finite"
+        else:
+            rule = "be finite and " + ("nonnegative" if low == 0 else f"at least {low:g}")
         raise ParameterError(name, f"{name} must {rule}, got {value}")
     return value
 
@@ -84,13 +89,15 @@ def _count(name, value, low, high=None):
     return value
 
 
-def _nonnegative(name, values):
-    """``values`` as a float array; refuse it if an entry is below 0 (NaN passes)
-    or it holds bools."""
+def _nonnegative(name, values, high=None):
+    """``values`` as a float array; refuse it if it holds bools or an entry below 0
+    or above ``high``.  NaN passes unless ``high`` is given (NaN <= high is false)."""
     values = np.asarray(values)
-    if values.dtype == bool or np.any(values < 0):
+    if values.dtype == bool or np.any(values < 0) or (
+            high is not None and not np.all(values <= high)):
+        bound = "" if high is None else f" and at most {high:g}"
         got = ", got bools" if values.dtype == bool else ""
-        raise ParameterError(name, f"{name} must be nonnegative{got}")
+        raise ParameterError(name, f"{name} must be nonnegative{bound}{got}")
     return values.astype(float, copy=False)
 
 
@@ -237,14 +244,11 @@ def _too_close(ca, cb, rho):
 def exp_map(base, sigma, rho):
     """Follow the geodesic from ``base`` in unit direction ``sigma`` for length ``rho``.
 
-    Closed form: cosh(rho) * base + sinh(rho) * sigma.  ``sigma`` must be a unit
-    tangent vector at ``base``, both up to the roundoff of the product tested.
+    Closed form: cosh(rho) * base + sinh(rho) * sigma, for rho in [0, MAX_RADIUS].
+    ``sigma`` must be a unit tangent vector at ``base``, both up to the roundoff of
+    the product tested.
     """
-    rho_arr = np.asarray(rho, dtype=float)
-    if not np.all(rho_arr >= 0):  # also refuses NaN
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if np.any(rho_arr > MAX_RADIUS):
-        raise ValueError(f"rho exceeds the overflow ceiling {MAX_RADIUS}")
+    rho_arr = _nonnegative("rho", rho, high=MAX_RADIUS)
     cb, cs = _coords(base), _coords(sigma)
     _check_on_sheet(cb)
     if np.any(np.abs(minkowski_product(cs, cs) - 1.0) > _REL_TOL * _roundoff_scale(cs, cs)):
@@ -371,7 +375,7 @@ class SphericalCap:
 
     def sample(self, rng, size=None):
         """Uniform directions restricted to the cap (rejection from the sphere)."""
-        n = 1 if size is None else int(size)
+        n = 1 if size is None else _count("size", size, 0)
         d = self.axis.shape[0]
         out = np.empty((n, d))
         filled = 0

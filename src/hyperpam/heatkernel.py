@@ -184,9 +184,7 @@ def dirichlet_eigenvalue(r, d, mode="hyperbolic"):
     A refused d, r or mode raises a :class:`geometry.ParameterError` naming it.
     """
     _count("d", d, 2, MAX_DIM)
-    _positive("r", r, high=100)
-    if r < MIN_RADIUS:
-        raise ParameterError("r", f"r must be at least {MIN_RADIUS:g}, got {r:g}")
+    _positive("r", r, low=MIN_RADIUS, high=100)
     if mode not in ("hyperbolic", "euclidean"):
         raise ParameterError("mode", f"unknown mode {mode!r}")
     coarse, fine = (_fv_eigenvalue(r, d, mode, n) for n in (2000, 4000))

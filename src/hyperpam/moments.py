@@ -55,6 +55,7 @@ import numpy as np
 from . import brownian, geometry, heatkernel
 
 _M_F_GRID = 2001  # distances in [0, r] at which m_f evaluates the profile
+MIN_T_MAX = 50.0  # the shortest lambda_constant horizon whose tail fit is trusted
 
 
 class EstimatorError(RuntimeError):
@@ -221,7 +222,7 @@ def _estimate(kind, x, t, beta, model, n_paths, cfg, ensemble, reduce, kernel="h
     extra MomentEstimate fields).
     """
     geometry._positive("t", t)
-    geometry._positive("beta", beta, zero=True)
+    geometry._positive("beta", beta, low=0)
     if kernel == "flat" and (problem := _euclidean_problem(model, cfg.dim)):
         raise EstimatorError(problem[1])
     ensemble = _own_ensemble(ensemble, x, t, model, n_paths, cfg, kernel)
@@ -288,13 +289,6 @@ def dyson_partial(x, t, beta, model, n_terms, n_paths, cfg):
     return _estimate("dyson", x, t, beta, model, n_paths, cfg, None, reduce)
 
 
-def _check_T_max(T_max):
-    """Refuse a :func:`lambda_constant` horizon unless it is finite and at least 50."""
-    if not 50 <= T_max < math.inf:  # also rejects NaN
-        raise geometry.ParameterError("T_max",
-                                      f"T_max must be finite and at least 50, got {T_max}")
-
-
 def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
     """Estimate the uniform bound on integral_0^inf E f(B_t, B_t~) dt.
 
@@ -314,7 +308,7 @@ def lambda_constant(model, start_pairs, T_max, n_paths, cfg):
         raise EstimatorError(
             "lambda_constant requires a profile decaying faster than 1/rho "
             "(alpha > 1); the tail integral diverges otherwise")
-    _check_T_max(T_max)
+    geometry._positive("T_max", T_max, low=MIN_T_MAX)
     start_pairs = list(start_pairs)
     if not start_pairs:
         raise ValueError("start_pairs must hold at least one (x, y) pair")
@@ -391,7 +385,7 @@ def m_f(model, r):
     For a radial profile this is the minimum of F over distances [0, r]
     (computed on a dense grid rather than assuming monotonicity).
     """
-    geometry._positive("r", r, zero=True)
+    geometry._positive("r", r, low=0)
     grid = np.linspace(0.0, r, _M_F_GRID)
     return float(np.min(model.profile(grid)))
 

@@ -787,13 +787,13 @@ def test_record_builds_the_record_once():
      "exp.cfg:14: [sweep] t: t must be positive and finite, got -1.0"),
     (["validate", "--tolerance-scale", "nan"], None,
      "--tolerance-scale: tolerance-scale must be finite and nonnegative, got nan"),
+    # these two blamed a joint limit with "(with --step 0.001)"
+    (["sample-path", "--t", "-1"], None, "--t: t must be positive and finite, got -1.0"),
+    (["sample-path", "--t", "nan"], None, "--t: t must be positive and finite, got nan"),
 ], ids=["run-workers", "flag-workers", "flag-n-paths", "run-n_paths-above-budget",
-        "sweep-t-negative", "flag-tolerance-scale"])
+        "sweep-t-negative", "flag-tolerance-scale", "flag-t-negative", "flag-t-nan"])
 def test_a_refused_count_or_number_is_worded_by_its_rule(tmp_path, capsys, argv, change,
                                                          message):
-    # these read "must be at least 1, got 0", "must be at most 100000000, got
-    # 100000001", "values must be finite and > 0, got [1.0, -1.0]" and
-    # "must be finite and >= 0, got nan"
     if argv[0] == "phase-sweep":
         text = BASE_CONFIG.replace(*change) if change else BASE_CONFIG
         argv = [*argv, "--config", _write(tmp_path, text)]

@@ -561,7 +561,7 @@ _TP = CovarianceModel("truncated-power", alpha=2.0)
 _FLAGS = [True, np.True_]
 
 
-# the values geometry._positive refuses, with zero=True and without
+# the values geometry._positive refuses, with low=0 and without
 _NONNEGATIVE = [*_FLAGS, math.nan, math.inf, -math.inf, -1.0]
 _POSITIVE = [*_NONNEGATIVE, 0.0]
 
@@ -581,8 +581,8 @@ def _counts(low, high=None):
             *([] if high is None else [high + 1])]
 
 
-# entry -> (parameter, call, refused values): every scalar argument that one
-# of the two rules checks
+# entry -> (parameter, call, refused values): every argument that one of the
+# three rules checks
 _RULE_ENTRY_POINTS = {
     "_schedule": ("t", lambda v: brownian._schedule(v, 1e-2), _POSITIVE),
     "sample_path": ("t", lambda v: brownian.sample_path(_O3, v, _CFG3), _POSITIVE),
@@ -643,6 +643,17 @@ _RULE_ENTRY_POINTS = {
     "log_hk_exact_d3-rho": ("rho", lambda v: heatkernel.log_hk_exact_d3(1.0, v), _DISTANCES),
     "log_hk_envelope-rho": ("rho", lambda v: heatkernel.log_hk_envelope(1.0, v, 3),
                             _DISTANCES),
+    # True ran as a geodesic of length 1
+    "exp_map": ("rho", lambda v: exp_map(_O3, np.eye(4)[0], v),
+                [True, math.nan, -1.0, geometry.MAX_RADIUS + 1.0]),
+    # an end time of NaN or inf returned xi_t NaN
+    "radial_statistics": ("t", lambda v: brownian.radial_statistics(brownian.BrownianPath(
+        np.array([0.0, v]), np.vstack([_O3.coords, _O3.coords]), seed=0), _O3),
+        [math.nan, math.inf, 0.5]),
+    "psd_check": ("len(points)", lambda v: psd_check(_TP, v), [[], [_O3] * 501]),
+    # size True drew one direction as a (1, 3) array, and 2.7 drew 2
+    "SphericalCap.sample": ("size", lambda v: geometry.SphericalCap(np.eye(3)[0], 0.5).sample(
+        np.random.default_rng(SEED), v), _counts(0)),
 }
 
 
@@ -659,33 +670,43 @@ def test_each_rule_refusal_names_its_parameter(entry, value):
     assert str(info.value).startswith(f"{name} must be ")
 
 
-# entry -> (parameter, high, call): every number geometry._positive bounds by high
+# entry -> (parameter, low, high, call): every number geometry._positive bounds
+# by low (None: above 0) or high (None: finite)
 _INTERVAL_ENTRY_POINTS = {
-    "SamplerConfig-step": ("step", 0.1, lambda v: brownian.SamplerConfig(step=v)),
-    "dirichlet_eigenvalue": ("r", 100.0, lambda v: heatkernel.dirichlet_eigenvalue(v, 3)),
-    "critical_beta_exponential": ("r", 200.0, lambda v: moments.critical_beta_exponential(
+    "SamplerConfig-step": ("step", None, 0.1, lambda v: brownian.SamplerConfig(step=v)),
+    "dirichlet_eigenvalue": ("r", heatkernel.MIN_RADIUS, 100.0,
+                             lambda v: heatkernel.dirichlet_eigenvalue(v, 3)),
+    "critical_beta_exponential": ("r", None, 200.0, lambda v: moments.critical_beta_exponential(
         _TP, v, 3)),
-    "SphericalCap": ("half_angle", math.pi, lambda v: geometry.SphericalCap(np.eye(3)[0], v)),
-    "event_indicators-s": ("s", 0.1, lambda v: brownian.event_indicators(
+    "SphericalCap": ("half_angle", None, math.pi,
+                     lambda v: geometry.SphericalCap(np.eye(3)[0], v)),
+    "event_indicators-s": ("s", None, 0.1, lambda v: brownian.event_indicators(
         brownian.sample_pair(_O3, 0.1, _CFG3), _O3, 1.0, v)),
+    "lower_incomplete_gamma-a": ("a", np.finfo(float).tiny, None,
+                                 lambda v: covariance.lower_incomplete_gamma(v, 1.0)),
+    "lambda_constant": ("T_max", moments.MIN_T_MAX, None, lambda v: moments.lambda_constant(
+        _TP, [(_O3, _O3)], v, 2, _CFG3)),
 }
 
 
 @pytest.mark.parametrize("entry,value", [
-    (entry, value) for entry, (_, high, _) in _INTERVAL_ENTRY_POINTS.items()
-    for value in [*_POSITIVE, 2.0 * high]])
+    (entry, value) for entry, (_, low, high, _) in _INTERVAL_ENTRY_POINTS.items()
+    for value in [*_POSITIVE, *([] if low is None else [0.5 * low]),
+                  *([] if high is None else [2.0 * high])]])
 def test_each_interval_refusal_names_its_parameter_and_bound(entry, value):
     # a bool ran as 1: dirichlet_eigenvalue(True, 3) returned 10.8696, the cap
     # had a 1-radian half angle and event_indicators ran at s = 1
-    name, high, call = _INTERVAL_ENTRY_POINTS[entry]
+    name, low, high, call = _INTERVAL_ENTRY_POINTS[entry]
     with pytest.raises(geometry.ParameterError) as info:
         call(value)
     assert info.value.args[0] == name
-    assert str(info.value) == f"{name} must lie in (0, {high:g}], got {value}"
+    rule = f"be finite and at least {low:g}" if high is None else \
+        f"lie in {'(0' if low is None else f'[{low:g}'}, {high:g}]"
+    assert str(info.value) == f"{name} must {rule}, got {value}"
 
 
 def test_tangent_vector_and_geodesic_length_refusals():
     with pytest.raises(ValueError, match="wrong number of coordinates"):
         TangentVec(_O3, np.zeros(3))
-    with pytest.raises(ValueError, match="overflow ceiling"):
+    with pytest.raises(ValueError, match="^rho must be nonnegative and at most 700$"):
         exp_map(_O3, TangentVec(_O3, np.array([1.0, 0.0, 0.0, 0.0])), 701.0)
